@@ -3,14 +3,13 @@
 //! ```text
 //! perfbench-probe spec WORKLOAD SEED OUT.json [--smoke]
 //! perfbench-probe reference SPEC.json DIR
-//! perfbench-probe trace SPEC.json DIR stream CHUNK RECORDS
+//! perfbench-probe trace SPEC.json DIR stream CHUNK
 //! perfbench-probe trace SPEC.json DIR serve SHARDS CHUNK
 //! ```
 //!
 //! * `spec` writes a workload's `ScenarioSpec`. The seed moves
-//!   `seeds.net_base` and `seeds.run_base` by [`SEED_STRIDE`] per step, so
-//!   seed 0 of `e1-rgg` is the registry E1 full grid exactly; `--smoke`
-//!   shrinks the grid for the benchmark's self-test.
+//!   `seeds.net_base` and `seeds.run_base` by [`SEED_STRIDE`] per step;
+//!   `--smoke` shrinks the grid for the benchmark's self-test.
 //! * `reference` runs the spec through `run_spec` in this process and
 //!   writes what radio-lab must reproduce byte for byte: `table.csv` (the
 //!   `--csv` file), `stdout.txt` (the printed table) and `records.jsonl`.
@@ -22,8 +21,8 @@
 mod replay;
 
 use radio_bench::scenario::{
-    registry, run_spec, NestOrder, RenderKind, ScenarioSpec, SeedPolicy, StopCondition,
-    TopologyEntry, WorkloadEntry,
+    run_spec, NestOrder, RenderKind, ScenarioSpec, SeedPolicy, StopCondition, TopologyEntry,
+    WorkloadEntry,
 };
 use radio_bench::sink::{RecordSink, StreamAggregate};
 use radio_bench::Table;
@@ -46,10 +45,9 @@ fn main() {
     let result = match args.as_slice() {
         ["spec", workload, seed, out, rest @ ..] => spec_cmd(workload, seed, Path::new(out), rest),
         ["reference", spec, dir] => load_spec(spec).and_then(|s| reference(&s, Path::new(dir))),
-        ["trace", spec, dir, "stream", chunk, records] => load_spec(spec).and_then(|s| {
+        ["trace", spec, dir, "stream", chunk] => load_spec(spec).and_then(|s| {
             let route = replay::Route::Stream {
                 chunk: positive(chunk)?,
-                records: *records == "1",
             };
             replay::trace(&s, Path::new(dir), route)
         }),
@@ -94,16 +92,6 @@ fn spec_cmd(workload: &str, seed: &str, out: &Path, rest: &[&str]) -> Res<()> {
 /// was chosen.
 fn workload_spec(workload: &str, seed: u64, smoke: bool) -> Res<ScenarioSpec> {
     let mut spec = match workload {
-        "e1-rgg" => {
-            let mut spec = registry::specs("e1", false)
-                .and_then(|mut specs| specs.pop())
-                .ok_or("the registry has no e1 spec")?;
-            if smoke {
-                spec.topologies.truncate(3);
-                spec.trials = 2;
-            }
-            spec
-        }
         "clique-cells" => mis_grid(
             "CLIQUE",
             "sweep benchmark: MIS cells on dense cliques",

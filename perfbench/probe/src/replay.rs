@@ -34,8 +34,8 @@ use std::time::{Duration, Instant};
 
 /// The radio-lab execution path a replay follows.
 pub(crate) enum Route {
-    /// `radio-lab SPEC --stream`, with or without `--records`.
-    Stream { chunk: u64, records: bool },
+    /// `radio-lab SPEC --stream` without `--records`.
+    Stream { chunk: u64 },
     /// `radio-lab serve`: every shard through the checkpointed slice runner.
     Serve { shards: u64, chunk: u64 },
 }
@@ -61,7 +61,7 @@ pub(crate) fn trace(spec: &ScenarioSpec, dir: &Path, route: Route) -> Res<()> {
         fused: Vec::new(),
     };
     match route {
-        Route::Stream { chunk, records } => replay.stream(chunk, records, dir)?,
+        Route::Stream { chunk } => replay.stream(chunk, dir)?,
         Route::Serve { shards, chunk } => replay.serve(shards, chunk, dir)?,
     }
     replay.batch_speedup();
@@ -245,17 +245,11 @@ struct Replay<'a> {
 
 impl Replay<'_> {
     /// `radio-lab --stream`: index-ordered windows of `chunk` units, each
-    /// executed and then fed to the aggregate fold and the record log.
-    fn stream(&mut self, chunk: u64, records: bool, dir: &Path) -> Res<()> {
+    /// executed and then fed to the aggregate fold.
+    fn stream(&mut self, chunk: u64, dir: &Path) -> Res<()> {
         let spec = self.spec;
         let total = spec.grid_size() as u64;
-        let log_path = dir.join("records.jsonl");
         let mut agg = StreamAggregate::for_spec(spec);
-        let mut log = if records {
-            Some(JsonlWriter::new(BufWriter::new(File::create(&log_path)?)))
-        } else {
-            None
-        };
         // Without --records the path writes no log; the replay keeps the
         // records and writes them untimed, so its stream is still compared.
         let mut kept = Vec::new();
@@ -275,31 +269,18 @@ impl Replay<'_> {
                 };
                 done.extend(run.zip(recs));
             }
-            self.sinks(
-                &done,
-                &mut agg,
-                log.as_mut().map(|l| l as &mut dyn RecordSink),
-            )?;
+            self.sinks(&done, &mut agg, None)?;
             self.t.close();
-            if !records {
-                kept.extend(done.into_iter().map(|(_, rec)| rec));
-            }
+            kept.extend(done.into_iter().map(|(_, rec)| rec));
             start = end;
-        }
-        if let Some(log) = log {
-            self.t.span("sink.jsonl", None, || log.finish())?;
         }
         let table = self.t.span("aggregate.table", None, || agg.table(spec));
         self.t.close();
-        if records {
-            self.out.sink_jsonl_bytes = fs::metadata(&log_path)?.len();
-        } else {
-            let mut copy = BufWriter::new(File::create(&log_path)?);
-            for rec in &kept {
-                writeln!(copy, "{}", rec.to_jsonl())?;
-            }
-            copy.flush()?;
+        let mut copy = BufWriter::new(File::create(dir.join("records.jsonl"))?);
+        for rec in &kept {
+            writeln!(copy, "{}", rec.to_jsonl())?;
         }
+        copy.flush()?;
         self.out.aggregate_snapshot_bytes =
             serde_json::to_string_pretty(&agg.snapshot())?.len() as u64;
         write_table(&table, dir)

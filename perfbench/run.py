@@ -3,7 +3,7 @@
 
 Run from the repository root:
 
-    python3 perfbench/run.py --workload e1-rgg --seed 0 --seconds 20 --trace 0
+    python3 perfbench/run.py --workload clique-cells --seed 0 --seconds 50 --trace 0
 
 The script builds `radio-lab` and the in-process probe (`perfbench/probe`)
 into `$CARGO_TARGET_DIR` (default `.bench_build`), generates the workload's
@@ -17,7 +17,8 @@ JSON result; the runs' artifacts stay in `.bench_out/<workload>-seed<N>/`.
 `--trace 0` reports the end-to-end metrics. `--trace 1` repeats the timed
 runs, then has the probe replay the sweep on one thread with a span around
 every call into a layer, writes the spans to `trace/spans.jsonl` beside the
-results, and reports the per-layer metrics.
+results, and reports the per-layer metrics. BENCHMARK.json names the
+metrics of each list and their units.
 
     python3 perfbench/run.py --make-reference   # rewrite reference.json
     python3 perfbench/selftest.py                # reduced-trial smoke checks
@@ -41,64 +42,19 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 HERE = os.path.join(ROOT, "perfbench")
 OUT_ROOT = os.path.join(ROOT, ".bench_out")
 REFERENCE_PATH = os.path.join(HERE, "reference.json")
+MANIFEST_PATH = os.path.join(ROOT, "BENCHMARK.json")
 REFERENCE_SEED = 0
 
 # How each workload reaches radio-lab; the probe replays the same shapes.
-# BENCHMARK.json gates clique-cells and serve-fleet only: e1-rgg's wall
-# times spread by ~20% across seeds on a 2-core host, and one pair of its
-# runs takes ~12 s, too long to repeat enough within a run to steady them.
 WORKLOADS = {
-    "e1-rgg": {"route": "stream", "records": True},
     "clique-cells": {"route": "stream", "records": False},
     "serve-fleet": {"route": "serve", "records": True, "shards": 4, "chunk": 8},
 }
 # radio-lab's default --chunk: the replay must cut the same windows.
 STREAM_CHUNK = 256
 
-# (name, unit, better). BENCHMARK.json lists the same metrics with bounds.
-END_TO_END = [
-    ("wall_s", "s", "lower"),
-    ("wall_s_1t", "s", "lower"),
-    ("units_per_s", "units/s", "higher"),
-    ("setup_s", "s", "lower"),
-    ("peak_rss_mb", "MB", "lower"),
-]
-PER_LAYER = [
-    ("topology.build_s", "s", "lower"),
-    ("topology.builds", "count", "lower"),
-    ("runner.s", "s", "lower"),
-    ("engine.node_rounds", "count", "lower"),
-    ("engine.broadcasts", "count", "lower"),
-    ("engine.deliveries", "count", "lower"),
-    ("engine.collisions", "count", "lower"),
-    ("engine.node_rounds_per_s", "1/s", "higher"),
-    ("engine.units_scalar", "count", "lower"),
-    ("engine.units_bitset", "count", "higher"),
-    ("engine.units_batched", "count", "higher"),
-    ("engine.batch_speedup_1t", "ratio", "higher"),
-    ("checker.s", "s", "lower"),
-    ("parallel.efficiency", "ratio", "higher"),
-    ("aggregate.fold_s", "s", "lower"),
-    ("aggregate.snapshot_bytes", "bytes", "lower"),
-    ("sink.jsonl_s", "s", "lower"),
-    ("sink.jsonl_bytes", "bytes", "lower"),
-    ("checkpoint.saves", "count", "lower"),
-    ("checkpoint.save_s", "s", "lower"),
-    ("checkpoint.bytes", "bytes", "lower"),
-    ("checkpoint.merge_s", "s", "lower"),
-    ("serve.busy_frac", "ratio", "higher"),
-    ("serve.shard_imbalance", "ratio", "lower"),
-    ("serve.finish_lag_s", "s", "lower"),
-    ("serve.leases", "count", "lower"),
-    ("serve.takeovers", "count", "lower"),
-    ("trace.unattributed_frac", "fraction", "lower"),
-    ("trace.overhead_frac", "fraction", "lower"),
-    ("error_rate", "fraction", "lower"),
-]
-
 ARTIFACTS = ("table.csv", "stdout.txt", "records.jsonl")
 MIN_PAIRS = 2  # timed (full width, width 1) pairs per run, at least
-SETUP_PROBES = 6  # extra launches killed as soon as the first unit starts
 RSS_POLL_S = 0.01
 PR_SET_CHILD_SUBREAPER = 36
 
@@ -124,6 +80,17 @@ def fresh_dir(path):
 def sha256(path):
     with open(path, "rb") as f:
         return hashlib.sha256(f.read()).hexdigest()
+
+
+def metric_names(trace):
+    """The metrics a run reports, with their units, as BENCHMARK.json lists
+    them: the per-layer list when tracing, else the end-to-end list."""
+    try:
+        with open(MANIFEST_PATH) as f:
+            manifest = json.load(f)
+    except (OSError, ValueError) as e:
+        raise BenchError(f"cannot read BENCHMARK.json: {e}")
+    return [(m["name"], m["unit"]) for m in manifest["per_layer" if trace else "end_to_end"]]
 
 
 def read_records(path):
@@ -244,7 +211,6 @@ class Launch:
         self.lines = []
         self.setup_s = None
         self.peaks = {}
-        self._marked = threading.Event()
         self._done = threading.Event()
         with open(stdout_path, "wb") as out:
             self.t0 = time.perf_counter()
@@ -262,7 +228,6 @@ class Launch:
             line = raw.decode("utf-8", "replace")
             if self.setup_s is None and self.marker in line:
                 self.setup_s = now - self.t0
-                self._marked.set()
             self.lines.append(line)
 
     def _poll(self):
@@ -281,14 +246,6 @@ class Launch:
         self.exit_epoch = time.time()
         self._join()
         return self.code
-
-    def stop_at_marker(self, timeout=120):
-        """Kills the tree as soon as the first unit starts."""
-        deadline = time.perf_counter() + timeout
-        while not self._marked.wait(0.005):
-            if self.proc.poll() is not None or time.perf_counter() > deadline:
-                break
-        self.kill()
 
     def kill(self):
         try:
@@ -391,20 +348,6 @@ def measure(tools, wl, ref, run_dir, seconds, min_pairs):
             return full, one
 
 
-def setup_probes(tools, wl, run_dir, count):
-    """Launches the full-width command `count` times, killing each as soon as
-    its first unit starts: set-up time without the sweep."""
-    samples = []
-    for _ in range(count):
-        d = fresh_dir(os.path.join(run_dir, "setup"))
-        run = Launch(wl.command(tools.lab, nproc(), d), wl.marker, os.path.join(d, "stdout.txt"))
-        run.stop_at_marker()
-        if run.setup_s is None:
-            raise BenchError(f"{wl.name}: radio-lab never started a unit:\n{''.join(run.lines)}")
-        samples.append(run.setup_s)
-    return samples
-
-
 def traced(tools, wl, ref, run_dir):
     """The probe's single-thread replay: its summary, and its failed units
     (the replay's artifacts must match the reference byte for byte too)."""
@@ -412,8 +355,7 @@ def traced(tools, wl, ref, run_dir):
     if wl.serve:
         tools.probe("trace", wl.spec, d, "serve", str(wl.cfg["shards"]), str(wl.cfg["chunk"]))
     else:
-        tools.probe("trace", wl.spec, d, "stream", str(STREAM_CHUNK),
-                    "1" if wl.cfg["records"] else "0")
+        tools.probe("trace", wl.spec, d, "stream", str(STREAM_CHUNK))
     with open(os.path.join(d, "summary.json")) as f:
         summary = json.load(f)
     failed = failed_units(wl, d, 0, ref, ARTIFACTS)
@@ -422,8 +364,11 @@ def traced(tools, wl, ref, run_dir):
     return summary, failed
 
 
-def end_to_end(wl, full, one, setups):
+def end_to_end(wl, full, one):
     wall = statistics.median(r.wall_s for r in full)
+    setups = [r.setup_s for r in full if r.setup_s is not None]
+    if not setups:
+        raise BenchError(f"{wl.name}: no run reported its first unit on stderr")
     return {
         "wall_s": wall,
         "wall_s_1t": statistics.median(r.wall_s for r in one),
@@ -479,16 +424,18 @@ def per_layer(full, one, s, error_rate):
 
 
 def run(tools, args):
+    names = metric_names(args.trace)
     tag = f"{args.workload}-seed{args.seed}" + ("-smoke" if args.smoke else "")
     run_dir = fresh_dir(os.path.join(OUT_ROOT, tag))
     wl = Workload(tools, args.workload, args.seed, args.smoke, run_dir)
     ref = reference(tools, wl, args.seed, args.smoke, run_dir)
     with open(os.path.join(run_dir, "reference.json"), "w") as f:
         json.dump(ref, f, indent=2)
-    setup_probes(tools, wl, run_dir, 1)  # warms the page cache; discarded
+    # One untimed launch, so the timed ones find radio-lab and the spec in
+    # the page cache.
+    d = fresh_dir(os.path.join(run_dir, "warmup"))
+    Launch(wl.command(tools.lab, nproc(), d), wl.marker, os.path.join(d, "stdout.txt")).wait()
     full, one = measure(tools, wl, ref, run_dir, args.seconds, 1 if args.smoke else MIN_PAIRS)
-    setups = [r.setup_s for r in full if r.setup_s is not None]
-    setups += setup_probes(tools, wl, run_dir, 1 if args.smoke else SETUP_PROBES)
     attempted = wl.units * (len(full) + len(one))
     failed = sum(r.failed for r in full + one)
     if wl.serve:
@@ -502,14 +449,17 @@ def run(tools, args):
         summary, trace_failed = traced(tools, wl, ref, run_dir)
         attempted += wl.units
         failed += trace_failed
-        values, table = per_layer(full, one, summary, failed / attempted), PER_LAYER
+        values = per_layer(full, one, summary, failed / attempted)
     else:
-        values, table = end_to_end(wl, full, one, setups), END_TO_END
+        values = end_to_end(wl, full, one)
+    missing = [name for name, _ in names if name not in values]
+    if missing:
+        raise BenchError(f"BENCHMARK.json names metrics the benchmark does not compute: {missing}")
     result = {
         "correct": failed == 0,
         "attempted": attempted,
         "failed": failed,
-        "metrics": {name: {"value": values[name], "unit": unit} for name, unit, _ in table},
+        "metrics": {name: {"value": values[name], "unit": unit} for name, unit in names},
     }
     with open(os.path.join(run_dir, "result.json"), "w") as f:
         json.dump(result, f, indent=2)
@@ -538,7 +488,7 @@ def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--workload", choices=list(WORKLOADS))
     ap.add_argument("--seed", type=int, default=REFERENCE_SEED)
-    ap.add_argument("--seconds", type=float, default=20.0)
+    ap.add_argument("--seconds", type=float, default=50.0)
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
     ap.add_argument("--smoke", action="store_true", help="reduced-trial grids (self-test)")
     ap.add_argument("--make-reference", action="store_true", help="rewrite reference.json")
