@@ -215,18 +215,21 @@ where
 }
 
 /// [`run_trials_batched`] with a *fused* fast path inside each shared
-/// batch: for every run of ≥ 2 consecutive equal-keyed trials, `fuse(ctx,
-/// start..end)` is offered the whole span first. Returning
-/// `Some(results)` (exactly one result per index, in index order) replaces
-/// the per-trial calls for that span — this is how scenario sweeps hand a
-/// run of same-topology trials to the batched multi-trial engine, which
-/// steps them in lockstep over shared bitmask rows. Returning `None`
-/// declines, and every trial in the span runs through `f` as before.
+/// batch: every run of ≥ 2 consecutive equal-keyed trials is cut into up
+/// to [`rayon::current_num_threads`] contiguous spans of ≥ 2 trials each
+/// (one span at width 1), and `fuse(ctx, start..end)` is offered each span
+/// first. Returning `Some(results)` (exactly one result per index, in
+/// index order) replaces the per-trial calls for that span — this is how
+/// scenario sweeps hand a run of same-topology trials to the batched
+/// multi-trial engine, which steps them in lockstep over shared bitmask
+/// rows, one span per worker. Returning `None` declines, and every trial
+/// in the span runs through `f` as before.
 ///
 /// The contract extends the batching one: for any span, `fuse` must
 /// produce exactly what the per-trial `f` calls would — fusion is an
-/// execution strategy, never a semantic change. Singleton and keyless
-/// trials never consult `fuse`.
+/// execution strategy, never a semantic change, so results do not depend
+/// on the width that cut the spans. Singleton and keyless trials never
+/// consult `fuse`.
 pub fn run_trials_batched_fused<K, C, R, KF, BF, FF, F>(
     trials: u64,
     key_of: KF,
@@ -305,8 +308,22 @@ where
     fused_window(window, key_of, build, &|_: &C, _| None, f)
 }
 
+/// Cuts `[start, end)` into `min(width, len / 2)` contiguous spans (at
+/// least one) whose lengths differ by at most one, so no span of a run of
+/// ≥ 2 trials is a singleton.
+fn split_run(start: u64, end: u64, width: usize) -> impl Iterator<Item = (u64, u64)> {
+    let len = end - start;
+    let parts = (width as u64).min(len / 2).max(1);
+    let (base, longer) = (len / parts, len % parts);
+    (0..parts).map(move |p| {
+        let lo = start + p * base + p.min(longer);
+        (lo, lo + base + u64::from(p < longer))
+    })
+}
+
 /// One batched window with the fused fast path: group, build contexts,
-/// offer each multi-trial shared run to `fuse`, fan the rest out.
+/// offer each multi-trial shared run to `fuse` in width-sized spans, fan
+/// the rest out.
 fn fused_window<K, C, R, KF, BF, FF, F>(
     window: std::ops::Range<u64>,
     key_of: &KF,
@@ -342,14 +359,24 @@ where
         .par_iter()
         .map(|&(start, _, shared)| shared.then(|| build(start)))
         .collect();
-    // Pass 3 (parallel across runs, then across each unfused run's
-    // trials — rayon's work stealing keeps one giant run on every core):
-    // multi-trial shared runs are offered to `fuse` whole; everything else
-    // fans out per trial over the shared context.
-    let spans: Vec<Vec<R>> = (0..runs.len())
+    // Pass 3 (parallel across spans): each multi-trial shared run is cut
+    // into up to one span per worker, so a single giant run still uses
+    // every core. The pool deals spans to workers round-robin (nothing
+    // steals), so cutting every run the same way gives each worker a
+    // slice of every run. Shared spans of ≥ 2 trials are offered to
+    // `fuse`; everything else fans out per trial over the shared context.
+    // Single-trial runs (every keyless trial is one) stay whole.
+    let width = rayon::current_num_threads();
+    let spans: Vec<(usize, u64, u64)> = runs
+        .iter()
+        .enumerate()
+        .flat_map(|(r, &(start, end, _))| {
+            split_run(start, end, width).map(move |(lo, hi)| (r, lo, hi))
+        })
+        .collect();
+    let results: Vec<Vec<R>> = spans
         .into_par_iter()
-        .map(|r| {
-            let (start, end, _) = runs[r];
+        .map(|(r, start, end)| {
             let ctx = &contexts[r];
             if end - start >= 2 {
                 if let Some(ctx) = ctx.as_ref() {
@@ -369,7 +396,7 @@ where
                 .collect()
         })
         .collect();
-    spans.into_iter().flatten().collect()
+    results.into_iter().flatten().collect()
 }
 
 #[cfg(test)]
@@ -516,19 +543,22 @@ mod tests {
         let build = |t: u64| t / 5;
         let f = |ctx: Option<&u64>, t: u64| (ctx.copied(), t);
         let expect = run_trials_batched(31, key_of, build, f);
-        // A fuse that accepts every offered span.
+        // A fuse that accepts every offered span. At width 1 every run is
+        // offered whole (wider pools cut runs; see the split test below).
         let fused_spans = AtomicU64::new(0);
-        let got = run_trials_batched_fused(
-            31,
-            key_of,
-            build,
-            |ctx, span| {
-                fused_spans.fetch_add(1, Ordering::Relaxed);
-                assert!(span.end - span.start >= 2, "singletons never fuse");
-                Some(span.map(|t| (Some(*ctx), t)).collect())
-            },
-            f,
-        );
+        let got = ThreadPool::new(1).install(|| {
+            run_trials_batched_fused(
+                31,
+                key_of,
+                build,
+                |ctx, span| {
+                    fused_spans.fetch_add(1, Ordering::Relaxed);
+                    assert!(span.end - span.start >= 2, "singletons never fuse");
+                    Some(span.map(|t| (Some(*ctx), t)).collect())
+                },
+                f,
+            )
+        });
         assert_eq!(got, expect);
         // Runs: [0,5) [5,10) [10,15) [15,20) {20} [21,25) [25,30) [30,31).
         // The keyless singleton and the final 1-trial run are never offered.
@@ -548,6 +578,38 @@ mod tests {
             f,
         );
         assert_eq!(got, expect);
+    }
+
+    /// The spans one shared run of `trials` reaches `fuse` as on a pool of
+    /// `width` workers, in index order.
+    fn fused_spans(width: usize, trials: u64) -> Vec<std::ops::Range<u64>> {
+        let spans = std::sync::Mutex::new(Vec::new());
+        let got = ThreadPool::new(width).install(|| {
+            run_trials_batched_fused(
+                trials,
+                |_| Some(()),
+                |_| (),
+                |_, span| {
+                    spans.lock().unwrap().push(span.clone());
+                    Some(span.collect())
+                },
+                |_, t| t,
+            )
+        });
+        assert_eq!(got, (0..trials).collect::<Vec<_>>());
+        let mut spans = spans.into_inner().unwrap();
+        spans.sort_by_key(|span| span.start);
+        spans
+    }
+
+    #[test]
+    fn shared_runs_split_into_one_fused_span_per_worker() {
+        assert_eq!(fused_spans(2, 32), vec![0..16, 16..32]);
+        assert_eq!(fused_spans(1, 32), vec![0..32]);
+        assert_eq!(fused_spans(3, 7), vec![0..3, 3..5, 5..7]);
+        // Never a singleton: a run yields at most len / 2 spans.
+        assert_eq!(fused_spans(2, 3), vec![0..3]);
+        assert_eq!(fused_spans(8, 5), vec![0..3, 3..5]);
     }
 
     #[test]

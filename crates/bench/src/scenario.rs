@@ -792,8 +792,8 @@ fn run_unit_with(
         }
         Workload::Broadcast { decay, collider } => {
             // The engine consumes the network by value; a shared batch
-            // clones its frozen instance (cheap next to the build, and the
-            // cached bitmask rows come along).
+            // clones its handle, which shares the frozen instance and its
+            // cached bitmask rows.
             let net = match shared {
                 Some(Ok(net)) => net.clone(),
                 Some(Err(e)) => return vec![RunRecord::failed(entry.kind.name(), e.clone())],

@@ -489,6 +489,11 @@ pub fn run_algo(
 /// bit-identical to a [`run_algo`] call with the same seed — per-trial RNG
 /// streams are untouched by batching.
 ///
+/// The id assignment and every 0-complete detector are built once per
+/// call: the trials' engines hold shared handles on them and on `net`,
+/// never copies (τ-CCDS draws one detector per trial, from that trial's
+/// stream).
+///
 /// `det_rngs` supplies one detector stream per trial (same contract as
 /// [`run_algo`]'s `det_rng`); streams are consumed in trial order.
 /// Algorithms outside the single-engine shape (continuous-dynamic,
@@ -515,7 +520,6 @@ pub fn run_algo_batch(
             let budget = cap(params.total_rounds(n));
             let ids = IdAssignment::identity(n);
             let det = LinkDetectorAssignment::zero_complete(net, &ids);
-            let h = det.h_graph(&ids);
             let engines = seeds
                 .iter()
                 .map(|&seed| {
@@ -534,7 +538,8 @@ pub fn run_algo_batch(
                 .map(|engine| {
                     let mut rec = RunRecord::new(algo, n, delta);
                     let outputs = engine.outputs();
-                    rec.valid = check_mis(net, &h, &outputs).is_valid();
+                    // A 0-complete detector's H is G itself.
+                    rec.valid = check_mis(net, net.g(), &outputs).is_valid();
                     rec.solve_round = engine.all_decided_round();
                     rec.rounds_executed = engine.round();
                     rec.metrics = Some(*engine.metrics());
@@ -564,7 +569,6 @@ pub fn run_algo_batch(
             let budget = max_rounds.map_or(schedule.total + 1, |m| (schedule.total + 1).min(m));
             let ids = IdAssignment::identity(n);
             let det = LinkDetectorAssignment::zero_complete(net, &ids);
-            let h = det.h_graph(&ids);
             let engines = seeds
                 .iter()
                 .map(|&seed| {
@@ -584,7 +588,8 @@ pub fn run_algo_batch(
                 .map(|engine| {
                     let mut rec = RunRecord::new(algo, n, delta);
                     let outputs = engine.outputs();
-                    let report = check_ccds(net, &h, &outputs);
+                    // A 0-complete detector's H is G itself.
+                    let report = check_ccds(net, net.g(), &outputs);
                     rec.valid = report.terminated && report.connected && report.dominating;
                     rec.solve_round = engine.all_decided_round();
                     rec.rounds_executed = engine.round();
@@ -667,11 +672,15 @@ pub fn run_algo_batch(
             let epoch = params.epoch_len(n);
             let wakes: Vec<u64> = (0..n).map(|i| 1 + (i as u64 % 8) * (epoch / 2)).collect();
             let budget = cap(8 * epoch / 2 + 60 * epoch);
+            let ids = IdAssignment::identity(n);
+            let det = LinkDetectorAssignment::zero_complete(net, &ids);
             let engines = seeds
                 .iter()
                 .map(|&seed| {
                     EngineBuilder::new(net.clone())
                         .seed(seed)
+                        .ids(ids.clone())
+                        .detector(det.clone())
                         .wake_rounds(wakes.clone())
                         .adversary(adversary.build(seed ^ 0x5eed))
                         .spawn(|info| AsyncMis::new(info.n, info.id, params, filter))

@@ -21,8 +21,10 @@ use crate::ids::{IdAssignment, NodeId, ProcessId};
 use crate::network::DualGraph;
 use rand::seq::SliceRandom;
 use rand::Rng;
+use serde::value::{field, DeError, Value};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 /// Where a τ-complete builder draws its misclassified (spurious) entries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -39,7 +41,9 @@ pub enum SpuriousSource {
 /// A complete assignment of link detector sets, one per node.
 ///
 /// Sets contain raw process-id numbers (`u32`) for compact storage; use
-/// [`LinkDetectorAssignment::contains`] for typed queries.
+/// [`LinkDetectorAssignment::contains`] for typed queries. An assignment
+/// is immutable once built, so [`Clone`] shares the sets behind a
+/// reference count: the engines of a trial batch hold handles on one copy.
 ///
 /// # Examples
 ///
@@ -53,16 +57,21 @@ pub enum SpuriousSource {
 /// assert_eq!(det.set(NodeId(1)).iter().copied().collect::<Vec<u32>>(), vec![1, 3]);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LinkDetectorAssignment {
-    sets: Vec<BTreeSet<u32>>,
+    sets: Arc<[BTreeSet<u32>]>,
 }
 
 impl LinkDetectorAssignment {
     /// The 0-complete detector: each node sees exactly the ids of its
     /// `G`-neighbors.
     pub fn zero_complete(net: &DualGraph, ids: &IdAssignment) -> Self {
-        let sets = (0..net.n())
+        Self::from_sets(Self::zero_complete_sets(net, ids))
+    }
+
+    /// The 0-complete sets, still mutable for builders that extend them.
+    fn zero_complete_sets(net: &DualGraph, ids: &IdAssignment) -> Vec<BTreeSet<u32>> {
+        (0..net.n())
             .map(|u| {
                 net.g()
                     .neighbors(u)
@@ -70,8 +79,7 @@ impl LinkDetectorAssignment {
                     .map(|&v| ids.id_of(NodeId(v)).get())
                     .collect()
             })
-            .collect();
-        LinkDetectorAssignment { sets }
+            .collect()
     }
 
     /// A τ-complete detector: the 0-complete sets plus up to `tau` spurious
@@ -87,8 +95,8 @@ impl LinkDetectorAssignment {
         source: SpuriousSource,
         rng: &mut R,
     ) -> Self {
-        let mut det = Self::zero_complete(net, ids);
-        for u in 0..net.n() {
+        let mut sets = Self::zero_complete_sets(net, ids);
+        for (u, set) in sets.iter_mut().enumerate() {
             let mut pool: Vec<usize> = match source {
                 SpuriousSource::UnreliableNeighbors => net
                     .g_prime()
@@ -103,17 +111,17 @@ impl LinkDetectorAssignment {
             };
             pool.shuffle(rng);
             for &w in pool.iter().take(tau) {
-                det.sets[u].insert(ids.id_of(NodeId(w)).get());
+                set.insert(ids.id_of(NodeId(w)).get());
             }
         }
-        det
+        Self::from_sets(sets)
     }
 
     /// Builds an assignment from explicit sets (one per node, containing raw
     /// process-id numbers). Used by adversarial constructions such as the
     /// two-clique network of Lemma 7.2.
     pub fn from_sets(sets: Vec<BTreeSet<u32>>) -> Self {
-        LinkDetectorAssignment { sets }
+        LinkDetectorAssignment { sets: sets.into() }
     }
 
     /// Number of nodes covered by this assignment.
@@ -206,6 +214,24 @@ impl LinkDetectorAssignment {
     }
 }
 
+// Serialized as `{"sets": [[ids of node 0], …]}`, the shape the derived
+// impls gave the former `Vec` field.
+impl Serialize for LinkDetectorAssignment {
+    fn to_value(&self) -> Value {
+        Value::Object(vec![("sets".to_string(), self.sets[..].to_value())])
+    }
+}
+
+impl Deserialize for LinkDetectorAssignment {
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        let fields = v
+            .as_object()
+            .ok_or_else(|| DeError::expected("object", v))?;
+        let sets: Vec<BTreeSet<u32>> = Deserialize::from_value(field(fields, "sets"))?;
+        Ok(Self::from_sets(sets))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -276,6 +302,24 @@ mod tests {
         let h = det.h_graph(&ids);
         assert!(h.has_edge(0, 1)); // mutual
         assert!(!h.has_edge(0, 2)); // one-sided
+    }
+
+    #[test]
+    fn json_shape_is_pinned() {
+        let (net, ids) = diamond();
+        let det = LinkDetectorAssignment::zero_complete(&net, &ids);
+        let json = serde_json::to_string(&det).unwrap();
+        assert_eq!(json, r#"{"sets":[[2],[1,3],[2,4],[3]]}"#);
+        let back: LinkDetectorAssignment = serde_json::from_str(&json).unwrap();
+        assert_eq!(back, det);
+    }
+
+    #[test]
+    fn clones_share_the_sets() {
+        let (net, ids) = diamond();
+        let det = LinkDetectorAssignment::zero_complete(&net, &ids);
+        let twin = det.clone();
+        assert!(std::ptr::eq(det.set(NodeId(2)), twin.set(NodeId(2))));
     }
 
     #[test]

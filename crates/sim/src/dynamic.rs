@@ -27,6 +27,14 @@ pub trait DetectorProvider {
     /// The round at which output stops changing, if known. Static detectors
     /// return `Some(1)`.
     fn stabilization_round(&self) -> Option<u64>;
+
+    /// The provider's output as a shared [`LinkDetectorAssignment`] handle,
+    /// if it never changes from round 1 on. An engine indexes such sets
+    /// directly instead of calling [`DetectorProvider::set_at`] every
+    /// round; the default `None` keeps the per-round calls.
+    fn static_assignment(&self) -> Option<LinkDetectorAssignment> {
+        None
+    }
 }
 
 impl DetectorProvider for LinkDetectorAssignment {
@@ -40,6 +48,10 @@ impl DetectorProvider for LinkDetectorAssignment {
 
     fn stabilization_round(&self) -> Option<u64> {
         Some(1)
+    }
+
+    fn static_assignment(&self) -> Option<LinkDetectorAssignment> {
+        Some(self.clone())
     }
 }
 
@@ -199,5 +211,6 @@ mod tests {
         assert_eq!(DetectorProvider::n(&a), 2);
         assert_eq!(a.stabilization_round(), Some(1));
         assert!(a.set_at(NodeId(1), 99).contains(&7));
+        assert_eq!(a.static_assignment(), Some(a.clone()));
     }
 }

@@ -74,8 +74,17 @@
 //! same-topology trials whose engines resolved to the bitset tier (dense
 //! nets), it steps them through one [`BatchedEngine`]; anything else
 //! falls back to per-trial solo runs. `run_trials_batched`-style sweep
-//! harnesses route whole cells of trials through it, so registry sweeps
-//! and user specs benefit with zero spec changes.
+//! harnesses route each cell's trials through it, cut into one span per
+//! worker, so registry sweeps and user specs benefit with zero spec
+//! changes.
+//!
+//! **Shared frozen topology.** Per-topology state is immutable and
+//! shared, never copied per engine: a [`DualGraph`] clone is a handle on
+//! one frozen network (layers, CSR forms, unreliable list, bitmask rows),
+//! a [`LinkDetectorAssignment`] clone shares its sets, an engine over a
+//! static detector keeps a handle on those sets, and a [`BatchedEngine`]
+//! reads rows through a network handle. Spawning a trial's engine
+//! therefore allocates only its own per-node state.
 //!
 //! The scratch invariants:
 //!
@@ -99,7 +108,7 @@
 use crate::adversary::{Adversary, ReliableOnly};
 use crate::detector::LinkDetectorAssignment;
 use crate::dynamic::DetectorProvider;
-use crate::graph::{BitRows, NeighborStamps};
+use crate::graph::NeighborStamps;
 use crate::ids::{IdAssignment, NodeId, ProcessId};
 use crate::network::DualGraph;
 use crate::process::{Action, Context, MessageSize, Process, ProcessRng};
@@ -367,18 +376,10 @@ impl EngineBuilder {
                 })
             })
             .collect();
-        // A detector that is static from round 1 never changes output:
-        // copy its sets once so the per-node, per-round lookup is a plain
-        // index instead of a virtual call.
-        let static_sets = if detectors.stabilization_round() == Some(1) {
-            Some(
-                (0..n)
-                    .map(|v| detectors.set_at(NodeId(v), 1).clone())
-                    .collect::<Vec<_>>(),
-            )
-        } else {
-            None
-        };
+        // A static detector never changes output: keep a shared handle on
+        // its sets so the per-node, per-round lookup is a plain index
+        // instead of a virtual call.
+        let static_det = detectors.static_assignment();
         let mode = match self.step_mode {
             StepMode::Auto => auto_step_mode(&self.net),
             m => m,
@@ -405,7 +406,7 @@ impl EngineBuilder {
             },
             max_message_bits: self.max_message_bits,
             decided_round: vec![None; n],
-            static_sets,
+            static_det,
             mode,
             scratch: RoundScratch::new(n, extra_capacity),
         })
@@ -506,9 +507,10 @@ pub struct Engine<P: Process> {
     trace: Option<Trace>,
     max_message_bits: Option<u64>,
     decided_round: Vec<Option<u64>>,
-    /// Detector sets copied at spawn when the provider is static (see
-    /// [`EngineBuilder::spawn`]); `None` for genuinely dynamic detectors.
-    static_sets: Option<Vec<BTreeSet<u32>>>,
+    /// A shared handle on the provider's sets when it is static (see
+    /// [`DetectorProvider::static_assignment`]); `None` for genuinely
+    /// dynamic detectors.
+    static_det: Option<LinkDetectorAssignment>,
     /// The resolved delivery tier the run loops step through (never
     /// [`StepMode::Auto`] after spawn).
     mode: StepMode,
@@ -520,13 +522,13 @@ pub struct Engine<P: Process> {
 /// fields so callers keep disjoint borrows of the rest of the engine.
 #[inline]
 fn detector_set<'a>(
-    static_sets: &'a Option<Vec<BTreeSet<u32>>>,
+    static_det: &'a Option<LinkDetectorAssignment>,
     detectors: &'a dyn DetectorProvider,
     v: usize,
     r: u64,
 ) -> &'a BTreeSet<u32> {
-    match static_sets {
-        Some(sets) => &sets[v],
+    match static_det {
+        Some(det) => det.set(NodeId(v)),
         None => detectors.set_at(NodeId(v), r),
     }
 }
@@ -556,7 +558,7 @@ impl<P: Process> Engine<P> {
                 self.scratch.broadcasting[v] = false;
                 continue;
             }
-            let det = detector_set(&self.static_sets, self.detectors.as_ref(), v, r);
+            let det = detector_set(&self.static_det, self.detectors.as_ref(), v, r);
             let mut ctx = Context {
                 local_round: r - self.wake_rounds[v] + 1,
                 n,
@@ -737,7 +739,7 @@ impl<P: Process> Engine<P> {
                 }
                 None
             };
-            let det = detector_set(&self.static_sets, self.detectors.as_ref(), v, r);
+            let det = detector_set(&self.static_det, self.detectors.as_ref(), v, r);
             let mut ctx = Context {
                 local_round: r - self.wake_rounds[v] + 1,
                 n,
@@ -777,7 +779,7 @@ impl<P: Process> Engine<P> {
                 messages.push(None);
                 continue;
             }
-            let det = detector_set(&self.static_sets, self.detectors.as_ref(), v, r);
+            let det = detector_set(&self.static_det, self.detectors.as_ref(), v, r);
             let mut ctx = Context {
                 local_round: r - self.wake_rounds[v] + 1,
                 n,
@@ -865,7 +867,7 @@ impl<P: Process> Engine<P> {
                 }
                 None
             };
-            let det = detector_set(&self.static_sets, self.detectors.as_ref(), v, r);
+            let det = detector_set(&self.static_det, self.detectors.as_ref(), v, r);
             let mut ctx = Context {
                 local_round: r - self.wake_rounds[v] + 1,
                 n,
@@ -921,7 +923,7 @@ impl<P: Process> Engine<P> {
                 self.scratch.broadcasting[v] = false;
                 continue;
             }
-            let det = detector_set(&self.static_sets, self.detectors.as_ref(), v, r);
+            let det = detector_set(&self.static_det, self.detectors.as_ref(), v, r);
             let mut ctx = Context {
                 local_round: r - self.wake_rounds[v] + 1,
                 n,
@@ -1052,7 +1054,7 @@ impl<P: Process> Engine<P> {
             } else {
                 None
             };
-            let det = detector_set(&self.static_sets, self.detectors.as_ref(), v, r);
+            let det = detector_set(&self.static_det, self.detectors.as_ref(), v, r);
             let mut ctx = Context {
                 local_round: r - self.wake_rounds[v] + 1,
                 n,
@@ -1149,7 +1151,7 @@ impl<P: Process> Engine<P> {
                 self.scratch.broadcasting[v] = false;
                 continue;
             }
-            let det = detector_set(&self.static_sets, self.detectors.as_ref(), v, r);
+            let det = detector_set(&self.static_det, self.detectors.as_ref(), v, r);
             let mut ctx = Context {
                 local_round: r - self.wake_rounds[v] + 1,
                 n,
@@ -1237,7 +1239,7 @@ impl<P: Process> Engine<P> {
             } else {
                 None
             };
-            let det = detector_set(&self.static_sets, self.detectors.as_ref(), v, r);
+            let det = detector_set(&self.static_det, self.detectors.as_ref(), v, r);
             let mut ctx = Context {
                 local_round: r - self.wake_rounds[v] + 1,
                 n,
@@ -1518,9 +1520,9 @@ fn recover_row_sources(
 /// construction.
 pub struct BatchedEngine<P: Process> {
     engines: Vec<Engine<P>>,
-    /// One shared copy of the reliable layer's bitmask rows (owning it
-    /// keeps the delivery borrows disjoint from the engines).
-    rows: BitRows,
+    /// A handle on the shared topology, read for its bitmask rows (a field
+    /// of its own keeps the delivery borrows disjoint from the engines).
+    net: DualGraph,
     n: usize,
     words: usize,
     /// Trial-major seen planes: trial `b` owns words `b·words ..
@@ -1567,13 +1569,16 @@ impl<P: Process> BatchedEngine<P> {
             engines.iter().all(|e| e.net.g_csr() == first),
             "batched trials must share one topology (structural check)"
         );
-        let n = engines[0].net.n();
+        let net = engines[0].net.clone();
+        // Build the rows now (a no-op when the engines' spawn did), so the
+        // first batched round does not pay for them.
+        net.g_bit_rows();
+        let n = net.n();
         let words = n.div_ceil(64);
         let b = engines.len();
         let mask_words = b.div_ceil(64);
-        let rows = engines[0].net.g_bit_rows().clone();
         BatchedEngine {
-            rows,
+            net,
             n,
             words,
             seen: vec![0; b * words],
@@ -1620,6 +1625,7 @@ impl<P: Process> BatchedEngine<P> {
         let b_count = self.engines.len();
         let words = self.words;
         let mask_words = self.mask_words;
+        let rows = self.net.g_bit_rows();
 
         // Phases 1+2, per trial in trial order, clearing each active
         // trial's planes for the round (every round, including
@@ -1657,7 +1663,7 @@ impl<P: Process> BatchedEngine<P> {
                 if mask == 0 {
                     continue;
                 }
-                let row = self.rows.row(u);
+                let row = rows.row(u);
                 while mask != 0 {
                     let b = (mw << 6) | mask.trailing_zeros() as usize;
                     mask &= mask - 1;
@@ -1699,7 +1705,7 @@ impl<P: Process> BatchedEngine<P> {
                 if mask == 0 {
                     continue;
                 }
-                let row = self.rows.row(u);
+                let row = rows.row(u);
                 while mask != 0 {
                     let b = (mw << 6) | mask.trailing_zeros() as usize;
                     mask &= mask - 1;

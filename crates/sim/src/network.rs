@@ -15,7 +15,7 @@ use crate::geometry::Point;
 use crate::graph::{BitRows, CsrGraph, Graph};
 use serde::value::{field, DeError, Value};
 use serde::{Deserialize, Serialize};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 /// Errors from constructing or validating a [`DualGraph`].
 #[derive(Debug, Clone, PartialEq)]
@@ -102,6 +102,11 @@ impl std::error::Error for NetworkError {}
 /// membership searches. A classic network (`G = G'`) stores the reliable
 /// layer once.
 ///
+/// A `DualGraph` is a handle on that frozen state: the network is
+/// immutable once built, so [`Clone`] only bumps a reference count, and
+/// every clone — one per engine of a trial batch, say — reads the same
+/// layers, CSR forms and lazily built [`BitRows`].
+///
 /// # Examples
 ///
 /// ```
@@ -118,6 +123,12 @@ impl std::error::Error for NetworkError {}
 /// ```
 #[derive(Debug, Clone)]
 pub struct DualGraph {
+    frozen: Arc<FrozenNet>,
+}
+
+/// The immutable per-topology state every [`DualGraph`] clone shares.
+#[derive(Debug)]
+struct FrozenNet {
     g: Graph,
     /// `None` for classic networks (`G' = G`), avoiding a full duplicate
     /// adjacency; [`DualGraph::g_prime`] falls back to `g`.
@@ -169,15 +180,17 @@ impl DualGraph {
             }
         };
         DualGraph {
-            g,
-            g_prime,
-            positions,
-            d,
-            csr_g,
-            csr_g_prime,
-            csr_unreliable,
-            unreliable_list,
-            bit_g: OnceLock::new(),
+            frozen: Arc::new(FrozenNet {
+                g,
+                g_prime,
+                positions,
+                d,
+                csr_g,
+                csr_g_prime,
+                csr_unreliable,
+                unreliable_list,
+                bit_g: OnceLock::new(),
+            }),
         }
     }
 
@@ -258,60 +271,65 @@ impl DualGraph {
     /// Number of nodes `n`.
     #[inline]
     pub fn n(&self) -> usize {
-        self.g.n()
+        self.frozen.g.n()
     }
 
     /// The reliable layer `G`.
     #[inline]
     pub fn g(&self) -> &Graph {
-        &self.g
+        &self.frozen.g
     }
 
     /// The full layer `G'` (reliable plus unreliable links). For a classic
     /// network this is the reliable layer itself.
     #[inline]
     pub fn g_prime(&self) -> &Graph {
-        self.g_prime.as_ref().unwrap_or(&self.g)
+        self.frozen.g_prime.as_ref().unwrap_or(&self.frozen.g)
     }
 
     /// The reliable layer as frozen CSR adjacency (the engine's hot-path
     /// form).
     #[inline]
     pub fn g_csr(&self) -> &CsrGraph {
-        &self.csr_g
+        &self.frozen.csr_g
     }
 
     /// The full layer `G'` as frozen CSR adjacency.
     #[inline]
     pub fn g_prime_csr(&self) -> &CsrGraph {
-        self.csr_g_prime.as_ref().unwrap_or(&self.csr_g)
+        self.frozen
+            .csr_g_prime
+            .as_ref()
+            .unwrap_or(&self.frozen.csr_g)
     }
 
     /// The unreliable difference `E' \ E` as frozen CSR adjacency (empty
     /// rows for a classic network).
     #[inline]
     pub fn unreliable_csr(&self) -> &CsrGraph {
-        &self.csr_unreliable
+        &self.frozen.csr_unreliable
     }
 
     /// The reliable layer as word-packed bitmask rows ([`BitRows`]), the
     /// form `Engine::step_bitset` delivers from. Built from the CSR on
-    /// first call and cached for the network's lifetime, so trials that
-    /// share a network also share one build.
+    /// first call and cached on the frozen network, so every clone of this
+    /// handle shares the one build.
     pub fn g_bit_rows(&self) -> &BitRows {
-        self.bit_g.get_or_init(|| BitRows::from_csr(&self.csr_g))
+        self.frozen
+            .bit_g
+            .get_or_init(|| BitRows::from_csr(&self.frozen.csr_g))
     }
 
     /// The unreliable edges as a precomputed flat list of pairs `u < v`.
     #[inline]
     pub fn unreliable_edge_list(&self) -> &[(usize, usize)] {
-        &self.unreliable_list
+        &self.frozen.unreliable_list
     }
 
     /// Maximum degree `Δ` in the reliable graph.
     #[inline]
     pub fn max_degree_g(&self) -> usize {
-        self.g.max_degree()
+        self.frozen.g.max_degree()
     }
 
     /// Maximum degree `Δ'` in `G'`.
@@ -323,30 +341,30 @@ impl DualGraph {
     /// Whether `{u, v}` is an unreliable link (in `E' \ E`).
     #[inline]
     pub fn is_unreliable_edge(&self, u: usize, v: usize) -> bool {
-        self.csr_unreliable.has_edge(u, v)
+        self.frozen.csr_unreliable.has_edge(u, v)
     }
 
     /// Iterates the unreliable edges `E' \ E` as pairs with `u < v`.
     pub fn unreliable_edges(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
-        self.unreliable_list.iter().copied()
+        self.frozen.unreliable_list.iter().copied()
     }
 
     /// Number of unreliable edges.
     pub fn unreliable_edge_count(&self) -> usize {
-        self.unreliable_list.len()
+        self.frozen.unreliable_list.len()
     }
 
     /// Node positions if the network is embedded.
     #[inline]
     pub fn positions(&self) -> Option<&[Point]> {
-        self.positions.as_deref()
+        self.frozen.positions.as_deref()
     }
 
     /// The gray-zone constant `d` (only meaningful for embedded networks;
     /// `1.0` otherwise).
     #[inline]
     pub fn gray_zone(&self) -> f64 {
-        self.d
+        self.frozen.d
     }
 
     /// Whether the network is the classic model (`G = G'`).
@@ -360,11 +378,12 @@ impl DualGraph {
 // — on deserialization.
 impl Serialize for DualGraph {
     fn to_value(&self) -> Value {
+        let net = &*self.frozen;
         Value::Object(vec![
-            ("g".to_string(), self.g.to_value()),
-            ("g_prime".to_string(), self.g_prime.to_value()),
-            ("positions".to_string(), self.positions.to_value()),
-            ("d".to_string(), self.d.to_value()),
+            ("g".to_string(), net.g.to_value()),
+            ("g_prime".to_string(), net.g_prime.to_value()),
+            ("positions".to_string(), net.positions.to_value()),
+            ("d".to_string(), net.d.to_value()),
         ])
     }
 }
@@ -460,6 +479,22 @@ mod tests {
         assert_eq!(rows.row(0)[0] >> 4 & 1, 0);
         // Repeated calls return the same cached build.
         assert!(std::ptr::eq(net.g_bit_rows(), rows));
+    }
+
+    #[test]
+    fn clones_share_one_frozen_network() {
+        let g = path(5);
+        let mut gp = g.clone();
+        gp.add_edge(0, 4);
+        let net = DualGraph::new(g, gp).unwrap();
+        let twin = net.clone();
+        assert!(std::ptr::eq(net.g_csr(), twin.g_csr()));
+        assert!(std::ptr::eq(
+            net.unreliable_edge_list(),
+            twin.unreliable_edge_list()
+        ));
+        // Rows built through one handle are the rows every clone reads.
+        assert!(std::ptr::eq(twin.g_bit_rows(), net.g_bit_rows()));
     }
 
     #[test]
