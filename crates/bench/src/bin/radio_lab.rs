@@ -79,6 +79,7 @@ use radio_bench::checkpoint::{
 use radio_bench::scenario::{
     registry, render, run_spec, run_spec_streaming, RenderKind, ScenarioRun, ScenarioSpec,
 };
+use radio_bench::serve::cli::resolve_specs;
 use radio_bench::sink::{JsonlWriter, RecordSink, SinkFile, StreamAggregate};
 use radio_bench::{spec_fingerprint, Table, ThreadPool};
 use serde::Serialize;
@@ -397,29 +398,10 @@ fn main() {
         usage();
     }
 
-    // Resolve every input to specs before running anything, so a typo
-    // fails fast instead of after a long sweep.
-    let mut specs: Vec<ScenarioSpec> = Vec::new();
-    for input in &inputs {
-        if let Some(built_in) = registry::specs(&input.to_lowercase(), quick) {
-            specs.extend(built_in);
-            continue;
-        }
-        let text = match std::fs::read_to_string(input) {
-            Ok(t) => t,
-            Err(e) => {
-                fail(&format!(
-                    "{input}: not a registry id (e1..e11) and unreadable as a file: {e}"
-                ));
-            }
-        };
-        match serde_json::from_str::<ScenarioSpec>(&text) {
-            Ok(spec) => specs.push(spec),
-            Err(e) => {
-                fail(&format!("{input}: invalid ScenarioSpec JSON: {e}"));
-            }
-        }
-    }
+    // Resolve (and validate) every input to specs before running
+    // anything, so a typo or an out-of-range adversary probability fails
+    // fast instead of after — or in the middle of — a long sweep.
+    let specs = resolve_specs(&inputs, quick).unwrap_or_else(|e| fail(&e));
 
     // Checkpointed / sharded sweeps run one scenario through the durable
     // pipeline and return.

@@ -127,10 +127,17 @@ fn parse_args(
     Ok(parsed)
 }
 
-/// Resolves inputs to specs exactly like the main lab path: registry
-/// ids expand to built-ins, anything else reads as a ScenarioSpec JSON
-/// file. Everything resolves before anything runs.
-fn resolve_specs(inputs: &[String], quick: bool) -> Result<Vec<ScenarioSpec>, String> {
+/// Resolves inputs to specs for both the main lab path and `serve`:
+/// registry ids expand to built-ins, anything else reads as a
+/// ScenarioSpec JSON file whose adversary probabilities must pass
+/// [`radio_sim::spec::AdversaryKind::validate`]. Everything resolves
+/// before anything runs.
+///
+/// # Errors
+///
+/// A message naming the input: unreadable, not a ScenarioSpec, or an
+/// out-of-range adversary probability.
+pub fn resolve_specs(inputs: &[String], quick: bool) -> Result<Vec<ScenarioSpec>, String> {
     let mut specs = Vec::new();
     for input in inputs {
         if let Some(built_in) = registry::specs(&input.to_lowercase(), quick) {
@@ -142,6 +149,9 @@ fn resolve_specs(inputs: &[String], quick: bool) -> Result<Vec<ScenarioSpec>, St
         })?;
         let spec: ScenarioSpec = serde_json::from_str(&text)
             .map_err(|e| format!("{input}: invalid ScenarioSpec JSON: {e}"))?;
+        for adversary in &spec.adversaries {
+            adversary.validate().map_err(|e| format!("{input}: {e}"))?;
+        }
         specs.push(spec);
     }
     Ok(specs)

@@ -504,3 +504,42 @@ fn shard_flag_rejects_malformed_and_out_of_range_refs() {
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn out_of_range_adversary_probabilities_exit_2_without_a_panic() {
+    let dir = scratch("badprob");
+    for (adversary, named) in [
+        (r#"{ "Random": { "p": 1.5 } }"#, "p = 1.5"),
+        (
+            r#"{ "Bursty": { "p_gb": 0.1, "p_bg": -0.1 } }"#,
+            "p_bg = -0.1",
+        ),
+    ] {
+        let spec = SPEC.replace(r#"{ "Random": { "p": 0.5 } }"#, adversary);
+        assert_ne!(spec, SPEC, "the adversary axis was replaced");
+        std::fs::write(dir.join("bad.json"), spec).expect("spec writes");
+        let out = lab(
+            &[
+                "bad.json",
+                "--stream",
+                "--no-records",
+                "--out",
+                "bad.out.json",
+            ],
+            &dir,
+        );
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{adversary}: {stderr}");
+        assert!(
+            !stderr.contains("panicked"),
+            "{adversary} panicked: {stderr}"
+        );
+        assert!(
+            stderr.contains("bad.json") && stderr.contains(named),
+            "{adversary}: the refusal must name the spec and the field: {stderr}"
+        );
+        assert!(out.stdout.is_empty(), "{adversary}: no unit may run");
+        assert!(!dir.join("bad.out.json").exists(), "{adversary}: no report");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -417,3 +417,35 @@ fn serve_usage_errors_are_loud_and_early() {
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn serve_refuses_out_of_range_adversary_probabilities_before_spawning() {
+    let dir = scratch("badprob");
+    for (adversary, named) in [
+        (r#"{ "Random": { "p": 1.5 } }"#, "p = 1.5"),
+        (
+            r#"{ "Bursty": { "p_gb": 0.1, "p_bg": -0.1 } }"#,
+            "p_bg = -0.1",
+        ),
+    ] {
+        let spec = SPEC.replace(r#"{ "Random": { "p": 0.5 } }"#, adversary);
+        assert_ne!(spec, SPEC, "the adversary axis was replaced");
+        std::fs::write(dir.join("spec.json"), spec).expect("spec writes");
+        let out = lab(&serve_args("spool", &[]), &dir);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{adversary}: {stderr}");
+        assert!(
+            !stderr.contains("panicked"),
+            "{adversary} panicked: {stderr}"
+        );
+        assert!(
+            stderr.contains("spec.json") && stderr.contains(named),
+            "{adversary}: the refusal must name the spec and the field: {stderr}"
+        );
+        assert!(
+            !dir.join("spool").exists(),
+            "{adversary}: nothing may touch the spool"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}

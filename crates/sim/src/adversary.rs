@@ -14,7 +14,7 @@
 
 use crate::network::DualGraph;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
 
 /// Chooses, each round, which unreliable edges (`E' \ E`) join the reach set.
 ///
@@ -98,6 +98,13 @@ impl Adversary for AllUnreliable {
     }
 }
 
+/// The 53-bit acceptance threshold of `Rng::gen_bool(p)`: a draw `x`
+/// succeeds iff `x >> 11 < coin_threshold(p)`, so a loop can hoist it and
+/// keep `gen_bool`'s exact stream.
+fn coin_threshold(p: f64) -> u64 {
+    (p * (1u64 << 53) as f64) as u64
+}
+
 /// Each unreliable edge joins the reach set independently with probability
 /// `p` each round — the "fading links" regime observed in deployments.
 #[derive(Debug, Clone)]
@@ -157,25 +164,27 @@ impl Adversary for RandomUnreliable {
                 i += 1;
             }
         }
-        use rand::RngCore;
         if self.p == 0.5 {
             // The common experiment setting: every bit of a random word is
             // an exact Bernoulli(½) coin, so one RNG call covers 64 edges.
+            // Walking the word's set bits (bit `i` keeps `chunk[i]`, lowest
+            // first) emits the kept edges with no per-edge branch.
             for chunk in edges.chunks(64) {
                 let mut word = self.rng.next_u64();
-                for &e in chunk {
-                    if word & 1 == 1 {
-                        out.push(e);
-                    }
-                    word >>= 1;
+                if chunk.len() < 64 {
+                    word &= (1u64 << chunk.len()) - 1;
+                }
+                while word != 0 {
+                    out.push(chunk[word.trailing_zeros() as usize]);
+                    word &= word - 1;
                 }
             }
             return;
         }
         // Dense activation: a coin per edge is cheaper than a logarithm
-        // per activated edge. Hoist the 53-bit acceptance threshold out of
-        // the loop (same acceptance rule as `Rng::gen_bool`).
-        let threshold = (self.p * (1u64 << 53) as f64) as u64;
+        // per activated edge. Hoist the acceptance threshold out of the
+        // loop.
+        let threshold = coin_threshold(self.p);
         for &e in edges {
             if (self.rng.next_u64() >> 11) < threshold {
                 out.push(e);
@@ -307,14 +316,22 @@ impl Adversary for BurstyUnreliable {
             self.states = (0..edges.len()).map(|_| self.rng.gen_bool(rate)).collect();
             self.initialized = true;
         }
-        for (state, &edge) in self.states.iter_mut().zip(edges) {
-            let flip = if *state { self.p_gb } else { self.p_bg };
-            if self.rng.gen_bool(flip) {
-                *state = !*state;
+        // One `gen_bool` per edge, its two acceptance thresholds hoisted
+        // out of the loop. Every edge is written to a stack buffer and the
+        // write cursor advances only past Good edges, so the loop has no
+        // data-dependent branch; each full buffer is appended in one copy,
+        // keeping the edge-list order.
+        let (t_gb, t_bg) = (coin_threshold(self.p_gb), coin_threshold(self.p_bg));
+        let mut kept = [(0usize, 0usize); 64];
+        for (states, chunk) in self.states.chunks_mut(64).zip(edges.chunks(64)) {
+            let mut len = 0;
+            for (state, &edge) in states.iter_mut().zip(chunk) {
+                let t = if *state { t_gb } else { t_bg };
+                *state ^= (self.rng.next_u64() >> 11) < t;
+                kept[len] = edge;
+                len += usize::from(*state);
             }
-            if *state {
-                out.push(edge);
-            }
+            out.extend_from_slice(&kept[..len]);
         }
     }
 
@@ -516,5 +533,83 @@ mod tests {
         CliqueIsolator.extra_edges(1, &net, &[false, false, true, true], &mut out);
         let touching_zero = out.iter().filter(|&&(a, b)| a == 0 || b == 0).count();
         assert_eq!(touching_zero, 2);
+    }
+
+    /// A path `G` on `chords + 2` nodes whose `G'` adds the chords
+    /// `(i, i + 2)`: exactly `chords` unreliable edges, so the lists
+    /// straddle the 64-edge word boundaries of the word-at-a-time
+    /// adversaries.
+    fn path_with_chords(chords: usize) -> DualGraph {
+        let n = chords + 2;
+        let g = Graph::from_edges(n, (0..n - 1).map(|i| (i, i + 1))).unwrap();
+        let mut gp = g.clone();
+        for i in 0..chords {
+            gp.add_edge(i, i + 2);
+        }
+        let net = DualGraph::new(g, gp).unwrap();
+        assert_eq!(net.unreliable_edge_count(), chords);
+        net
+    }
+
+    const STREAM_CHORDS: [usize; 6] = [0, 1, 63, 64, 65, 130];
+    const STREAM_ROUNDS: u64 = 50;
+
+    #[test]
+    fn random_half_matches_the_coin_per_edge_stream() {
+        for chords in STREAM_CHORDS {
+            let net = path_with_chords(chords);
+            let broadcasting = vec![false; net.n()];
+            let mut adv = RandomUnreliable::new(0.5, 21);
+            let mut rng = StdRng::seed_from_u64(21);
+            let (mut got, mut want) = (Vec::new(), Vec::new());
+            for r in 0..STREAM_ROUNDS {
+                got.clear();
+                adv.extra_edges(r, &net, &broadcasting, &mut got);
+                // Reference: bit `i` of one fresh word per 64 edges is the
+                // coin of the chunk's `i`-th edge.
+                want.clear();
+                for chunk in net.unreliable_edge_list().chunks(64) {
+                    let mut word = rng.next_u64();
+                    for &e in chunk {
+                        if word & 1 == 1 {
+                            want.push(e);
+                        }
+                        word >>= 1;
+                    }
+                }
+                assert_eq!(got, want, "{chords} chords, round {r}");
+            }
+        }
+    }
+
+    #[test]
+    fn bursty_matches_the_coin_per_edge_stream() {
+        let (p_gb, p_bg) = (0.05, 0.05);
+        for chords in STREAM_CHORDS {
+            let net = path_with_chords(chords);
+            let broadcasting = vec![false; net.n()];
+            let mut adv = BurstyUnreliable::new(p_gb, p_bg, 8);
+            let mut rng = StdRng::seed_from_u64(8);
+            let edges = net.unreliable_edge_list();
+            // Reference: stationary start, then one `gen_bool` per edge
+            // per round flipping its state, keeping the Good edges.
+            let mut states: Vec<bool> = (0..edges.len()).map(|_| rng.gen_bool(0.5)).collect();
+            let (mut got, mut want) = (Vec::new(), Vec::new());
+            for r in 0..STREAM_ROUNDS {
+                got.clear();
+                adv.extra_edges(r, &net, &broadcasting, &mut got);
+                want.clear();
+                for (state, &edge) in states.iter_mut().zip(edges) {
+                    let flip = if *state { p_gb } else { p_bg };
+                    if rng.gen_bool(flip) {
+                        *state = !*state;
+                    }
+                    if *state {
+                        want.push(edge);
+                    }
+                }
+                assert_eq!(got, want, "{chords} chords, round {r}");
+            }
+        }
     }
 }

@@ -29,8 +29,7 @@
 //!    epoch-stamped reach counters over the frozen CSR adjacency
 //!    ([`crate::CsrGraph`]), costing `O(Σ deg(broadcasters))` — on sparse
 //!    broadcast schedules (MIS-style contention reduction) far below the
-//!    seed's `O(Σ deg(listeners))` scan. Adversary proposals are validated
-//!    with an `O(1)`-amortized [`crate::NeighborStamps`] row test.
+//!    seed's `O(Σ deg(listeners))` scan.
 //! 3. [`Engine::step_bitset`] — the word-packed tier. Delivery ORs each
 //!    broadcaster's bitmask row ([`crate::BitRows`], `⌈n/64⌉` words per
 //!    node) into carry-save seen/collide accumulators
@@ -53,6 +52,20 @@
 //!    bit-identical to its solo run. [`Engine::step_batched`] is the
 //!    tier's batch-of-one face: the same phase helpers over a single
 //!    plane pair.
+//!
+//! **One adversary phase.** The three production tiers share phase 2
+//! (`Engine::adversary_phase`). Only an activated edge with exactly one
+//! broadcasting endpoint can change a reception, so the helper first
+//! drops every other pair of the proposal (out of range, self-loops,
+//! both or neither endpoint broadcasting), then normalizes, sorts,
+//! dedupes and validates the short remainder against `E' \ E` with an
+//! `O(1)`-amortized [`crate::NeighborStamps`] row test. A round with a
+//! few broadcasters thus validates a few dozen pairs, not the hundreds a
+//! random adversary proposes. Only a tracing engine validates the whole
+//! proposal first, because its trace records how many distinct valid
+//! edges the adversary proposed (`RoundRecord::extra_edges`, counted the
+//! way `step_legacy` counts them). The delivery phases then add each
+//! remaining edge at its listening endpoint with no further checks.
 //!
 //! **Tier selection.** The run loops ([`Engine::run`] and friends) pick
 //! between the scalar and bitset tiers once at spawn via
@@ -90,8 +103,9 @@
 //!
 //! * `msgs`, `broadcasting`, `reach_*` are exactly `n` long from spawn and
 //!   are overwritten (not reallocated) every round;
-//! * `extra` holds the adversary's proposal; its capacity high-water-marks
-//!   after the first few rounds, after which `clear()` frees nothing;
+//! * `extra` holds the adversary's proposal, filtered in place by phase 2;
+//!   its capacity high-water-marks after the first few rounds, after
+//!   which `clear()` frees nothing;
 //! * `reach_stamp` equality with the current round epoch marks a listener
 //!   as reached this round — stale entries are never cleared, just
 //!   outdated, so no `O(n)` zeroing happens between rounds. The epoch
@@ -102,7 +116,7 @@
 //!   every-round-including-empty rule, enforced by a regression test that
 //!   alternates empty and dense broadcast rounds.
 //!
-//! `BENCH_engine.json` tracks all three tiers' relative throughput
+//! `BENCH_engine.json` tracks every tier's relative throughput
 //! PR-over-PR.
 
 use crate::adversary::{Adversary, ReliableOnly};
@@ -136,6 +150,14 @@ pub enum EngineError {
     },
     /// The wake-round vector has the wrong length or contains round 0.
     BadWakeRounds,
+    /// A pinned [`StepMode::Bitset`] or [`StepMode::Batched`] engine would
+    /// need more than 1 GiB of bitmask rows.
+    BitRowsTooLarge {
+        /// Nodes in the network.
+        n: usize,
+        /// Bytes the rows would take (`usize::MAX` if the size overflows).
+        bytes: usize,
+    },
 }
 
 impl std::fmt::Display for EngineError {
@@ -150,6 +172,11 @@ impl std::fmt::Display for EngineError {
             EngineError::BadWakeRounds => {
                 write!(f, "wake rounds must have one entry >= 1 per node")
             }
+            EngineError::BitRowsTooLarge { n, bytes } => write!(
+                f,
+                "bitmask rows for {n} nodes need {bytes} bytes, over the \
+                 {MAX_BIT_ROWS_BYTES}-byte cap of the bit-row tiers"
+            ),
         }
     }
 }
@@ -178,10 +205,24 @@ pub enum StepMode {
 }
 
 /// Largest `n` at which [`StepMode::Auto`] may pick the bitset tier: the
-/// bitmask rows cost `n·⌈n/64⌉` words (33 MiB at this cap), past which
+/// bitmask rows cost `n·⌈n/64⌉` words (32 MiB at this cap), past which
 /// the CSR scatter's cache behavior wins and the million-node direction
 /// wants implicit topologies anyway.
 const MAX_AUTO_BITSET_N: usize = 16_384;
+
+/// Largest bitmask-row footprint (1 GiB) a pinned [`StepMode::Bitset`] or
+/// [`StepMode::Batched`] engine may allocate; larger networks fail to
+/// spawn with [`EngineError::BitRowsTooLarge`] instead of exhausting
+/// memory. `Auto` never comes near it (its bitset cap is 32 MiB of rows).
+const MAX_BIT_ROWS_BYTES: usize = 1 << 30;
+
+/// Bytes of the `n·⌈n/64⌉`-word bitmask rows, computed with checked
+/// arithmetic; an overflow saturates to `usize::MAX` (over any cap).
+fn bit_rows_bytes(n: usize) -> usize {
+    n.checked_mul(n.div_ceil(64))
+        .and_then(|words| words.checked_mul(8))
+        .unwrap_or(usize::MAX)
+}
 
 /// The bitset tier's break-even edge-slot threshold, `3·n·⌈n/64⌉`, or
 /// `None` when the product would overflow `usize`. An overflowing
@@ -329,7 +370,8 @@ impl EngineBuilder {
     /// # Errors
     ///
     /// Returns [`EngineError`] when the id assignment, detector provider, or
-    /// wake-round vector does not match the network size.
+    /// wake-round vector does not match the network size, or when a pinned
+    /// bit-row tier's rows would exceed 1 GiB.
     pub fn spawn<P, F>(self, mut factory: F) -> Result<Engine<P>, EngineError>
     where
         P: Process,
@@ -353,6 +395,15 @@ impl EngineBuilder {
         let wake_rounds = self.wake_rounds.unwrap_or_else(|| vec![1; n]);
         if wake_rounds.len() != n || wake_rounds.contains(&0) {
             return Err(EngineError::BadWakeRounds);
+        }
+        let mode = match self.step_mode {
+            StepMode::Auto => auto_step_mode(&self.net),
+            m => m,
+        };
+        let bit_rows = matches!(mode, StepMode::Bitset | StepMode::Batched);
+        let bytes = bit_rows_bytes(n);
+        if bit_rows && bytes > MAX_BIT_ROWS_BYTES {
+            return Err(EngineError::BitRowsTooLarge { n, bytes });
         }
         // Size the adversary-proposal buffer for the built-in adversaries'
         // worst cases (full unreliable layer, or ≤ 2 edges per listener) so
@@ -380,11 +431,7 @@ impl EngineBuilder {
         // its sets so the per-node, per-round lookup is a plain index
         // instead of a virtual call.
         let static_det = detectors.static_assignment();
-        let mode = match self.step_mode {
-            StepMode::Auto => auto_step_mode(&self.net),
-            m => m,
-        };
-        if matches!(mode, StepMode::Bitset | StepMode::Batched) {
+        if bit_rows {
             // Build (and cache on the network) the bitmask rows up front,
             // so the hot loop never pays the one-time cost mid-run.
             self.net.g_bit_rows();
@@ -588,130 +635,45 @@ impl<P: Process> Engine<P> {
         // lint: end-rng-order(decide)
         let broadcaster_count = self.scratch.broadcasters.len() as u32;
 
-        // Phase 2: the adversary picks the round's unreliable reach edges.
-        // Normalize, dedupe, then validate against E' \ E — one stamped row
-        // load per distinct endpoint instead of a binary search per edge.
-        self.scratch.extra.clear();
-        self.adversary.extra_edges(
-            r,
-            &self.net,
-            &self.scratch.broadcasting,
-            &mut self.scratch.extra,
-        );
-        // With a trace recording, the full proposal must be normalized,
-        // deduped, and validated up front so the recorded `extra_edges`
-        // count matches the legacy engine exactly. Without one, only edges
-        // with exactly one broadcasting endpoint are observable (they
-        // alone can affect delivery), so all per-edge work happens in the
-        // single fused scatter pass below.
-        let tracing = self.trace.is_some();
-        if tracing {
-            for e in &mut self.scratch.extra {
-                if e.0 > e.1 {
-                    *e = (e.1, e.0);
-                }
-            }
-            self.sort_validate_extra(n);
-        }
-        let extra_count = self.scratch.extra.len() as u32;
+        // Phase 2: the adversary picks the round's unreliable reach edges;
+        // `extra` keeps the validated ones that can change a reception.
+        let extra_count = self.adversary_phase();
 
         // Phase 3: reach. Each broadcaster scatters its CSR row into the
-        // stamped counters; activated unreliable edges then add their
-        // endpoints in a fused pass (incidence filter, duplicate skip,
-        // `E' \ E` validation, bump — one traversal, no buffer writes).
-        // The fused pass assumes the proposal is normalized and strictly
-        // sorted, which holds for every built-in adversary; if a proposal
-        // violates that, the pass aborts, the epoch bump discards all
-        // partial reach state, and one retry runs on the sorted list.
-        // The epoch advances every round — including broadcaster-less ones,
-        // where stale reach state from earlier rounds must not deliver.
+        // stamped counters, then each activated unreliable edge bumps its
+        // listening endpoint. The epoch advances every round — including
+        // broadcaster-less ones, where stale reach state from earlier
+        // rounds must not deliver.
         self.scratch.epoch += 1;
         if broadcaster_count > 0 {
-            let mut attempt = 0;
-            loop {
-                attempt += 1;
-                if attempt > 1 {
-                    self.scratch.epoch += 1;
+            let epoch = self.scratch.epoch;
+            let csr_g = self.net.g_csr();
+            let RoundScratch {
+                broadcasters,
+                broadcasting,
+                extra,
+                reach_stamp,
+                reach_count,
+                reach_first,
+                ..
+            } = &mut self.scratch;
+            let mut bump = |from: u32, to: usize| {
+                if reach_stamp[to] != epoch {
+                    reach_stamp[to] = epoch;
+                    reach_count[to] = 1;
+                    reach_first[to] = from;
+                } else {
+                    reach_count[to] += 1;
                 }
-                let epoch = self.scratch.epoch;
-                let csr_g = self.net.g_csr();
-                for i in 0..self.scratch.broadcasters.len() {
-                    let u = self.scratch.broadcasters[i] as usize;
-                    for &v in csr_g.neighbors(u) {
-                        let vi = v as usize;
-                        if self.scratch.reach_stamp[vi] != epoch {
-                            self.scratch.reach_stamp[vi] = epoch;
-                            self.scratch.reach_count[vi] = 1;
-                            self.scratch.reach_first[vi] = u as u32;
-                        } else {
-                            self.scratch.reach_count[vi] += 1;
-                        }
-                    }
+            };
+            for &u in broadcasters.iter() {
+                for &v in csr_g.neighbors(u as usize) {
+                    bump(u, v as usize);
                 }
-                let unreliable = self.net.unreliable_csr();
-                let RoundScratch {
-                    extra,
-                    unreliable_rows,
-                    broadcasting,
-                    reach_stamp,
-                    reach_count,
-                    reach_first,
-                    ..
-                } = &mut self.scratch;
-                let strict = attempt == 1;
-                let mut loaded = usize::MAX;
-                // Ordering/duplicate tracking only needs to cover pairs
-                // that bump a counter, so the cheap incidence test runs
-                // first and skips ~all proposals in one compare. (0, 0) is
-                // below every normalized pair, so it works as "no prev".
-                let mut prev = (0usize, 0usize);
-                let mut disorder = false;
-                for &(a, b) in extra.iter() {
-                    if a >= n || b >= n {
-                        continue;
-                    }
-                    // Also drops self-loops (equal flags on both sides).
-                    if broadcasting[a] == broadcasting[b] {
-                        continue;
-                    }
-                    let (u, v) = if a < b { (a, b) } else { (b, a) };
-                    if strict {
-                        if prev >= (u, v) {
-                            // Out-of-order or duplicate among counted
-                            // pairs: redo on the sorted list.
-                            disorder = true;
-                            break;
-                        }
-                        prev = (u, v);
-                    }
-                    if !tracing {
-                        if loaded != u {
-                            unreliable_rows.load_row(unreliable, u);
-                            loaded = u;
-                        }
-                        if !unreliable_rows.contains(v) {
-                            continue;
-                        }
-                    }
-                    let (from, to) = if broadcasting[u] { (u, v) } else { (v, u) };
-                    if reach_stamp[to] != epoch {
-                        reach_stamp[to] = epoch;
-                        reach_count[to] = 1;
-                        reach_first[to] = from as u32;
-                    } else {
-                        reach_count[to] += 1;
-                    }
-                }
-                if !disorder {
-                    break;
-                }
-                for e in extra.iter_mut() {
-                    if e.0 > e.1 {
-                        *e = (e.1, e.0);
-                    }
-                }
-                extra.sort_unstable();
-                extra.dedup();
+            }
+            for &(a, b) in extra.iter() {
+                let (from, to) = if broadcasting[a] { (a, b) } else { (b, a) };
+                bump(from as u32, to);
             }
         }
 
@@ -953,26 +915,9 @@ impl<P: Process> Engine<P> {
         // lint: end-rng-order(decide)
         let broadcaster_count = self.scratch.broadcasters.len() as u32;
 
-        // Phase 2: the adversary picks the round's unreliable reach edges.
-        // The bitset path always normalizes, sorts, dedupes, and validates
-        // the proposal up front: partial carry-save updates cannot be
-        // rolled back the way the scalar path's epoch bump discards a
-        // failed fused pass, and built-in adversaries emit near-sorted
-        // lists so the allocation-free `sort_unstable` is cheap.
-        self.scratch.extra.clear();
-        self.adversary.extra_edges(
-            r,
-            &self.net,
-            &self.scratch.broadcasting,
-            &mut self.scratch.extra,
-        );
-        for e in &mut self.scratch.extra {
-            if e.0 > e.1 {
-                *e = (e.1, e.0);
-            }
-        }
-        self.sort_validate_extra(n);
-        let extra_count = self.scratch.extra.len() as u32;
+        // Phase 2: the adversary picks the round's unreliable reach edges;
+        // `extra` keeps the validated ones that can change a reception.
+        let extra_count = self.adversary_phase();
 
         // Phase 3: carry-save reach. seen/collide are cleared every round
         // — including broadcaster-less ones, where stale bits from an
@@ -999,15 +944,11 @@ impl<P: Process> Engine<P> {
                     bit_seen[w] |= row[w];
                 }
             }
-            // Unreliable overlay: each validated activated edge with
-            // exactly one broadcasting endpoint adds a single bit (the
-            // equality test also drops both-broadcasting pairs). E' \ E is
-            // disjoint from E, so an extra edge never double-counts a row
-            // delivery from the same broadcaster.
+            // Unreliable overlay: each activated edge adds a single bit at
+            // its listening endpoint. E' \ E is disjoint from E, so an
+            // extra edge never double-counts a row delivery from the same
+            // broadcaster.
             for &(a, b) in extra.iter() {
-                if broadcasting[a] == broadcasting[b] {
-                    continue;
-                }
                 let (from, to) = if broadcasting[a] { (a, b) } else { (b, a) };
                 let (w, bit) = (to >> 6, 1u64 << (to & 63));
                 if bit_seen[w] & bit != 0 {
@@ -1085,7 +1026,7 @@ impl<P: Process> Engine<P> {
     pub fn step_batched(&mut self) {
         let words = self.net.n().div_ceil(64);
         let broadcaster_count = self.batched_decide();
-        let extra_count = self.batched_adversary();
+        let extra_count = self.adversary_phase();
         let mut seen = std::mem::take(&mut self.scratch.bit_seen);
         let mut collide = std::mem::take(&mut self.scratch.bit_collide);
         seen[..words].fill(0);
@@ -1183,31 +1124,6 @@ impl<P: Process> Engine<P> {
     }
     // lint: end-no-alloc
 
-    /// Batched-tier phase 2: collect the adversary's proposal, then
-    /// normalize, sort, dedupe, and validate it up front — exactly
-    /// `step_bitset`'s unconditional full pass, so the recorded
-    /// `extra_edges` count matches the whole chain. Returns the validated
-    /// proposal length.
-    // lint: begin-no-alloc
-    fn batched_adversary(&mut self) -> u32 {
-        let n = self.net.n();
-        self.scratch.extra.clear();
-        self.adversary.extra_edges(
-            self.round,
-            &self.net,
-            &self.scratch.broadcasting,
-            &mut self.scratch.extra,
-        );
-        for e in &mut self.scratch.extra {
-            if e.0 > e.1 {
-                *e = (e.1, e.0);
-            }
-        }
-        self.sort_validate_extra(n);
-        self.scratch.extra.len() as u32
-    }
-    // lint: end-no-alloc
-
     /// Batched-tier phase 4: read each listener's bit pair out of the
     /// given planes and deliver, in node order — the exact receive loop
     /// (and RNG draw order) of `step_bitset`'s delivery phase — then run
@@ -1255,29 +1171,69 @@ impl<P: Process> Engine<P> {
     }
     // lint: end-no-alloc
 
-    /// Sorts, dedupes, and validates the (already normalized) proposal in
-    /// place — the full pass the tracing path needs so its recorded
-    /// `extra_edges` count matches the legacy engine.
+    /// Phase 2 of every production tier: collects the adversary's
+    /// proposal for the current round into `scratch.extra` and leaves
+    /// there exactly the distinct edges of `E' \ E` with one broadcasting
+    /// endpoint, normalized `(u < v)` and sorted — the only activated
+    /// edges that can change a reception.
+    ///
+    /// Untraced engines drop every other pair first (out of range, both
+    /// or neither endpoint broadcasting) and then sort, dedupe and
+    /// validate the short remainder. A tracing engine validates the whole
+    /// proposal before that filter, because its trace records how many
+    /// distinct valid edges the adversary proposed — the count this
+    /// returns (what `step_legacy` records). Untraced engines return the
+    /// filtered count, which nothing reads.
     // lint: begin-no-alloc
-    fn sort_validate_extra(&mut self, n: usize) {
-        self.scratch.extra.sort_unstable();
-        self.scratch.extra.dedup();
+    fn adversary_phase(&mut self) -> u32 {
+        let n = self.net.n();
+        self.scratch.extra.clear();
+        self.adversary.extra_edges(
+            self.round,
+            &self.net,
+            &self.scratch.broadcasting,
+            &mut self.scratch.extra,
+        );
         let unreliable = self.net.unreliable_csr();
         let RoundScratch {
             extra,
+            broadcasting,
             unreliable_rows,
             ..
         } = &mut self.scratch;
-        let mut loaded = usize::MAX;
-        extra.retain(|&(u, v)| {
-            u < n && v < n && {
-                if loaded != u {
-                    unreliable_rows.load_row(unreliable, u);
-                    loaded = u;
+        let mut validate = |extra: &mut Vec<(usize, usize)>| {
+            for e in extra.iter_mut() {
+                if e.0 > e.1 {
+                    *e = (e.1, e.0);
                 }
-                unreliable_rows.contains(v)
             }
-        });
+            extra.sort_unstable();
+            extra.dedup();
+            // One stamped row load per distinct lower endpoint instead of
+            // a binary search per edge.
+            let mut loaded = usize::MAX;
+            extra.retain(|&(u, v)| {
+                u < n && v < n && {
+                    if loaded != u {
+                        unreliable_rows.load_row(unreliable, u);
+                        loaded = u;
+                    }
+                    unreliable_rows.contains(v)
+                }
+            });
+        };
+        // Also drops self-loops: both sides carry the same flag.
+        let incident =
+            |&(a, b): &(usize, usize)| a < n && b < n && broadcasting[a] != broadcasting[b];
+        if self.trace.is_none() {
+            extra.retain(incident);
+            validate(extra);
+            return extra.len() as u32;
+        }
+        validate(extra);
+        let proposed = extra.len() as u32;
+        extra.retain(incident);
+        proposed
     }
     // lint: end-no-alloc
 
@@ -1443,11 +1399,11 @@ fn carry_save_row(row: &[u64], seen: &mut [u64], collide: &mut [u64]) {
     }
 }
 
-/// Overlays the adversary's validated activated edges onto a plane pair:
-/// each edge with exactly one broadcasting endpoint adds a single bit
-/// (the equality test also drops both-broadcasting pairs and self-loops),
-/// recording the sender in `reach_first` on a clean hit — exactly
-/// `step_bitset`'s overlay, parameterized over the planes.
+/// Overlays the adversary's activated edges (phase 2's output: each has
+/// exactly one broadcasting endpoint) onto a plane pair: each adds a
+/// single bit at its listening endpoint, recording the sender in
+/// `reach_first` on a clean hit — exactly `step_bitset`'s overlay,
+/// parameterized over the planes.
 #[inline]
 fn overlay_extra_bits(
     extra: &[(usize, usize)],
@@ -1457,9 +1413,6 @@ fn overlay_extra_bits(
     collide: &mut [u64],
 ) {
     for &(a, b) in extra {
-        if broadcasting[a] == broadcasting[b] {
-            continue;
-        }
         let (from, to) = if broadcasting[a] { (a, b) } else { (b, a) };
         let (w, bit) = (to >> 6, 1u64 << (to & 63));
         if seen[w] & bit != 0 {
@@ -1636,7 +1589,7 @@ impl<P: Process> BatchedEngine<P> {
             }
             let engine = &mut self.engines[b];
             let bc = engine.batched_decide();
-            let ec = engine.batched_adversary();
+            let ec = engine.adversary_phase();
             self.counts[b] = (bc, ec);
             self.seen[b * words..(b + 1) * words].fill(0);
             self.collide[b * words..(b + 1) * words].fill(0);
@@ -2116,6 +2069,40 @@ mod tests {
         assert_eq!(bitset_break_even(64), Some(192));
         assert_eq!(bitset_break_even(1024), Some(3 * 1024 * 16));
         assert_eq!(bitset_break_even(0), Some(0));
+    }
+
+    #[test]
+    fn pinned_bit_row_tiers_refuse_oversized_rows() {
+        // n = 10⁵ needs 10⁵·1563 words ≈ 1.25 GB of rows: a pinned bit-row
+        // tier must refuse at spawn (before building them), while Auto
+        // resolves the sparse path to scalar and spawns.
+        let n = 100_000;
+        let path =
+            DualGraph::classic(Graph::from_edges(n, (0..n - 1).map(|i| (i, i + 1))).unwrap())
+                .unwrap();
+        for mode in [StepMode::Bitset, StepMode::Batched] {
+            let err = EngineBuilder::new(path.clone())
+                .step_mode(mode)
+                .spawn(|_| Node::Chatter(Chatter))
+                .map(|_| ());
+            assert_eq!(
+                err,
+                Err(EngineError::BitRowsTooLarge {
+                    n,
+                    bytes: 1_250_400_000
+                }),
+                "{mode:?}"
+            );
+        }
+        let auto = EngineBuilder::new(path)
+            .spawn(|_| Node::Chatter(Chatter))
+            .unwrap();
+        assert_eq!(auto.step_mode(), StepMode::Scalar);
+        // The size itself never wraps: an overflow reads as too large.
+        assert_eq!(bit_rows_bytes(usize::MAX), usize::MAX);
+        assert_eq!(bit_rows_bytes(1 << 40), usize::MAX);
+        assert_eq!(bit_rows_bytes(64), 512);
+        assert_eq!(bit_rows_bytes(0), 0);
     }
 
     #[test]

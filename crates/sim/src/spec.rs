@@ -70,6 +70,27 @@ impl AdversaryKind {
         }
     }
 
+    /// Checks that every probability field is finite and in `[0, 1]` —
+    /// the range [`AdversaryKind::build`]'s constructors assert — so a bad
+    /// spec is refused where it enters instead of panicking mid-sweep.
+    ///
+    /// # Errors
+    ///
+    /// Names the adversary variant, the field, and the offending value.
+    pub fn validate(self) -> Result<(), String> {
+        let fields: &[(&str, f64)] = match &self {
+            AdversaryKind::Random { p } => &[("p", *p)],
+            AdversaryKind::Bursty { p_gb, p_bg } => &[("p_gb", *p_gb), ("p_bg", *p_bg)],
+            _ => &[],
+        };
+        match fields.iter().find(|(_, p)| !(0.0..=1.0).contains(p)) {
+            Some((field, p)) => Err(format!(
+                "adversary {self:?}: {field} = {p} is not a probability (finite, in [0, 1])"
+            )),
+            None => Ok(()),
+        }
+    }
+
     /// Short name for experiment tables.
     pub fn name(self) -> &'static str {
         match self {
@@ -354,9 +375,38 @@ mod tests {
             },
             AdversaryKind::CliqueIsolator,
         ] {
+            assert_eq!(kind.validate(), Ok(()));
             let a = kind.build(1);
             assert!(!a.name().is_empty());
             assert_eq!(a.name(), kind.name());
+        }
+    }
+
+    #[test]
+    fn validate_names_the_out_of_range_field() {
+        for (kind, field) in [
+            (AdversaryKind::Random { p: 1.5 }, "p = 1.5"),
+            (AdversaryKind::Random { p: f64::NAN }, "p = NaN"),
+            (
+                AdversaryKind::Bursty {
+                    p_gb: 0.1,
+                    p_bg: -0.1,
+                },
+                "p_bg = -0.1",
+            ),
+            (
+                AdversaryKind::Bursty {
+                    p_gb: f64::INFINITY,
+                    p_bg: 0.5,
+                },
+                "p_gb = inf",
+            ),
+        ] {
+            let err = kind.validate().unwrap_err();
+            assert!(err.contains(field), "{err}");
+        }
+        for p in [0.0, 1.0] {
+            assert_eq!(AdversaryKind::Random { p }.validate(), Ok(()));
         }
     }
 

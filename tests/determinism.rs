@@ -204,9 +204,10 @@ fn golden_trace_batched_matches_bitset() {
 
 #[test]
 fn tracing_off_does_not_change_behavior() {
-    // The scalar no-trace fast path skips non-incident proposal
-    // processing; the bitset path normalizes unconditionally. Either way
-    // the observable execution must not depend on whether a trace records.
+    // Every tier's phase 2 validates the whole proposal only when a trace
+    // records (for the trace's activated-edge count); untraced engines
+    // drop non-incident pairs before validating. Either way the
+    // observable execution must not depend on whether a trace records.
     for tier in [Tier::Scalar, Tier::Bitset, Tier::Batched] {
         for (net_name, net) in nets() {
             for (adv_name, make) in adversaries() {
@@ -230,7 +231,7 @@ fn tracing_off_does_not_change_behavior() {
 }
 
 /// An adversary emitting unsorted, duplicated, reversed, and invalid
-/// pairs — exercising the engine's disorder fallback path.
+/// pairs — exercising the phase-2 normalization every tier shares.
 struct MessyAdversary {
     inner: RandomUnreliable,
 }
@@ -405,12 +406,17 @@ fn bitset_clears_reach_words_on_broadcaster_less_rounds() {
     }
 }
 
-/// Spawns one traced [`Talker`] engine on `net` with trial seed `seed`.
-fn spawn_talker(net: &DualGraph, adversary: Box<dyn Adversary>, seed: u64) -> Engine<Talker> {
+/// Spawns one [`Talker`] engine on `net` with trial seed `seed`.
+fn spawn_talker(
+    net: &DualGraph,
+    adversary: Box<dyn Adversary>,
+    seed: u64,
+    record_trace: bool,
+) -> Engine<Talker> {
     EngineBuilder::new(net.clone())
         .seed(seed)
         .adversary(adversary)
-        .record_trace(true)
+        .record_trace(record_trace)
         .spawn(|info| Talker {
             heard: Vec::new(),
             done_after: 10 + info.id.get() as u64 % 7,
@@ -420,23 +426,25 @@ fn spawn_talker(net: &DualGraph, adversary: Box<dyn Adversary>, seed: u64) -> En
 }
 
 /// Runs a B-trial [`BatchedEngine`] in lockstep and asserts every trial is
-/// bit-identical to its solo bitset run.
+/// bit-identical to its solo bitset run, both recording a trace or both
+/// not (the untraced batch is the path every sweep takes).
 fn assert_batch_matches_solo(
     net_name: &str,
     net: &DualGraph,
     adv_name: &str,
     make: &dyn Fn() -> Box<dyn Adversary>,
     b: usize,
+    record_trace: bool,
 ) {
     let engines = (0..b)
-        .map(|t| spawn_talker(net, make(), 11 + t as u64))
+        .map(|t| spawn_talker(net, make(), 11 + t as u64, record_trace))
         .collect();
     let mut batch = BatchedEngine::new(engines);
     batch.run_rounds_each(60);
     for (t, engine) in batch.engines().iter().enumerate() {
-        let solo = capture(net, make(), 11 + t as u64, 60, Tier::Bitset, true);
+        let solo = capture(net, make(), 11 + t as u64, 60, Tier::Bitset, record_trace);
         let got = capture_engine(engine);
-        let ctx = format!("{net_name}/{adv_name}/B={b}/trial {t}");
+        let ctx = format!("{net_name}/{adv_name}/B={b}/trial {t}/trace {record_trace}");
         assert_eq!(got.0, solo.0, "trace diverged on {ctx}");
         assert_eq!(got.1, solo.1, "receive transcripts diverged on {ctx}");
         assert_eq!(got.2, solo.2, "outputs diverged on {ctx}");
@@ -450,7 +458,10 @@ fn batched_trials_match_solo_runs() {
     // adversary grid, including the malformed adversary: every trial of a
     // batch must reproduce its solo run exactly — traces, transcripts,
     // outputs, metrics. Per-trial RNG streams are untouched by batching,
-    // so interleaving phases across trials is invisible.
+    // so interleaving phases across trials is invisible. Both with and
+    // without traces: the untraced batch is the path `run_algo_batch`
+    // takes in every sweep, and an untraced engine filters the
+    // adversary's proposal in a different order from a tracing one.
     let mut advs = adversaries();
     advs.push((
         "messy",
@@ -463,7 +474,16 @@ fn batched_trials_match_solo_runs() {
     for (net_name, net) in nets() {
         for (adv_name, make) in &advs {
             for b in [1usize, 2, 7] {
-                assert_batch_matches_solo(net_name, &net, adv_name, make.as_ref(), b);
+                for record_trace in [true, false] {
+                    assert_batch_matches_solo(
+                        net_name,
+                        &net,
+                        adv_name,
+                        make.as_ref(),
+                        b,
+                        record_trace,
+                    );
+                }
             }
         }
     }
@@ -483,7 +503,7 @@ fn batched_trials_match_solo_runs_at_full_trial_word() {
         ),
         ("collider", Box::new(|| Box::new(Collider))),
     ] {
-        assert_batch_matches_solo(net_name, &net, adv_name, make.as_ref(), 64);
+        assert_batch_matches_solo(net_name, &net, adv_name, make.as_ref(), 64, true);
     }
 }
 
