@@ -85,8 +85,9 @@ pub enum MetricSource {
     /// Round the run's goal was reached. Records that never reached it —
     /// timed-out runs, failed builds — are **excluded** from the
     /// reduction by default, so a cap never masquerades as a measurement;
-    /// [`MetricSpec::include_invalid`] opts back into the historical E1
-    /// convention of substituting the rounds executed (the budget).
+    /// [`MetricSpec`]'s `include_invalid` field opts back into the
+    /// historical E1 convention of substituting the rounds executed (the
+    /// budget).
     SolveRound,
     /// Rounds the engine executed.
     RoundsExecuted,
@@ -300,7 +301,8 @@ pub enum SlopeAxis {
 }
 
 /// A measured scaling exponent appended to the table caption: the log-log
-/// slope (via [`loglog_exponent`]) of a metric's per-group **mean**
+/// slope (via [`loglog_exponent`](crate::stats::loglog_exponent)) of a
+/// metric's per-group **mean**
 /// (pre-normalizer) against the group's `n` axis.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SlopeSpec {

@@ -16,7 +16,7 @@
 //!   use, with a gray zone of unreliable links and a randomized adversary
 //!   (the acceptance workload at `n = 256`);
 //! * **sparse** — a path with unreliable chords under the adaptive
-//!   [`Collider`](radio_sim::adversary::Collider), the cheap-per-round /
+//!   [`Collider`], the cheap-per-round /
 //!   adversary-heavy regime.
 //!
 //! Each workload runs on **all four engine tiers** — the scratch-buffer

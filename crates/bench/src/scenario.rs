@@ -411,12 +411,12 @@ impl ScenarioRun {
 /// Units that freeze the same network — consecutive trials of a
 /// deterministic topology under a net-building workload — share one built
 /// instance (adjacency *and* bitmask rows) through
-/// [`crate::parallel::run_trials_batched_fused`]; see [`run_unit_with`]
+/// [`crate::parallel::run_trials_batched_fused`]; see `run_unit_with`
 /// for why the records are bit-identical to the build-per-trial sweep.
 /// Within a shared span, runs of ≥ 2 Core trials of one grid cell are
 /// additionally *fused* into a single [`run_algo_batch`] call, so dense
 /// networks step all of a cell's trials in lockstep over the shared
-/// bitmask rows ([`fuse_shared_units`]) — still record-identical.
+/// bitmask rows (`fuse_shared_units`) — still record-identical.
 pub fn run_spec(spec: &ScenarioSpec) -> ScenarioRun {
     let units = spec.plan();
     let start = Instant::now();

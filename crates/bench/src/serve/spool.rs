@@ -940,7 +940,7 @@ pub fn spec_status(manifest: &SpoolManifest, scan: &SpecScan) -> SpecStatus {
 }
 
 /// Writes the advisory status snapshot (atomic, not fsynced — see
-/// [`write_atomic`]).
+/// `write_atomic`).
 ///
 /// # Errors
 ///

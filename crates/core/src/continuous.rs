@@ -138,7 +138,7 @@ mod tests {
         // (modeling links that had not yet been classified).
         let sparse = {
             let mut sets: Vec<std::collections::BTreeSet<u32>> = (0..n)
-                .map(|v| good.set(radio_sim::NodeId(v)).clone())
+                .map(|v| good.set(radio_sim::NodeId(v)).iter().copied().collect())
                 .collect();
             for set in sets.iter_mut().skip(2) {
                 let first = *set.iter().next().unwrap();

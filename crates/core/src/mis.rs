@@ -305,7 +305,7 @@ impl Process for Mis {
 mod tests {
     use super::*;
     use radio_sim::adversary::{AllUnreliable, Collider};
-    use radio_sim::{DualGraph, EngineBuilder, Graph};
+    use radio_sim::{DualGraph, EngineBuilder, Graph, LinkDetectorAssignment, NodeId};
 
     fn run_mis(net: &DualGraph, seed: u64) -> Vec<Option<bool>> {
         let params = MisParams::default();
@@ -395,12 +395,12 @@ mod tests {
         let params = MisParams::default();
         let mut core = MisCore::new(4, ProcessId::new(1).unwrap(), params);
         let mut rng = radio_sim::ProcessRng::seed_from_u64(5);
-        let detector: std::collections::BTreeSet<u32> = [2u32].into();
+        let detector = LinkDetectorAssignment::from_sets(vec![[2u32].into()]);
         let mut ctx = Context {
             local_round: 1,
             n: 4,
             my_id: ProcessId::new(1).unwrap(),
-            detector: &detector,
+            detector: detector.set(NodeId(0)),
             rng: &mut rng,
         };
         // Round 0 activates the process.
@@ -426,12 +426,12 @@ mod tests {
         let params = MisParams::default();
         let mut core = MisCore::new(4, ProcessId::new(1).unwrap(), params);
         let mut rng = radio_sim::ProcessRng::seed_from_u64(5);
-        let detector: std::collections::BTreeSet<u32> = [2u32].into();
+        let detector = LinkDetectorAssignment::from_sets(vec![[2u32].into()]);
         let ctx = Context {
             local_round: 1,
             n: 4,
             my_id: ProcessId::new(1).unwrap(),
-            detector: &detector,
+            detector: detector.set(NodeId(0)),
             rng: &mut rng,
         };
         core.on_message(&ctx, &MisMsg::Announce { from: 3 });

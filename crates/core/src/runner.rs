@@ -748,8 +748,9 @@ fn run_continuous_dynamic(
     // The pre-stabilization detector: drop one entry from every set past
     // the first two, leaving it incomplete but well-formed.
     let sparse = {
-        let mut sets: Vec<std::collections::BTreeSet<u32>> =
-            (0..n).map(|v| good.set(NodeId(v)).clone()).collect();
+        let mut sets: Vec<std::collections::BTreeSet<u32>> = (0..n)
+            .map(|v| good.set(NodeId(v)).iter().copied().collect())
+            .collect();
         for set in sets.iter_mut().skip(2) {
             if let Some(&first) = set.iter().next() {
                 set.remove(&first);

@@ -28,7 +28,9 @@
 use crate::double::DoublePlayer;
 use crate::single::SinglePlayer;
 use radio_sim::ProcessRng;
-use radio_sim::{Context, MessageSize, Process, ProcessId};
+use radio_sim::{
+    Context, DetectorSet, LinkDetectorAssignment, MessageSize, NodeId, Process, ProcessId,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::{BTreeSet, VecDeque};
@@ -50,7 +52,7 @@ pub enum CliqueRole {
 /// `radio_structures::TauCcds` (our τ = 1 algorithm).
 pub struct CliquePlayer<P: Process> {
     procs: Vec<P>,
-    detectors: Vec<BTreeSet<u32>>,
+    detectors: LinkDetectorAssignment,
     ids: Vec<u32>,
     rngs: Vec<ProcessRng>,
     n_total: usize,
@@ -72,7 +74,7 @@ impl<P: Process> CliquePlayer<P> {
     /// bridge endpoint (local index).
     pub fn new<F>(role: CliqueRole, beta: u32, other_target: u32, seed: u64, mut factory: F) -> Self
     where
-        F: FnMut(ProcessId, &BTreeSet<u32>, usize) -> P,
+        F: FnMut(ProcessId, DetectorSet<'_>, usize) -> P,
     {
         assert!((1..=beta).contains(&other_target), "target outside [beta]");
         let n_total = 2 * beta as usize;
@@ -85,16 +87,20 @@ impl<P: Process> CliquePlayer<P> {
             CliqueRole::B => (beta + 1, 2 * beta, other_target),
         };
         let ids: Vec<u32> = (0..beta).map(|k| lo + k).collect();
+        let detectors = LinkDetectorAssignment::from_sets(
+            ids.iter()
+                .map(|&id| {
+                    let others = ids.iter().copied().filter(|&j| j != id);
+                    others.chain([foreign]).collect::<BTreeSet<u32>>()
+                })
+                .collect(),
+        );
         let mut master = StdRng::seed_from_u64(seed);
         let mut procs = Vec::with_capacity(beta as usize);
-        let mut detectors = Vec::with_capacity(beta as usize);
         let mut rngs = Vec::with_capacity(beta as usize);
-        for &id in &ids {
-            let mut det: BTreeSet<u32> = ids.iter().copied().filter(|&j| j != id).collect();
-            det.insert(foreign);
+        for (i, &id) in ids.iter().enumerate() {
             let pid = ProcessId::new_unchecked(id);
-            procs.push(factory(pid, &det, n_total));
-            detectors.push(det);
+            procs.push(factory(pid, detectors.set(NodeId(i)), n_total));
             rngs.push(ProcessRng::seed_from_u64(master.gen()));
         }
         CliquePlayer {
@@ -136,7 +142,7 @@ impl<P: Process> DoublePlayer for CliquePlayer<P> {
                 local_round: self.local_round,
                 n: self.n_total,
                 my_id: ProcessId::new_unchecked(self.ids[i]),
-                detector: &self.detectors[i],
+                detector: self.detectors.set(NodeId(i)),
                 rng: &mut self.rngs[i],
             };
             match self.procs[i].decide(&mut ctx) {
@@ -166,7 +172,7 @@ impl<P: Process> DoublePlayer for CliquePlayer<P> {
                 local_round: self.local_round,
                 n: self.n_total,
                 my_id: ProcessId::new_unchecked(self.ids[i]),
-                detector: &self.detectors[i],
+                detector: self.detectors.set(NodeId(i)),
                 rng: &mut self.rngs[i],
             };
             self.procs[i].receive(&mut ctx, delivered);

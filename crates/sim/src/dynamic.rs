@@ -12,14 +12,17 @@
 //! [`DynamicDetector`] implements a piecewise-constant schedule of
 //! assignments.
 
-use crate::detector::LinkDetectorAssignment;
+use crate::detector::{DetectorSet, LinkDetectorAssignment};
 use crate::ids::NodeId;
-use std::collections::BTreeSet;
 
 /// Round-indexed source of link detector sets.
+///
+/// Every output is a [`DetectorSet`] view on some frozen
+/// [`LinkDetectorAssignment`], so a process's membership tests cost the
+/// same whether its detector is static or dynamic.
 pub trait DetectorProvider {
     /// The detector set of node `u` at round `round`.
-    fn set_at(&self, u: NodeId, round: u64) -> &BTreeSet<u32>;
+    fn set_at(&self, u: NodeId, round: u64) -> DetectorSet<'_>;
 
     /// Number of nodes covered.
     fn n(&self) -> usize;
@@ -38,7 +41,7 @@ pub trait DetectorProvider {
 }
 
 impl DetectorProvider for LinkDetectorAssignment {
-    fn set_at(&self, u: NodeId, _round: u64) -> &BTreeSet<u32> {
+    fn set_at(&self, u: NodeId, _round: u64) -> DetectorSet<'_> {
         self.set(u)
     }
 
@@ -148,7 +151,7 @@ impl DynamicDetector {
 }
 
 impl DetectorProvider for DynamicDetector {
-    fn set_at(&self, u: NodeId, round: u64) -> &BTreeSet<u32> {
+    fn set_at(&self, u: NodeId, round: u64) -> DetectorSet<'_> {
         self.assignment_at(round).set(u)
     }
 
@@ -164,6 +167,7 @@ impl DetectorProvider for DynamicDetector {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
 
     fn assignment(v: u32, n: usize) -> LinkDetectorAssignment {
         LinkDetectorAssignment::from_sets(vec![BTreeSet::from([v]); n])

@@ -94,10 +94,15 @@
 //! **Shared frozen topology.** Per-topology state is immutable and
 //! shared, never copied per engine: a [`DualGraph`] clone is a handle on
 //! one frozen network (layers, CSR forms, unreliable list, bitmask rows),
-//! a [`LinkDetectorAssignment`] clone shares its sets, an engine over a
-//! static detector keeps a handle on those sets, and a [`BatchedEngine`]
-//! reads rows through a network handle. Spawning a trial's engine
-//! therefore allocates only its own per-node state.
+//! a [`LinkDetectorAssignment`] clone shares its frozen sets (flat sorted
+//! ids plus, on dense assignments, membership bitmask rows), an engine
+//! over a static detector keeps a handle on those sets, and a
+//! [`BatchedEngine`] reads rows through a network handle. Spawning a
+//! trial's engine therefore allocates only its own per-node state. Each
+//! [`Context`] carries its node's set as a [`DetectorSet`] view, which
+//! costs `O(1)` to make, so the decide and receive phases pay for the
+//! detector only when a process tests membership — one word load on a
+//! dense assignment.
 //!
 //! The scratch invariants:
 //!
@@ -120,7 +125,7 @@
 //! PR-over-PR.
 
 use crate::adversary::{Adversary, ReliableOnly};
-use crate::detector::LinkDetectorAssignment;
+use crate::detector::{DetectorSet, LinkDetectorAssignment};
 use crate::dynamic::DetectorProvider;
 use crate::graph::NeighborStamps;
 use crate::ids::{IdAssignment, NodeId, ProcessId};
@@ -129,7 +134,6 @@ use crate::process::{Action, Context, MessageSize, Process, ProcessRng};
 use crate::trace::{ExecutionMetrics, RoundRecord, Trace};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::BTreeSet;
 
 /// Errors from assembling an [`Engine`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -278,7 +282,7 @@ pub struct SpawnInfo<'a> {
     /// Network size `n`.
     pub n: usize,
     /// The process's link detector output at its wake round.
-    pub detector: &'a BTreeSet<u32>,
+    pub detector: DetectorSet<'a>,
     /// The round the process wakes (1 = synchronous start).
     pub wake_round: u64,
 }
@@ -564,16 +568,17 @@ pub struct Engine<P: Process> {
     scratch: RoundScratch<P::Msg>,
 }
 
-/// The detector set of node `v` at round `r` — a plain index for static
-/// detectors, the provider call otherwise. A free function over the two
-/// fields so callers keep disjoint borrows of the rest of the engine.
+/// The detector set of node `v` at round `r` — an `O(1)` view on the shared
+/// sets for static detectors, the provider call otherwise. A free function
+/// over the two fields so callers keep disjoint borrows of the rest of the
+/// engine.
 #[inline]
 fn detector_set<'a>(
     static_det: &'a Option<LinkDetectorAssignment>,
     detectors: &'a dyn DetectorProvider,
     v: usize,
     r: u64,
-) -> &'a BTreeSet<u32> {
+) -> DetectorSet<'a> {
     match static_det {
         Some(det) => det.set(NodeId(v)),
         None => detectors.set_at(NodeId(v), r),
@@ -1499,8 +1504,8 @@ pub struct BatchedEngine<P: Process> {
 
 impl<P: Process> BatchedEngine<P> {
     /// Assembles a batch over `engines`, which must all simulate the same
-    /// topology (checked cheaply in release — node count and edge slots —
-    /// and structurally in debug builds).
+    /// topology: clones of one network (a pointer compare), or networks
+    /// with equal reliable layers.
     ///
     /// The engines' resolved [`StepMode`]s are irrelevant here: a batch
     /// always steps its trials through the batched tier. Engines may be at
@@ -1511,18 +1516,13 @@ impl<P: Process> BatchedEngine<P> {
     /// Panics if `engines` is empty or the topologies disagree.
     pub fn new(engines: Vec<Engine<P>>) -> Self {
         assert!(!engines.is_empty(), "a batch needs at least one trial");
-        let first = engines[0].net.g_csr();
+        let net = engines[0].net.clone();
         assert!(
             engines
                 .iter()
-                .all(|e| e.net.n() == first.n() && e.net.g_csr().edge_slots() == first.edge_slots()),
+                .all(|e| e.net.ptr_eq(&net) || e.net.g_csr() == net.g_csr()),
             "batched trials must share one topology"
         );
-        debug_assert!(
-            engines.iter().all(|e| e.net.g_csr() == first),
-            "batched trials must share one topology (structural check)"
-        );
-        let net = engines[0].net.clone();
         // Build the rows now (a no-op when the engines' spawn did), so the
         // first batched round does not pay for them.
         net.g_bit_rows();
@@ -2264,5 +2264,19 @@ mod tests {
             (e.trace().unwrap().clone(), heard, *e.metrics())
         };
         assert_eq!(run(StepMode::Scalar), run(StepMode::Bitset));
+    }
+
+    #[test]
+    #[should_panic(expected = "batched trials must share one topology")]
+    fn batches_reject_another_topology_with_as_many_edge_slots() {
+        // A 4-node path and a 4-node star: equal `n`, 6 edge slots each.
+        let path = Graph::from_edges(4, [(0, 1), (1, 2), (2, 3)]).unwrap();
+        let star = Graph::from_edges(4, [(0, 1), (0, 2), (0, 3)]).unwrap();
+        let spawn = |g| {
+            EngineBuilder::new(DualGraph::classic(g).unwrap())
+                .spawn(|_| Chatter)
+                .unwrap()
+        };
+        BatchedEngine::new(vec![spawn(path), spawn(star)]);
     }
 }

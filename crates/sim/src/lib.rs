@@ -77,7 +77,7 @@ pub mod topology;
 mod trace;
 
 pub use adversary::Adversary;
-pub use detector::{LinkDetectorAssignment, SpuriousSource};
+pub use detector::{DetectorSet, LinkDetectorAssignment, SpuriousSource};
 pub use dynamic::{DetectorProvider, DynamicDetector, DynamicDetectorError};
 pub use engine::{
     BatchedEngine, Engine, EngineBuilder, EngineError, RunOutcome, SpawnInfo, StepMode, StopReason,

@@ -371,6 +371,11 @@ impl DualGraph {
     pub fn is_classic(&self) -> bool {
         self.unreliable_edge_count() == 0
     }
+
+    /// Whether `self` and `other` are handles on one frozen network.
+    pub(crate) fn ptr_eq(&self, other: &DualGraph) -> bool {
+        Arc::ptr_eq(&self.frozen, &other.frozen)
+    }
 }
 
 // Serialization carries only the defining data (layers, embedding, gray

@@ -7,8 +7,8 @@
 //! ([`Process::receive`]) — either a single message or `⊥` (silence and
 //! collision are indistinguishable: there is no collision detection).
 
+use crate::detector::DetectorSet;
 use crate::ids::ProcessId;
-use std::collections::BTreeSet;
 
 /// The generator backing each process's private randomness.
 ///
@@ -74,8 +74,10 @@ pub struct Context<'a> {
     pub n: usize,
     /// This process's unique id.
     pub my_id: ProcessId,
-    /// Current link detector output `L_u` (raw process-id numbers).
-    pub detector: &'a BTreeSet<u32>,
+    /// Current link detector output `L_u` (raw process-id numbers): a view
+    /// on the assignment's frozen sets, whose `contains` is one word load on
+    /// dense sets and a binary search of a sorted slice on sparse ones.
+    pub detector: DetectorSet<'a>,
     /// Private randomness for this process.
     pub rng: &'a mut ProcessRng,
 }

@@ -1,11 +1,10 @@
 //! Network topology generators.
 //!
 //! All generators return validated [`DualGraph`]s. The geometric family
-//! ([`random_geometric`], [`grid`], [`line`], [`clustered`]) produces
+//! ([`random_geometric`], [`grid`], [`line()`], [`clustered`]) produces
 //! embedded networks with a gray zone: `E = {dist ≤ 1}` and `E' ⊇ E` plus a
-//! configurable subset of the pairs at distance in `(1, d]`. The
-//! [`two_clique`] module builds the adversarial reduction network of
-//! Lemma 7.2.
+//! configurable subset of the pairs at distance in `(1, d]`. [`TwoClique`]
+//! builds the adversarial reduction network of Lemma 7.2.
 
 mod clustered;
 mod grid;

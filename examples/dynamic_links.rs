@@ -22,8 +22,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // missing one reliable neighbor (think: a link whose quality estimate
     // has not converged yet).
     let sparse = {
-        let mut sets: Vec<std::collections::BTreeSet<u32>> =
-            (0..n).map(|v| good.set(NodeId(v)).clone()).collect();
+        let mut sets: Vec<std::collections::BTreeSet<u32>> = (0..n)
+            .map(|v| good.set(NodeId(v)).iter().copied().collect())
+            .collect();
         for set in sets.iter_mut().skip(n / 2) {
             if let Some(&first) = set.iter().next() {
                 set.remove(&first);

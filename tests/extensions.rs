@@ -99,8 +99,9 @@ fn repair_loop_recovers_from_detector_churn() {
     let ids = IdAssignment::identity(n);
     let good = LinkDetectorAssignment::zero_complete(&net, &ids);
     let sparse = {
-        let mut sets: Vec<std::collections::BTreeSet<u32>> =
-            (0..n).map(|v| good.set(NodeId(v)).clone()).collect();
+        let mut sets: Vec<std::collections::BTreeSet<u32>> = (0..n)
+            .map(|v| good.set(NodeId(v)).iter().copied().collect())
+            .collect();
         // Hide one entry at a few high-degree-side nodes.
         for set in sets.iter_mut().skip(4) {
             if set.len() > 1 {

@@ -397,8 +397,9 @@ fn e6_dynamic(quick: bool) -> Table {
         let ids = IdAssignment::identity(n);
         let good = LinkDetectorAssignment::zero_complete(&net, &ids);
         let sparse = {
-            let mut sets: Vec<std::collections::BTreeSet<u32>> =
-                (0..n).map(|v| good.set(NodeId(v)).clone()).collect();
+            let mut sets: Vec<std::collections::BTreeSet<u32>> = (0..n)
+                .map(|v| good.set(NodeId(v)).iter().copied().collect())
+                .collect();
             for set in sets.iter_mut().skip(2) {
                 if let Some(&first) = set.iter().next() {
                     set.remove(&first);

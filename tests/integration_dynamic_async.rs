@@ -28,8 +28,9 @@ fn theorem_8_1_recovery_deadline() {
     let ids = IdAssignment::identity(n);
     let good = LinkDetectorAssignment::zero_complete(&net, &ids);
     let sparse = {
-        let mut sets: Vec<std::collections::BTreeSet<u32>> =
-            (0..n).map(|v| good.set(NodeId(v)).clone()).collect();
+        let mut sets: Vec<std::collections::BTreeSet<u32>> = (0..n)
+            .map(|v| good.set(NodeId(v)).iter().copied().collect())
+            .collect();
         for set in sets.iter_mut().skip(1) {
             if let Some(&first) = set.iter().next() {
                 set.remove(&first);

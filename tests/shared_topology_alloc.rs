@@ -6,7 +6,8 @@
 //! clones must be handles on the frozen per-topology state, so a further
 //! engine pays only for its own per-node state (processes, RNGs, scratch),
 //! never for another copy of the adjacency, the bitmask rows or the
-//! detector sets.
+//! detector sets. The detector build itself is bounded too: its frozen
+//! sets are one flat id array plus membership rows, not a tree per node.
 
 use radio_sim::spec::AdversaryKind;
 use radio_sim::{DualGraph, EngineBuilder, Graph, IdAssignment, LinkDetectorAssignment};
@@ -53,6 +54,8 @@ fn bytes_of<T>(f: impl FnOnce() -> T) -> (u64, T) {
 fn engines_spawned_from_shared_clones_copy_no_topology() {
     const N: usize = 1024;
     const BUDGET_PER_NODE: u64 = 1024;
+    // 4·N·(N − 1) B of ids, 8·N·⌈(N + 1)/64⌉ B of rows, and the offsets.
+    const DETECTOR_BUDGET: u64 = 4_500_000;
     let net = DualGraph::classic(Graph::complete(N)).unwrap();
     let ids = IdAssignment::identity(N);
     let (detector_bytes, det) = bytes_of(|| LinkDetectorAssignment::zero_complete(&net, &ids));
@@ -61,6 +64,10 @@ fn engines_spawned_from_shared_clones_copy_no_topology() {
     assert!(
         detector_bytes > BUDGET_PER_NODE * N as u64,
         "detector build took only {detector_bytes} B"
+    );
+    assert!(
+        detector_bytes <= DETECTOR_BUDGET,
+        "detector build took {detector_bytes} B"
     );
     let params = MisParams::default();
     let spawn = |seed: u64| {
