@@ -2,15 +2,12 @@
 //! (clique / random-geometric / sparse-with-chords), plus the seed
 //! implementation (`step_legacy`) for a same-binary baseline, the
 //! word-packed `step_bitset` tier (dense rows are where it shines; the
-//! sparse workloads document its break-even), and the multi-trial
-//! `BatchedEngine` (reported per trial-round: one `step()` advances
-//! `BATCHED_TRIALS` trials). The machine-readable counterpart is the
-//! `bench_engine` binary, which writes `BENCH_engine.json`.
+//! sparse workloads document its break-even). The machine-readable
+//! counterpart is the `bench_engine` binary, which writes
+//! `BENCH_engine.json`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use radio_bench::enginebench::{
-    workload_batched_engine, workload_engine_mode, BATCHED_TRIALS, WORKLOADS,
-};
+use radio_bench::enginebench::{workload_engine_mode, WORKLOADS};
 use radio_sim::StepMode;
 use std::time::Duration;
 
@@ -46,21 +43,6 @@ fn bench_step(c: &mut Criterion) {
                 engine.round()
             });
         });
-        // One batched step advances BATCHED_TRIALS trials, so compare its
-        // time against `bitset` × BATCHED_TRIALS: below that product, the
-        // shared row pass is amortizing.
-        let mut batched = workload_batched_engine(name);
-        batched.run_rounds_each(64);
-        group.bench_with_input(
-            BenchmarkId::new(format!("batched-x{BATCHED_TRIALS}"), name),
-            &name,
-            |b, _| {
-                b.iter(|| {
-                    batched.step();
-                    batched.engines()[0].round()
-                });
-            },
-        );
     }
     group.finish();
 }

@@ -1,9 +1,8 @@
 // lint:allow(forbid-unsafe) the zero-alloc probe needs `unsafe impl GlobalAlloc` for its counting allocator; the unsafety is confined to that shim
 //! Generates `BENCH_engine.json`: engine rounds/sec, wall time, and
-//! steady-state allocations per round, for all four engine tiers —
-//! scratch (`step`), the seed baseline (`step_legacy`), the word-packed
-//! `step_bitset`, and the multi-trial `BatchedEngine` (accounted in
-//! trial-rounds/sec) — on the canonical workloads.
+//! steady-state allocations per round, for all three engine tiers —
+//! scratch (`step`), the seed baseline (`step_legacy`), and the
+//! word-packed `step_bitset` — on the canonical workloads.
 //!
 //! Usage:
 //!
@@ -18,20 +17,17 @@
 //! When the output path already holds a previous report (or `--baseline`
 //! names one), a delta table prints for every workload; with `--check`,
 //! a >15% drop in the scratch/legacy speedup ratio — or in the
-//! bitset/scratch ratio, when the baseline records one — fails the run;
-//! the batched/bitset ratio gates the same way, on the dense clique
-//! workloads only (`clique-256`, `clique-1024`), where batching is the
-//! selected tier and the ratio is stable enough at `--quick` scale. The
-//! CI bench-smoke step runs this against the committed
+//! bitset/scratch ratio, when the baseline records one — fails the run.
+//! The CI bench-smoke step runs this against the committed
 //! `BENCH_engine.json`. The gates use speedup ratios (not absolute
 //! rounds/sec) because the tiers are measured interleaved, so machine
 //! speed cancels and the committed baseline stays valid across hardware.
-//! Schema-v1/v2 baselines (no bitset/batched column) still gate the
-//! ratios they do record.
+//! Schema-v1 baselines (no bitset column) still gate the scratch/legacy
+//! ratio; a schema-v3 baseline's batched column is ignored.
 //!
 //! The binary installs a counting global allocator, so the reported
-//! `allocs_per_round` is exact: the scratch, bitset, and batched engines
-//! must report 0.0 in steady state (the zero-allocation acceptance
+//! `allocs_per_round` is exact: the scratch and bitset engines must
+//! report 0.0 in steady state (the zero-allocation acceptance
 //! criterion), while the legacy engine reports its per-round buffer
 //! churn.
 
@@ -86,12 +82,6 @@ fn counters() -> (u64, u64) {
 /// reruns.
 const REGRESSION_TOLERANCE: f64 = 0.15;
 
-/// Workloads whose batched/bitset ratio is regression-gated. On the
-/// sparse/small workloads the batch layer would never be selected and the
-/// ratio is noise-dominated at `--quick` scale, so only the dense cliques
-/// gate.
-const BATCHED_GATED: [&str; 2] = ["clique-256", "clique-1024"];
-
 /// Per-workload gate inputs of a report, in report order.
 struct WorkloadStats {
     name: String,
@@ -101,8 +91,6 @@ struct WorkloadStats {
     speedup: f64,
     /// bitset/scratch speedup (`None` in schema-v1 baselines).
     bitset: Option<f64>,
-    /// batched/bitset trial-round amortization (`None` before schema v3).
-    batched: Option<f64>,
 }
 
 fn scratch_stats(report: &radio_bench::enginebench::EngineBenchReport) -> Vec<WorkloadStats> {
@@ -118,7 +106,6 @@ fn scratch_stats(report: &radio_bench::enginebench::EngineBenchReport) -> Vec<Wo
                     rate: m.rounds_per_sec,
                     speedup: w.speedup,
                     bitset: w.bitset_speedup,
-                    batched: w.batched_speedup,
                 })
         })
         .collect()
@@ -136,7 +123,7 @@ fn diff_against_baseline(
     let mut regressed = Vec::new();
     println!();
     println!(
-        "{:<12} {:>16} {:>16} {:>9} {:>10} {:>10} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9}",
+        "{:<12} {:>16} {:>16} {:>9} {:>10} {:>10} {:>9} {:>9} {:>9} {:>9}",
         "workload",
         "baseline r/s",
         "current r/s",
@@ -146,9 +133,6 @@ fn diff_against_baseline(
         "delta",
         "base bit",
         "cur bit",
-        "delta",
-        "base bat",
-        "cur bat",
         "delta"
     );
     for stats in &new {
@@ -159,20 +143,17 @@ fn diff_against_baseline(
         };
         let rate_delta = stats.rate / base.rate.max(1e-12) - 1.0;
         let speedup_delta = stats.speedup / base.speedup.max(1e-12) - 1.0;
-        // The bitset/batched ratios only gate when both reports record
-        // them (a v1/v2 baseline never blocks a new column's
-        // introduction), and batched only on the dense cliques.
-        let ratio_delta = |b: Option<f64>, c: Option<f64>| match (b, c) {
+        // The bitset ratio only gates when both reports record it (a v1
+        // baseline never blocks the column's introduction).
+        let bitset_delta = match (base.bitset, stats.bitset) {
             (Some(b), Some(c)) => Some(c / b.max(1e-12) - 1.0),
             _ => None,
         };
-        let bitset_delta = ratio_delta(base.bitset, stats.bitset);
-        let batched_delta = ratio_delta(base.batched, stats.batched);
         let ratio_cell = |v: Option<f64>| v.map_or("—".to_string(), |x| format!("{x:.2}x"));
         let delta_cell =
             |v: Option<f64>| v.map_or("—".to_string(), |d| format!("{:+.1}%", d * 100.0));
         println!(
-            "{name:<12} {:>16.0} {:>16.0} {:>+8.1}% {:>9.2}x {:>9.2}x {:>+8.1}% {:>9} {:>9} {:>9} {:>9} {:>9} {:>9}",
+            "{name:<12} {:>16.0} {:>16.0} {:>+8.1}% {:>9.2}x {:>9.2}x {:>+8.1}% {:>9} {:>9} {:>9}",
             base.rate,
             stats.rate,
             rate_delta * 100.0,
@@ -182,14 +163,9 @@ fn diff_against_baseline(
             ratio_cell(base.bitset),
             ratio_cell(stats.bitset),
             delta_cell(bitset_delta),
-            ratio_cell(base.batched),
-            ratio_cell(stats.batched),
-            delta_cell(batched_delta),
         );
         if speedup_delta < -REGRESSION_TOLERANCE
             || bitset_delta.is_some_and(|d| d < -REGRESSION_TOLERANCE)
-            || (BATCHED_GATED.contains(&name.as_str())
-                && batched_delta.is_some_and(|d| d < -REGRESSION_TOLERANCE))
         {
             regressed.push(name.clone());
         }
@@ -256,14 +232,10 @@ fn main() {
                 m.wall_s,
                 match m.engine.as_str() {
                     // scratch row: scratch/legacy; bitset row:
-                    // bitset/scratch; batched row: batched/bitset
-                    // (trial-round amortization at B = BATCHED_TRIALS).
+                    // bitset/scratch.
                     "scratch" => format!("{:.2}x", w.speedup),
                     "bitset" => w
                         .bitset_speedup
-                        .map_or("—".to_string(), |s| format!("{s:.2}x")),
-                    "batched" => w
-                        .batched_speedup
                         .map_or("—".to_string(), |s| format!("{s:.2}x")),
                     _ => "—".to_string(),
                 },
@@ -301,8 +273,8 @@ fn main() {
     }
 
     // Surface acceptance regressions directly in the exit code: the
-    // scratch, bitset, and batched engines must stay allocation-free in
-    // steady state.
+    // scratch and bitset engines must stay allocation-free in steady
+    // state.
     let leaky: Vec<String> = report
         .workloads
         .iter()
@@ -310,7 +282,7 @@ fn main() {
             w.engines
                 .iter()
                 .filter(|m| {
-                    matches!(m.engine.as_str(), "scratch" | "bitset" | "batched")
+                    matches!(m.engine.as_str(), "scratch" | "bitset")
                         && m.allocs_per_round.unwrap_or(0.0) > 0.0
                 })
                 .map(|m| format!("{}/{}", w.name, m.engine))

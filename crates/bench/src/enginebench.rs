@@ -19,28 +19,20 @@
 //!   [`Collider`], the cheap-per-round /
 //!   adversary-heavy regime.
 //!
-//! Each workload runs on **all four engine tiers** — the scratch-buffer
+//! Each workload runs on **all three engine tiers** — the scratch-buffer
 //! engine ([`Engine::step`]), the seed implementation kept as
-//! [`Engine::step_legacy`], the word-packed [`Engine::step_bitset`], and
-//! the struct-of-arrays multi-trial [`BatchedEngine`] stepping
-//! [`BATCHED_TRIALS`] independent trials per round over shared bitmask
-//! rows — so every generated `BENCH_engine.json` (schema `bench-engine/v3`)
-//! records the baseline, the scratch/legacy speedup, the bitset/scratch
-//! speedup, and the batched/bitset speedup in the same artifact. The
-//! batched column's throughput is **trial-rounds per second** (`B` trials
-//! advancing one round counts `B`), so the batched/bitset ratio reads
-//! directly as the per-trial amortization factor.
+//! [`Engine::step_legacy`], and the word-packed [`Engine::step_bitset`] —
+//! so every generated `BENCH_engine.json` (schema `bench-engine/v4`)
+//! records the baseline, the scratch/legacy speedup, and the
+//! bitset/scratch speedup in the same artifact.
 //!
 //! [`Engine::step`]: radio_sim::Engine::step
 //! [`Engine::step_legacy`]: radio_sim::Engine::step_legacy
 //! [`Engine::step_bitset`]: radio_sim::Engine::step_bitset
-//! [`BatchedEngine`]: radio_sim::BatchedEngine
 
 use radio_sim::adversary::{Collider, RandomUnreliable};
 use radio_sim::topology::{random_geometric, RandomGeometricConfig};
-use radio_sim::{
-    Action, BatchedEngine, Context, DualGraph, Engine, EngineBuilder, Graph, Process, StepMode,
-};
+use radio_sim::{Action, Context, DualGraph, Engine, EngineBuilder, Graph, Process, StepMode};
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
@@ -107,11 +99,6 @@ pub const WORKLOADS: [&str; 5] = [
 /// (MIS-style sparse contention).
 pub const CHATTER_P: f64 = 0.05;
 
-/// Trials per batch in the batched-tier measurement (`B`). Large enough
-/// to amortize each broadcaster's row fetch across a cache-hot stripe
-/// walk, small enough that the whole batch's planes stay resident.
-pub const BATCHED_TRIALS: usize = 32;
-
 /// Builds a canonical workload network by name.
 ///
 /// # Panics
@@ -151,15 +138,8 @@ pub fn workload_engine(name: &str) -> Engine<Chatter> {
 /// at spawn (outside the measured steady state) on every workload,
 /// including the sparse ones Auto would route to the scalar tier.
 pub fn workload_engine_mode(name: &str, mode: StepMode) -> Engine<Chatter> {
-    workload_engine_seeded(name, mode, 7)
-}
-
-/// [`workload_engine_mode`] with an explicit engine seed — the batched
-/// measurement gives each of its `B` trials a distinct seed (`7 + trial`),
-/// matching how a sweep's trial seeds differ.
-pub fn workload_engine_seeded(name: &str, mode: StepMode, seed: u64) -> Engine<Chatter> {
     let net = workload_net(name);
-    let builder = EngineBuilder::new(net).seed(seed).step_mode(mode);
+    let builder = EngineBuilder::new(net).seed(7).step_mode(mode);
     let builder = match name {
         "sparse-256" => builder.adversary(Collider),
         _ => builder.adversary(RandomUnreliable::new(0.5, 11)),
@@ -169,26 +149,14 @@ pub fn workload_engine_seeded(name: &str, mode: StepMode, seed: u64) -> Engine<C
         .expect("workload engines assemble")
 }
 
-/// Builds the batched-tier measurement unit for a workload: a
-/// [`BatchedEngine`] of [`BATCHED_TRIALS`] trials with distinct seeds,
-/// every trial pinned to the bitset phase semantics over one shared set
-/// of bitmask rows.
-pub fn workload_batched_engine(name: &str) -> BatchedEngine<Chatter> {
-    BatchedEngine::new(
-        (0..BATCHED_TRIALS)
-            .map(|t| workload_engine_seeded(name, StepMode::Bitset, 7 + t as u64))
-            .collect(),
-    )
-}
-
 /// One measured engine configuration within a workload.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct EngineMeasurement {
-    /// `"scratch"` (`step()`), `"legacy"` (seed implementation),
-    /// `"bitset"` (word-packed `step_bitset()`), or `"batched"`
-    /// ([`BatchedEngine`] lockstep; rounds and rates count trial-rounds).
+    /// `"scratch"` (`step()`), `"legacy"` (seed implementation), or
+    /// `"bitset"` (word-packed `step_bitset()`). Schema-v3 documents also
+    /// carry a `"batched"` entry, which parses like any other.
     pub engine: String,
-    /// Rounds executed during measurement (trial-rounds for `"batched"`).
+    /// Rounds executed during measurement.
     pub rounds: u64,
     /// Wall time for those rounds, seconds.
     pub wall_s: f64,
@@ -208,7 +176,7 @@ pub struct WorkloadReport {
     pub name: String,
     /// Network size.
     pub n: usize,
-    /// Measurements (scratch, then legacy, then bitset, then batched).
+    /// Measurements (scratch, then legacy, then bitset).
     pub engines: Vec<EngineMeasurement>,
     /// `rounds_per_sec(scratch) / rounds_per_sec(legacy)`.
     pub speedup: f64,
@@ -216,11 +184,6 @@ pub struct WorkloadReport {
     /// schema-v1 documents (they predate the bitset tier and parse
     /// unchanged).
     pub bitset_speedup: Option<f64>,
-    /// `trial_rounds_per_sec(batched) / rounds_per_sec(bitset)` at `B =`
-    /// [`BATCHED_TRIALS`] — the per-trial amortization of the batched
-    /// multi-trial tier. `None` in schema-v1/v2 documents (they predate
-    /// the batched tier and parse unchanged).
-    pub batched_speedup: Option<f64>,
 }
 
 /// The whole `BENCH_engine.json` document.
@@ -242,22 +205,19 @@ pub struct AllocDelta {
 }
 
 /// Measures every engine tier on one workload, **interleaved**: after a
-/// warmup on each, scratch, legacy, bitset, and batched execute
-/// alternating batches of rounds, so machine-load drift during the
-/// measurement hits every tier equally and cancels out of the speedup
-/// ratios. `alloc_probe` (when provided) samples a monotone
-/// `(allocs, bytes)` counter around each batch; the summed deltas give
-/// exact steady-state allocations. The bitset and batched engines are
-/// spawned with their rows pre-built, outside the probes. The batched
-/// unit steps [`BATCHED_TRIALS`] trials per round and accounts in
-/// trial-rounds, so its per-round alloc statistics are per *trial-round*
-/// too (zero stays zero either way).
+/// warmup on each, scratch, legacy, and bitset execute alternating
+/// batches of rounds, so machine-load drift during the measurement hits
+/// every tier equally and cancels out of the speedup ratios.
+/// `alloc_probe` (when provided) samples a monotone `(allocs, bytes)`
+/// counter around each batch; the summed deltas give exact steady-state
+/// allocations. The bitset engine is spawned with its rows pre-built,
+/// outside the probes.
 pub fn measure_workload(
     name: &str,
     rounds: u64,
     alloc_probe: Option<&dyn Fn() -> (u64, u64)>,
 ) -> WorkloadReport {
-    const LABELS: [&str; 4] = ["scratch", "legacy", "bitset", "batched"];
+    const LABELS: [&str; 3] = ["scratch", "legacy", "bitset"];
     let warmup = (rounds / 10).max(16);
     let batches = 16u64;
     let batch = (rounds / batches).max(1);
@@ -266,7 +226,6 @@ pub fn measure_workload(
         workload_engine(name),
         workload_engine_mode(name, StepMode::Bitset),
     ];
-    let mut batched_rt = workload_batched_engine(name);
     let step_one = |engine: &mut Engine<Chatter>, which: usize| match which {
         0 => engine.step(),
         1 => engine.step_legacy(),
@@ -276,11 +235,10 @@ pub fn measure_workload(
         for (which, engine) in engines_rt.iter_mut().enumerate() {
             step_one(engine, which);
         }
-        batched_rt.step();
     }
-    let mut wall = [0.0f64; 4];
-    let mut executed = [0u64; 4];
-    let mut alloc = [AllocDelta::default(); 4];
+    let mut wall = [0.0f64; 3];
+    let mut executed = [0u64; 3];
+    let mut alloc = [AllocDelta::default(); 3];
     for _ in 0..batches {
         for (which, engine) in engines_rt.iter_mut().enumerate() {
             let before = alloc_probe.map(|p| p());
@@ -296,23 +254,10 @@ pub fn measure_workload(
                 alloc[which].bytes += b1 - b0;
             }
         }
-        let before = alloc_probe.map(|p| p());
-        let start = Instant::now();
-        for _ in 0..batch {
-            batched_rt.step();
-        }
-        wall[3] += start.elapsed().as_secs_f64();
-        executed[3] += batch * BATCHED_TRIALS as u64;
-        if let (Some(probe), Some((a0, b0))) = (alloc_probe, before) {
-            let (a1, b1) = probe();
-            alloc[3].allocs += a1 - a0;
-            alloc[3].bytes += b1 - b0;
-        }
     }
     // Defeat dead-code elimination of the whole run.
     let heard: u64 = engines_rt
         .iter()
-        .chain(batched_rt.engines())
         .flat_map(|e| e.procs())
         .map(Chatter::heard)
         .sum();
@@ -333,14 +278,12 @@ pub fn measure_workload(
         .collect();
     let speedup = engines[0].rounds_per_sec / engines[1].rounds_per_sec.max(1e-12);
     let bitset_speedup = engines[2].rounds_per_sec / engines[0].rounds_per_sec.max(1e-12);
-    let batched_speedup = engines[3].rounds_per_sec / engines[2].rounds_per_sec.max(1e-12);
     WorkloadReport {
         name: name.to_string(),
         n: engines_rt[0].net().n(),
         engines,
         speedup,
         bitset_speedup: Some(bitset_speedup),
-        batched_speedup: Some(batched_speedup),
     }
 }
 
@@ -377,25 +320,16 @@ mod tests {
     fn report_serializes() {
         let report = run_engine_bench(16, None);
         assert_eq!(report.workloads.len(), WORKLOADS.len());
-        assert_eq!(report.schema, "bench-engine/v3");
+        assert_eq!(report.schema, "bench-engine/v4");
         let json = serde_json::to_string_pretty(&report).expect("serializable");
         let back: EngineBenchReport = serde_json::from_str(&json).expect("roundtrip");
         assert_eq!(back.workloads.len(), report.workloads.len());
         assert!(back.workloads.iter().all(|w| w.speedup > 0.0));
-        // v3: every workload measures all four tiers and both ratios.
+        // v4: every workload measures all three tiers and both ratios.
         for w in &back.workloads {
-            assert_eq!(w.engines.len(), 4, "{}", w.name);
+            assert_eq!(w.engines.len(), 3, "{}", w.name);
             assert_eq!(w.engines[2].engine, "bitset");
-            assert_eq!(w.engines[3].engine, "batched");
-            // Batched accounts in trial-rounds: B trials advance per step.
-            assert_eq!(
-                w.engines[3].rounds,
-                w.engines[2].rounds * BATCHED_TRIALS as u64,
-                "{}",
-                w.name
-            );
-            assert!(w.bitset_speedup.expect("v3 carries the ratio") > 0.0);
-            assert!(w.batched_speedup.expect("v3 carries the ratio") > 0.0);
+            assert!(w.bitset_speedup.expect("v4 carries the ratio") > 0.0);
         }
     }
 
@@ -406,34 +340,28 @@ mod tests {
         let v1 = r#"{"name":"clique-64","n":64,"engines":[],"speedup":3.0}"#;
         let w: WorkloadReport = serde_json::from_str(v1).expect("v1 row parses");
         assert_eq!(w.bitset_speedup, None);
-        assert_eq!(w.batched_speedup, None);
     }
 
     #[test]
-    fn v2_workloads_parse_without_the_batched_column() {
-        // Pre-batched baselines (schema v2) must keep parsing so the gate
-        // can diff a v3 run against them (batched ratio simply ungated).
-        let v2 = r#"{"name":"clique-64","n":64,"engines":[],"speedup":3.0,"bitset_speedup":5.5}"#;
-        let w: WorkloadReport = serde_json::from_str(v2).expect("v2 row parses");
-        assert_eq!(w.bitset_speedup, Some(5.5));
-        assert_eq!(w.batched_speedup, None);
-    }
-
-    #[test]
-    fn batched_workload_unit_is_bit_identical_to_solo_trials() {
-        // The bench's batched unit must measure the same work the solo
-        // bitset unit does: trial t of the batch equals a solo engine on
-        // seed 7 + t.
-        let mut batched = workload_batched_engine("rgg-256");
-        batched.run_rounds_each(24);
-        for t in 0..BATCHED_TRIALS {
-            let mut solo = workload_engine_seeded("rgg-256", StepMode::Bitset, 7 + t as u64);
-            solo.run_rounds(24);
-            assert_eq!(
-                batched.engines()[t].metrics(),
-                solo.metrics(),
-                "trial {t} diverged from its solo run"
-            );
-        }
+    fn v3_workloads_parse_and_keep_their_ratios() {
+        // A schema-v3 baseline row carries a fourth, "batched" measurement
+        // and a batched_speedup. It must keep parsing, with its
+        // scratch/legacy and bitset/scratch ratios intact, so the gate can
+        // diff a v4 run against it.
+        let v3 = r#"{"name":"clique-1024","n":1024,"engines":[
+            {"engine":"scratch","rounds":50000,"wall_s":3.17,"rounds_per_sec":15770.1,
+             "allocs_per_round":0.0,"bytes_per_round":0.0},
+            {"engine":"legacy","rounds":50000,"wall_s":2.11,"rounds_per_sec":23674.5,
+             "allocs_per_round":3.0,"bytes_per_round":33792.0},
+            {"engine":"bitset","rounds":50000,"wall_s":0.62,"rounds_per_sec":81193.0,
+             "allocs_per_round":0.0,"bytes_per_round":0.0},
+            {"engine":"batched","rounds":1600000,"wall_s":18.8,"rounds_per_sec":85127.7,
+             "allocs_per_round":0.0,"bytes_per_round":0.0}],
+            "speedup":0.666,"bitset_speedup":5.149,"batched_speedup":1.048}"#;
+        let w: WorkloadReport = serde_json::from_str(v3).expect("v3 row parses");
+        assert_eq!(w.speedup, 0.666);
+        assert_eq!(w.bitset_speedup, Some(5.149));
+        assert_eq!(w.engines.len(), 4);
+        assert_eq!(w.engines[3].engine, "batched");
     }
 }

@@ -220,10 +220,10 @@ where
 /// (one span at width 1), and `fuse(ctx, start..end)` is offered each span
 /// first. Returning `Some(results)` (exactly one result per index, in
 /// index order) replaces the per-trial calls for that span — this is how
-/// scenario sweeps hand a run of same-topology trials to the batched
-/// multi-trial engine, which steps them in lockstep over shared bitmask
-/// rows, one span per worker. Returning `None` declines, and every trial
-/// in the span runs through `f` as before.
+/// scenario sweeps hand a run of same-topology trials to one call that
+/// builds the per-network setup (ids, detectors) once and steps each
+/// trial solo on it, one span per worker. Returning `None` declines, and
+/// every trial in the span runs through `f` as before.
 ///
 /// The contract extends the batching one: for any span, `fuse` must
 /// produce exactly what the per-trial `f` calls would — fusion is an

@@ -414,9 +414,9 @@ impl ScenarioRun {
 /// [`crate::parallel::run_trials_batched_fused`]; see `run_unit_with`
 /// for why the records are bit-identical to the build-per-trial sweep.
 /// Within a shared span, runs of ≥ 2 Core trials of one grid cell are
-/// additionally *fused* into a single [`run_algo_batch`] call, so dense
-/// networks step all of a cell's trials in lockstep over the shared
-/// bitmask rows (`fuse_shared_units`) — still record-identical.
+/// additionally *fused* into a single [`run_algo_batch`] call, which
+/// builds the cell's ids and detectors once and steps each trial solo on
+/// them (`fuse_shared_units`) — still record-identical.
 pub fn run_spec(spec: &ScenarioSpec) -> ScenarioRun {
     let units = spec.plan();
     let start = Instant::now();
@@ -622,11 +622,11 @@ fn build_shared_net(spec: &ScenarioSpec, i: u64) -> Result<radio_sim::DualGraph,
 /// Executes a span of consecutive shared-network units as a unit-for-unit
 /// replacement for per-unit [`run_unit_with`] calls, fusing each grid
 /// cell's run of ≥ 2 Core trials into one [`run_algo_batch`] call — which
-/// hands the trials' engines to the batched multi-trial tier on dense
-/// networks. Returns `None` (declining to fuse, so the caller falls back
-/// per unit) when the shared build failed; everything else executes here,
-/// with non-Core workloads and singleton cells routed through
-/// [`run_unit_with`] unchanged.
+/// builds the per-network setup (ids, 0-complete detectors) once for the
+/// whole cell, then runs its trials one after another. Returns `None`
+/// (declining to fuse, so the caller falls back per unit) when the shared
+/// build failed; everything else executes here, with non-Core workloads
+/// and singleton cells routed through [`run_unit_with`] unchanged.
 ///
 /// Record-stream equivalence rests on two invariants: [`run_algo_batch`]
 /// is bit-identical to per-trial [`run_algo`] whatever the batch size, and
@@ -1524,8 +1524,8 @@ mod tests {
 
     #[test]
     fn fused_core_cells_match_private_builds() {
-        // A dense deterministic clique whose Core cells genuinely engage
-        // the batched engine tier, with a τ-CCDS workload whose detector
+        // A deterministic clique whose Core cells fuse into one
+        // `run_algo_batch` call each, with a τ-CCDS workload whose detector
         // stream continues the topology stream (det_seed = None) — the
         // subtle part of the fused det_rng derivation — plus a pinned
         // det_seed variant. Fused records must equal the build-per-trial

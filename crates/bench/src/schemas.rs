@@ -34,4 +34,4 @@ pub const STATUS_SCHEMA: &str = "radio-lab/spool-status/v1";
 pub const FAULT_PLAN_SCHEMA: &str = "radio-lab/fault-plan/v1";
 
 /// Schema id of the engine-tier benchmark report (`BENCH_engine.json`).
-pub const BENCH_ENGINE_SCHEMA: &str = "bench-engine/v3";
+pub const BENCH_ENGINE_SCHEMA: &str = "bench-engine/v4";

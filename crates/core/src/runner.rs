@@ -15,7 +15,7 @@ use crate::mis::Mis;
 use crate::params::MisParams;
 use crate::tau::{TauCcds, TauConfig};
 use radio_sim::{
-    BatchedEngine, DualGraph, DynamicDetector, EngineBuilder, ExecutionMetrics, IdAssignment,
+    DualGraph, DynamicDetector, EngineBuilder, ExecutionMetrics, IdAssignment,
     LinkDetectorAssignment, NodeId, ProcessId, SpuriousSource, StopReason,
 };
 use rand::rngs::StdRng;
@@ -436,10 +436,8 @@ pub fn run_algo(
     let delta = net.max_degree_g();
     match *algo {
         AlgoKind::Mis | AlgoKind::Ccds { .. } | AlgoKind::TauCcds { .. } | AlgoKind::AsyncMis => {
-            // One record through the batch runner with a batch of one: the
-            // batch path falls back to a plain solo `Engine::run` for a
-            // single trial, so the execution is exactly the per-algorithm
-            // runner's, with one copy of the record-filling logic.
+            // One record through the batch runner with a batch of one, so
+            // the record-filling logic exists once.
             run_algo_batch(
                 net,
                 algo,
@@ -477,22 +475,18 @@ pub fn run_algo(
     }
 }
 
-/// Runs `algo` once per entry of `seeds` on the **same** network, batching
-/// the engine phase across trials when the algorithm and network allow it.
+/// Runs `algo` once per entry of `seeds` on the **same** network, sharing
+/// the per-network setup across trials.
 ///
 /// For the fixed-schedule engine algorithms (MIS, CCDS, τ-CCDS, async MIS)
-/// every trial shares the frozen topology, so their engines are handed to
-/// [`BatchedEngine::run_all`]: with ≥ 2 trials on a dense (bitset-tier)
-/// network the trials advance in lockstep over the shared bitmask rows,
-/// fetching each broadcaster's row once per round for the whole batch;
-/// otherwise each engine runs solo. Either way every trial's record is
-/// bit-identical to a [`run_algo`] call with the same seed — per-trial RNG
-/// streams are untouched by batching.
-///
-/// The id assignment and every 0-complete detector are built once per
-/// call: the trials' engines hold shared handles on them and on `net`,
-/// never copies (τ-CCDS draws one detector per trial, from that trial's
-/// stream).
+/// the id assignment and every 0-complete detector are built once per
+/// call, and each trial's engine holds shared handles on them and on
+/// `net`, never copies (τ-CCDS draws one detector per trial, from that
+/// trial's stream, just before the trial spawns). Trials run one at a
+/// time: each engine spawns, runs to its budget and becomes its record
+/// before the next one spawns, so a call holds one engine at a time.
+/// Every record is bit-identical to a [`run_algo`] call with the same
+/// seed.
 ///
 /// `det_rngs` supplies one detector stream per trial (same contract as
 /// [`run_algo`]'s `det_rng`); streams are consumed in trial order.
@@ -520,22 +514,17 @@ pub fn run_algo_batch(
             let budget = cap(params.total_rounds(n));
             let ids = IdAssignment::identity(n);
             let det = LinkDetectorAssignment::zero_complete(net, &ids);
-            let engines = seeds
+            seeds
                 .iter()
                 .map(|&seed| {
-                    EngineBuilder::new(net.clone())
+                    let mut engine = EngineBuilder::new(net.clone())
                         .seed(seed)
                         .ids(ids.clone())
                         .detector(det.clone())
                         .adversary(adversary.build(seed ^ 0x5eed))
                         .spawn(|info| Mis::new(info.n, info.id, params))
-                        .expect("engine assembly from a validated network cannot fail")
-                })
-                .collect();
-            let (engines, _) = BatchedEngine::run_all(engines, budget);
-            engines
-                .iter()
-                .map(|engine| {
+                        .expect("engine assembly from a validated network cannot fail");
+                    engine.run(budget);
                     let mut rec = RunRecord::new(algo, n, delta);
                     let outputs = engine.outputs();
                     // A 0-complete detector's H is G itself.
@@ -566,26 +555,21 @@ pub fn run_algo_batch(
                         .collect();
                 }
             };
-            let budget = max_rounds.map_or(schedule.total + 1, |m| (schedule.total + 1).min(m));
+            let budget = cap(schedule.total + 1);
             let ids = IdAssignment::identity(n);
             let det = LinkDetectorAssignment::zero_complete(net, &ids);
-            let engines = seeds
+            seeds
                 .iter()
                 .map(|&seed| {
-                    EngineBuilder::new(net.clone())
+                    let mut engine = EngineBuilder::new(net.clone())
                         .seed(seed)
                         .ids(ids.clone())
                         .detector(det.clone())
                         .adversary(adversary.build(seed ^ 0x5eed))
                         .max_message_bits(cfg.b)
                         .spawn(|info| Ccds::new(&cfg, info.id).expect("config validated above"))
-                        .expect("engine assembly from a validated network cannot fail")
-                })
-                .collect();
-            let (engines, _) = BatchedEngine::run_all(engines, budget);
-            engines
-                .iter()
-                .map(|engine| {
+                        .expect("engine assembly from a validated network cannot fail");
+                    engine.run(budget);
                     let mut rec = RunRecord::new(algo, n, delta);
                     let outputs = engine.outputs();
                     // A 0-complete detector's H is G itself.
@@ -618,31 +602,23 @@ pub fn run_algo_batch(
             let ids = IdAssignment::identity(n);
             let cfg = TauConfig::new(n, delta + tau, tau);
             let schedule = cfg.schedule();
-            let budget = max_rounds.map_or(schedule.total + 1, |m| (schedule.total + 1).min(m));
-            // Detector draws consume each trial's stream in trial order —
-            // the same draws a sequence of solo runs would make.
-            let dets: Vec<LinkDetectorAssignment> = det_rngs
-                .iter_mut()
-                .map(|rng| LinkDetectorAssignment::tau_complete(net, &ids, tau, spurious, rng))
-                .collect();
-            let engines = seeds
+            let budget = cap(schedule.total + 1);
+            seeds
                 .iter()
-                .zip(&dets)
-                .map(|(&seed, det)| {
-                    EngineBuilder::new(net.clone())
+                .zip(det_rngs.iter_mut())
+                .map(|(&seed, rng)| {
+                    // The trial's detector comes from its own stream, so
+                    // the streams are consumed in trial order — the same
+                    // draws a sequence of solo runs would make.
+                    let det = LinkDetectorAssignment::tau_complete(net, &ids, tau, spurious, rng);
+                    let mut engine = EngineBuilder::new(net.clone())
                         .seed(seed)
                         .ids(ids.clone())
                         .detector(det.clone())
                         .adversary(adversary.build(seed ^ 0x5eed))
                         .spawn(|info| TauCcds::new(&cfg, info.id))
-                        .expect("engine assembly from a validated network cannot fail")
-                })
-                .collect();
-            let (engines, _) = BatchedEngine::run_all(engines, budget);
-            engines
-                .iter()
-                .zip(&dets)
-                .map(|(engine, det)| {
+                        .expect("engine assembly from a validated network cannot fail");
+                    engine.run(budget);
                     let mut rec = RunRecord::new(algo, n, delta);
                     let outputs = engine.outputs();
                     let h = det.h_graph(&ids);
@@ -674,31 +650,25 @@ pub fn run_algo_batch(
             let budget = cap(8 * epoch / 2 + 60 * epoch);
             let ids = IdAssignment::identity(n);
             let det = LinkDetectorAssignment::zero_complete(net, &ids);
-            let engines = seeds
+            seeds
                 .iter()
                 .map(|&seed| {
-                    EngineBuilder::new(net.clone())
+                    let mut engine = EngineBuilder::new(net.clone())
                         .seed(seed)
                         .ids(ids.clone())
                         .detector(det.clone())
                         .wake_rounds(wakes.clone())
                         .adversary(adversary.build(seed ^ 0x5eed))
                         .spawn(|info| AsyncMis::new(info.n, info.id, params, filter))
-                        .expect("engine assembly from a validated network cannot fail")
-                })
-                .collect();
-            let (engines, outcomes) = BatchedEngine::run_all(engines, budget);
-            engines
-                .iter()
-                .zip(&outcomes)
-                .map(|(engine, out)| {
+                        .expect("engine assembly from a validated network cannot fail");
+                    let out = engine.run(budget);
                     let mut rec = RunRecord::new(algo, n, delta);
                     let outputs = engine.outputs();
                     let max_latency = (0..n)
                         .filter_map(|v| engine.decided_latency(NodeId(v)))
                         .max()
                         .unwrap_or(0);
-                    let g = engine.net().g();
+                    let g = net.g();
                     let mut valid = out.stop == StopReason::AllDone;
                     for (u, v) in g.edges() {
                         if outputs[u] == Some(true) && outputs[v] == Some(true) {
@@ -951,10 +921,10 @@ mod tests {
 
     #[test]
     fn run_algo_batch_matches_per_trial_runs() {
-        // Dense clique (engines resolve to the bitset tier, so a 3-trial
-        // batch actually runs batched) and a sparse path (scalar tier, so
-        // the batch falls back to solo runs): both must reproduce the
-        // per-trial `run_algo` records and detector streams exactly.
+        // Dense clique (bitset tier) and a sparse path (scalar tier): a
+        // 3-trial batch shares the ids and detectors across its trials,
+        // and must still reproduce the per-trial `run_algo` records and
+        // detector streams exactly.
         use rand::RngCore;
         let clique = radio_sim::DualGraph::classic(Graph::complete(32)).unwrap();
         let path = radio_sim::DualGraph::classic(

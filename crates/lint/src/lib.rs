@@ -5,7 +5,7 @@
 //! the tests execute; this crate proves the *source-level* invariants that
 //! make that agreement structural rather than coincidental:
 //!
-//! * **`rng-order-sync`** — marked decide/receive blocks across the four
+//! * **`rng-order-sync`** — marked decide/receive blocks across the
 //!   engine tiers must contain token-identical RNG-draw sequences.
 //! * **`no-alloc-region`** — fenced hot-loop regions must not contain
 //!   allocating constructs (`Vec::new`, `vec!`, `collect`, …).

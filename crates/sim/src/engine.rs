@@ -13,7 +13,7 @@
 //!
 //! # Performance architecture
 //!
-//! Stepping is the hot path of every experiment, and it comes in **four
+//! Stepping is the hot path of every experiment, and it comes in **three
 //! tiers**, each differentially pinned to the one below it by golden-trace
 //! tests (identical traces, transcripts, metrics, and outputs for the same
 //! seed):
@@ -37,23 +37,14 @@
 //!    adversary's activated unreliable edges bit by bit — `O(B·⌈n/64⌉)`
 //!    word operations per round, a ~64× narrower inner loop than the
 //!    scalar scatter on dense graphs.
-//! 4. [`Engine::step_batched`] / [`BatchedEngine`] — the multi-trial
-//!    tier. A [`BatchedEngine`] steps `B` independent trials of the same
-//!    topology one round at a time over **struct-of-arrays** reach state:
-//!    each trial's seen/collide planes are contiguous `⌈n/64⌉`-word
-//!    stripes in one flat buffer, and delivery runs node-major — every
-//!    node broadcasting in at least one trial has its bitmask row fetched
-//!    **once** and carry-saved into every broadcasting trial's plane
-//!    while the row is hot in cache, amortizing row traffic across the
-//!    batch the way an inference stack amortizes weight fetches. The
-//!    decide/receive phases stay strictly per-trial (each trial's private
-//!    RNG streams are drawn in exactly the order `step_bitset` draws
-//!    them), so every trial's trace, transcript, metrics, and outputs are
-//!    bit-identical to its solo run. [`Engine::step_batched`] is the
-//!    tier's batch-of-one face: the same phase helpers over a single
-//!    plane pair.
 //!
-//! **One adversary phase.** The three production tiers share phase 2
+//! **One decide phase.** The two production tiers share phase 1
+//! (`Engine::decide_phase`): advance the round, then let every awake
+//! process decide in node order. `step_legacy` keeps its own copy of the
+//! loop as the oracle; the receive loops stay per tier, because they read
+//! reach state differently.
+//!
+//! **One adversary phase.** The production tiers also share phase 2
 //! (`Engine::adversary_phase`). Only an activated edge with exactly one
 //! broadcasting endpoint can change a reception, so the helper first
 //! drops every other pair of the proposal (out of range, self-loops,
@@ -81,23 +72,12 @@
 //! is never auto-selected — it exists as the differential reference and
 //! benchmark baseline.
 //!
-//! `Auto` never resolves a *single* engine to the batched tier: batching
-//! is a property of a trial set, not of one engine, so the batch-level
-//! selection lives in [`BatchedEngine::run_all`] — handed a run of ≥ 2
-//! same-topology trials whose engines resolved to the bitset tier (dense
-//! nets), it steps them through one [`BatchedEngine`]; anything else
-//! falls back to per-trial solo runs. `run_trials_batched`-style sweep
-//! harnesses route each cell's trials through it, cut into one span per
-//! worker, so registry sweeps and user specs benefit with zero spec
-//! changes.
-//!
 //! **Shared frozen topology.** Per-topology state is immutable and
 //! shared, never copied per engine: a [`DualGraph`] clone is a handle on
 //! one frozen network (layers, CSR forms, unreliable list, bitmask rows),
 //! a [`LinkDetectorAssignment`] clone shares its frozen sets (flat sorted
-//! ids plus, on dense assignments, membership bitmask rows), an engine
-//! over a static detector keeps a handle on those sets, and a
-//! [`BatchedEngine`] reads rows through a network handle. Spawning a
+//! ids plus, on dense assignments, membership bitmask rows), and an
+//! engine over a static detector keeps a handle on those sets. Spawning a
 //! trial's engine therefore allocates only its own per-node state. Each
 //! [`Context`] carries its node's set as a [`DetectorSet`] view, which
 //! costs `O(1)` to make, so the decide and receive phases pay for the
@@ -154,8 +134,8 @@ pub enum EngineError {
     },
     /// The wake-round vector has the wrong length or contains round 0.
     BadWakeRounds,
-    /// A pinned [`StepMode::Bitset`] or [`StepMode::Batched`] engine would
-    /// need more than 1 GiB of bitmask rows.
+    /// A pinned [`StepMode::Bitset`] engine would need more than 1 GiB of
+    /// bitmask rows.
     BitRowsTooLarge {
         /// Nodes in the network.
         n: usize,
@@ -179,7 +159,7 @@ impl std::fmt::Display for EngineError {
             EngineError::BitRowsTooLarge { n, bytes } => write!(
                 f,
                 "bitmask rows for {n} nodes need {bytes} bytes, over the \
-                 {MAX_BIT_ROWS_BYTES}-byte cap of the bit-row tiers"
+                 {MAX_BIT_ROWS_BYTES}-byte cap of the bitset tier"
             ),
         }
     }
@@ -200,12 +180,6 @@ pub enum StepMode {
     Scalar,
     /// Always step through the word-packed tier ([`Engine::step_bitset`]).
     Bitset,
-    /// Always step through the batched tier's single-trial path
-    /// ([`Engine::step_batched`]). Multi-trial batching itself lives in
-    /// [`BatchedEngine`]; [`StepMode::Auto`] never resolves a lone engine
-    /// here — the batch-level selection happens in
-    /// [`BatchedEngine::run_all`].
-    Batched,
 }
 
 /// Largest `n` at which [`StepMode::Auto`] may pick the bitset tier: the
@@ -214,10 +188,10 @@ pub enum StepMode {
 /// wants implicit topologies anyway.
 const MAX_AUTO_BITSET_N: usize = 16_384;
 
-/// Largest bitmask-row footprint (1 GiB) a pinned [`StepMode::Bitset`] or
-/// [`StepMode::Batched`] engine may allocate; larger networks fail to
-/// spawn with [`EngineError::BitRowsTooLarge`] instead of exhausting
-/// memory. `Auto` never comes near it (its bitset cap is 32 MiB of rows).
+/// Largest bitmask-row footprint (1 GiB) a pinned [`StepMode::Bitset`]
+/// engine may allocate; larger networks fail to spawn with
+/// [`EngineError::BitRowsTooLarge`] instead of exhausting memory. `Auto`
+/// never comes near it (its bitset cap is 32 MiB of rows).
 const MAX_BIT_ROWS_BYTES: usize = 1 << 30;
 
 /// Bytes of the `n·⌈n/64⌉`-word bitmask rows, computed with checked
@@ -375,7 +349,7 @@ impl EngineBuilder {
     ///
     /// Returns [`EngineError`] when the id assignment, detector provider, or
     /// wake-round vector does not match the network size, or when a pinned
-    /// bit-row tier's rows would exceed 1 GiB.
+    /// bitset engine's rows would exceed 1 GiB.
     pub fn spawn<P, F>(self, mut factory: F) -> Result<Engine<P>, EngineError>
     where
         P: Process,
@@ -404,7 +378,7 @@ impl EngineBuilder {
             StepMode::Auto => auto_step_mode(&self.net),
             m => m,
         };
-        let bit_rows = matches!(mode, StepMode::Bitset | StepMode::Batched);
+        let bit_rows = mode == StepMode::Bitset;
         let bytes = bit_rows_bytes(n);
         if bit_rows && bytes > MAX_BIT_ROWS_BYTES {
             return Err(EngineError::BitRowsTooLarge { n, bytes });
@@ -594,51 +568,10 @@ impl<P: Process> Engine<P> {
     /// reach counters, `O(Σ deg(broadcasters) + extra edges + n)` per round.
     // lint: begin-no-alloc
     pub fn step(&mut self) {
+        // Phase 1: every awake process decides (see `decide_phase`).
+        let broadcaster_count = self.decide_phase();
         let n = self.net.n();
-        self.round += 1;
         let r = self.round;
-        self.metrics.rounds = r;
-
-        // Phase 1: every awake process decides. Idle nodes' `msgs` slots
-        // are left stale on purpose: delivery only ever dereferences the
-        // slot of a *current-round* broadcaster (via `reach_first`), and
-        // those slots are freshly written below.
-        self.scratch.broadcasters.clear();
-        // lint: rng-order(decide)
-        for v in 0..n {
-            if self.wake_rounds[v] > r {
-                self.scratch.broadcasting[v] = false;
-                continue;
-            }
-            let det = detector_set(&self.static_det, self.detectors.as_ref(), v, r);
-            let mut ctx = Context {
-                local_round: r - self.wake_rounds[v] + 1,
-                n,
-                my_id: self.ids.id_of(NodeId(v)),
-                detector: det,
-                rng: &mut self.rngs[v],
-            };
-            match self.procs[v].decide(&mut ctx) {
-                Action::Idle => {
-                    self.scratch.broadcasting[v] = false;
-                }
-                Action::Broadcast(m) => {
-                    let bits = m.bits();
-                    self.metrics.broadcasts += 1;
-                    self.metrics.bits_broadcast += bits;
-                    if let Some(b) = self.max_message_bits {
-                        if bits > b {
-                            self.metrics.oversize_messages += 1;
-                        }
-                    }
-                    self.scratch.broadcasting[v] = true;
-                    self.scratch.broadcasters.push(v as u32);
-                    self.scratch.msgs[v] = Some(m);
-                }
-            }
-        }
-        // lint: end-rng-order(decide)
-        let broadcaster_count = self.scratch.broadcasters.len() as u32;
 
         // Phase 2: the adversary picks the round's unreliable reach edges;
         // `extra` keeps the validated ones that can change a reception.
@@ -876,49 +809,10 @@ impl<P: Process> Engine<P> {
     /// [`StepMode::Bitset`], or on the first call otherwise.
     // lint: begin-no-alloc
     pub fn step_bitset(&mut self) {
+        // Phase 1: every awake process decides (see `decide_phase`).
+        let broadcaster_count = self.decide_phase();
         let n = self.net.n();
-        self.round += 1;
         let r = self.round;
-        self.metrics.rounds = r;
-
-        // Phase 1: every awake process decides — identical to `step`, so
-        // the RNG streams and broadcast metrics stay in lockstep.
-        self.scratch.broadcasters.clear();
-        // lint: rng-order(decide)
-        for v in 0..n {
-            if self.wake_rounds[v] > r {
-                self.scratch.broadcasting[v] = false;
-                continue;
-            }
-            let det = detector_set(&self.static_det, self.detectors.as_ref(), v, r);
-            let mut ctx = Context {
-                local_round: r - self.wake_rounds[v] + 1,
-                n,
-                my_id: self.ids.id_of(NodeId(v)),
-                detector: det,
-                rng: &mut self.rngs[v],
-            };
-            match self.procs[v].decide(&mut ctx) {
-                Action::Idle => {
-                    self.scratch.broadcasting[v] = false;
-                }
-                Action::Broadcast(m) => {
-                    let bits = m.bits();
-                    self.metrics.broadcasts += 1;
-                    self.metrics.bits_broadcast += bits;
-                    if let Some(b) = self.max_message_bits {
-                        if bits > b {
-                            self.metrics.oversize_messages += 1;
-                        }
-                    }
-                    self.scratch.broadcasting[v] = true;
-                    self.scratch.broadcasters.push(v as u32);
-                    self.scratch.msgs[v] = Some(m);
-                }
-            }
-        }
-        // lint: end-rng-order(decide)
-        let broadcaster_count = self.scratch.broadcasters.len() as u32;
 
         // Phase 2: the adversary picks the round's unreliable reach edges;
         // `extra` keeps the validated ones that can change a reception.
@@ -1016,76 +910,16 @@ impl<P: Process> Engine<P> {
     }
     // lint: end-no-alloc
 
-    /// Executes one synchronous round through the batched tier's
-    /// single-trial path: the same decide / adversary / carry-save /
-    /// receive phase helpers a [`BatchedEngine`] interleaves across its
-    /// trials, run over one plane pair. Produces executions identical to
-    /// [`Engine::step_bitset`] (and therefore to the whole differential
-    /// chain) — the batch-of-one face of the fourth tier.
+    /// Phase 1 of every production tier: advance the round and let every
+    /// awake process decide, in node order — the loop (and therefore the
+    /// per-process RNG draw order) of `step_legacy`'s phase 1. Returns the
+    /// broadcaster count.
     ///
-    /// Allocation-free in steady state: the plane pair is the scratch's
-    /// own `bit_seen`/`bit_collide`, temporarily moved out (no copy) so
-    /// the receive phase can borrow the planes and the engine mutably at
-    /// once.
+    /// Idle nodes' `msgs` slots are left stale on purpose: delivery only
+    /// ever dereferences the slot of a *current-round* broadcaster (via
+    /// `reach_first`), and those slots are freshly written here.
     // lint: begin-no-alloc
-    pub fn step_batched(&mut self) {
-        let words = self.net.n().div_ceil(64);
-        let broadcaster_count = self.batched_decide();
-        let extra_count = self.adversary_phase();
-        let mut seen = std::mem::take(&mut self.scratch.bit_seen);
-        let mut collide = std::mem::take(&mut self.scratch.bit_collide);
-        seen[..words].fill(0);
-        collide[..words].fill(0);
-        if broadcaster_count > 0 {
-            let rows = self.net.g_bit_rows();
-            let RoundScratch {
-                broadcasters,
-                broadcasting,
-                extra,
-                reach_first,
-                ..
-            } = &mut self.scratch;
-            for &u in broadcasters.iter() {
-                carry_save_row(
-                    rows.row(u as usize),
-                    &mut seen[..words],
-                    &mut collide[..words],
-                );
-            }
-            overlay_extra_bits(
-                extra,
-                broadcasting,
-                reach_first,
-                &mut seen[..words],
-                &mut collide[..words],
-            );
-            for &u in broadcasters.iter() {
-                recover_row_sources(
-                    rows.row(u as usize),
-                    u,
-                    &seen[..words],
-                    &collide[..words],
-                    reach_first,
-                );
-            }
-        }
-        self.batched_receive(
-            &seen[..words],
-            &collide[..words],
-            broadcaster_count,
-            extra_count,
-        );
-        self.scratch.bit_seen = seen;
-        self.scratch.bit_collide = collide;
-    }
-    // lint: end-no-alloc
-
-    /// Batched-tier phase 1: advance the round and let every awake
-    /// process decide, in node order — the exact loop (and therefore the
-    /// exact per-process RNG draw order) of `step_bitset`'s phase 1.
-    /// Returns the broadcaster count.
-    // lint: begin-no-alloc
-    fn batched_decide(&mut self) -> u32 {
+    fn decide_phase(&mut self) -> u32 {
         let n = self.net.n();
         self.round += 1;
         let r = self.round;
@@ -1126,53 +960,6 @@ impl<P: Process> Engine<P> {
         }
         // lint: end-rng-order(decide)
         self.scratch.broadcasters.len() as u32
-    }
-    // lint: end-no-alloc
-
-    /// Batched-tier phase 4: read each listener's bit pair out of the
-    /// given planes and deliver, in node order — the exact receive loop
-    /// (and RNG draw order) of `step_bitset`'s delivery phase — then run
-    /// the shared end-of-round bookkeeping.
-    // lint: begin-no-alloc
-    fn batched_receive(
-        &mut self,
-        seen: &[u64],
-        collide: &[u64],
-        broadcaster_count: u32,
-        extra_count: u32,
-    ) {
-        let n = self.net.n();
-        let r = self.round;
-        let mut deliveries = 0u32;
-        let mut collisions = 0u32;
-        // lint: rng-order(receive)
-        for v in 0..n {
-            if self.wake_rounds[v] > r || self.scratch.broadcasting[v] {
-                continue;
-            }
-            let (w, bit) = (v >> 6, 1u64 << (v & 63));
-            let delivered = if collide[w] & bit != 0 {
-                collisions += 1;
-                None
-            } else if seen[w] & bit != 0 {
-                deliveries += 1;
-                Some(self.scratch.reach_first[v] as usize)
-            } else {
-                None
-            };
-            let det = detector_set(&self.static_det, self.detectors.as_ref(), v, r);
-            let mut ctx = Context {
-                local_round: r - self.wake_rounds[v] + 1,
-                n,
-                my_id: self.ids.id_of(NodeId(v)),
-                detector: det,
-                rng: &mut self.rngs[v],
-            };
-            let msg = delivered.and_then(|u| self.scratch.msgs[u].as_ref());
-            self.procs[v].receive(&mut ctx, msg);
-        }
-        // lint: end-rng-order(receive)
-        self.finish_round(r, broadcaster_count, deliveries, collisions, extra_count);
     }
     // lint: end-no-alloc
 
@@ -1316,7 +1103,6 @@ impl<P: Process> Engine<P> {
     fn step_selected(&mut self) {
         match self.mode {
             StepMode::Bitset => self.step_bitset(),
-            StepMode::Batched => self.step_batched(),
             _ => self.step(),
         }
     }
@@ -1387,381 +1173,6 @@ impl<P: Process> Engine<P> {
     /// measure); `None` for undecided nodes.
     pub fn decided_latency(&self, v: NodeId) -> Option<u64> {
         self.decided_round[v.index()].map(|r| r - self.wake_rounds[v.index()] + 1)
-    }
-}
-
-/// Carry-saves one bitmask row into a seen/collide plane pair:
-/// `collide |= seen & row; seen |= row`. The iterator form elides bounds
-/// checks so the word loop vectorizes — this is the inner loop the
-/// batched tier runs once per (broadcasting node, broadcasting trial)
-/// pair while the row is hot in cache.
-// lint: begin-no-alloc
-#[inline]
-fn carry_save_row(row: &[u64], seen: &mut [u64], collide: &mut [u64]) {
-    for ((s, c), &w) in seen.iter_mut().zip(collide.iter_mut()).zip(row) {
-        *c |= *s & w;
-        *s |= w;
-    }
-}
-
-/// Overlays the adversary's activated edges (phase 2's output: each has
-/// exactly one broadcasting endpoint) onto a plane pair: each adds a
-/// single bit at its listening endpoint, recording the sender in
-/// `reach_first` on a clean hit — exactly `step_bitset`'s overlay,
-/// parameterized over the planes.
-#[inline]
-fn overlay_extra_bits(
-    extra: &[(usize, usize)],
-    broadcasting: &[bool],
-    reach_first: &mut [u32],
-    seen: &mut [u64],
-    collide: &mut [u64],
-) {
-    for &(a, b) in extra {
-        let (from, to) = if broadcasting[a] { (a, b) } else { (b, a) };
-        let (w, bit) = (to >> 6, 1u64 << (to & 63));
-        if seen[w] & bit != 0 {
-            collide[w] |= bit;
-        } else {
-            seen[w] |= bit;
-            reach_first[to] = from as u32;
-        }
-    }
-}
-
-/// Second row pass over a plane pair: records broadcaster `u` as the
-/// delivering source of every listener its row reached cleanly (seen and
-/// not collided — such a listener has exactly one reaching broadcaster,
-/// so exactly one row writes each slot).
-#[inline]
-fn recover_row_sources(
-    row: &[u64],
-    u: u32,
-    seen: &[u64],
-    collide: &[u64],
-    reach_first: &mut [u32],
-) {
-    for (w, ((&rw, &sw), &cw)) in row.iter().zip(seen).zip(collide).enumerate() {
-        let mut hits = rw & sw & !cw;
-        while hits != 0 {
-            let v = (w << 6) | hits.trailing_zeros() as usize;
-            reach_first[v] = u;
-            hits &= hits - 1;
-        }
-    }
-}
-// lint: end-no-alloc
-
-/// Steps `B` independent trials of the same topology one round at a time
-/// over struct-of-arrays reach state — the multi-trial half of the
-/// batched tier (see the module docs' *Performance architecture*).
-///
-/// Every trial's seen/collide planes are contiguous `⌈n/64⌉`-word stripes
-/// of one flat buffer. A batched round runs:
-///
-/// 1. per trial, in trial order: the decide and adversary phases
-///    (identical per-trial code and RNG draw order to
-///    [`Engine::step_bitset`] — trials own disjoint RNG streams, so the
-///    ordering *across* trials is immaterial);
-/// 2. node-major delivery: for every node broadcasting in ≥ 1 trial, the
-///    bitmask row is fetched **once** and carry-saved into each
-///    broadcasting trial's plane while hot, then (after the per-trial
-///    unreliable overlays) a second node-major pass recovers delivering
-///    sources the same way;
-/// 3. per trial, in trial order: the receive phase.
-///
-/// Because trials share no mutable state, interleaving the phases this
-/// way leaves each trial's execution — trace, transcript, metrics,
-/// outputs, RNG streams — bit-identical to stepping its engine solo
-/// through `step_bitset`; the differential tests pin this at several
-/// batch sizes. Allocation-free in steady state: all buffers are sized at
-/// construction.
-pub struct BatchedEngine<P: Process> {
-    engines: Vec<Engine<P>>,
-    /// A handle on the shared topology, read for its bitmask rows (a field
-    /// of its own keeps the delivery borrows disjoint from the engines).
-    net: DualGraph,
-    n: usize,
-    words: usize,
-    /// Trial-major seen planes: trial `b` owns words `b·words ..
-    /// (b+1)·words`.
-    seen: Vec<u64>,
-    /// Trial-major collide planes, same stripe layout.
-    collide: Vec<u64>,
-    /// Node-major broadcast masks: `⌈B/64⌉` words per node recording
-    /// which trials the node broadcasts in this round. Rebuilt every
-    /// round; lets delivery skip silent nodes in one word read instead of
-    /// a `B`-way cursor merge.
-    bcast_mask: Vec<u64>,
-    mask_words: usize,
-    /// Per-trial (broadcaster, validated-extra) counts for the round.
-    counts: Vec<(u32, u32)>,
-    /// Which trials still step; [`BatchedEngine::run_each`] retires
-    /// trials as they stop, fresh batches step everything.
-    active: Vec<bool>,
-    outcomes: Vec<RunOutcome>,
-}
-
-impl<P: Process> BatchedEngine<P> {
-    /// Assembles a batch over `engines`, which must all simulate the same
-    /// topology: clones of one network (a pointer compare), or networks
-    /// with equal reliable layers.
-    ///
-    /// The engines' resolved [`StepMode`]s are irrelevant here: a batch
-    /// always steps its trials through the batched tier. Engines may be at
-    /// different rounds; trials are independent.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `engines` is empty or the topologies disagree.
-    pub fn new(engines: Vec<Engine<P>>) -> Self {
-        assert!(!engines.is_empty(), "a batch needs at least one trial");
-        let net = engines[0].net.clone();
-        assert!(
-            engines
-                .iter()
-                .all(|e| e.net.ptr_eq(&net) || e.net.g_csr() == net.g_csr()),
-            "batched trials must share one topology"
-        );
-        // Build the rows now (a no-op when the engines' spawn did), so the
-        // first batched round does not pay for them.
-        net.g_bit_rows();
-        let n = net.n();
-        let words = n.div_ceil(64);
-        let b = engines.len();
-        let mask_words = b.div_ceil(64);
-        BatchedEngine {
-            net,
-            n,
-            words,
-            seen: vec![0; b * words],
-            collide: vec![0; b * words],
-            bcast_mask: vec![0; n * mask_words],
-            mask_words,
-            counts: vec![(0, 0); b],
-            active: vec![true; b],
-            outcomes: vec![
-                RunOutcome {
-                    rounds: 0,
-                    stop: StopReason::MaxRounds,
-                };
-                b
-            ],
-            engines,
-        }
-    }
-
-    /// Number of trials in the batch.
-    pub fn len(&self) -> usize {
-        self.engines.len()
-    }
-
-    /// Whether the batch is empty (never true after construction).
-    pub fn is_empty(&self) -> bool {
-        self.engines.is_empty()
-    }
-
-    /// The trial engines, in batch order.
-    pub fn engines(&self) -> &[Engine<P>] {
-        &self.engines
-    }
-
-    /// Disassembles the batch back into its trial engines, in batch order.
-    pub fn into_engines(self) -> Vec<Engine<P>> {
-        self.engines
-    }
-
-    /// Steps every still-active trial one round (all trials are active on
-    /// a fresh batch; [`BatchedEngine::run_each`] retires them).
-    // lint: begin-no-alloc
-    pub fn step(&mut self) {
-        let b_count = self.engines.len();
-        let words = self.words;
-        let mask_words = self.mask_words;
-        let rows = self.net.g_bit_rows();
-
-        // Phases 1+2, per trial in trial order, clearing each active
-        // trial's planes for the round (every round, including
-        // broadcaster-less ones — the phantom-delivery rule).
-        for b in 0..b_count {
-            if !self.active[b] {
-                continue;
-            }
-            let engine = &mut self.engines[b];
-            let bc = engine.batched_decide();
-            let ec = engine.adversary_phase();
-            self.counts[b] = (bc, ec);
-            self.seen[b * words..(b + 1) * words].fill(0);
-            self.collide[b * words..(b + 1) * words].fill(0);
-        }
-
-        // Node-major broadcast masks for the round.
-        self.bcast_mask.fill(0);
-        for b in 0..b_count {
-            if !self.active[b] || self.counts[b].0 == 0 {
-                continue;
-            }
-            let (mw, mbit) = (b >> 6, 1u64 << (b & 63));
-            for &u in &self.engines[b].scratch.broadcasters {
-                self.bcast_mask[u as usize * mask_words + mw] |= mbit;
-            }
-        }
-
-        // First row pass: each hot row carry-saves into every
-        // broadcasting trial's plane.
-        for u in 0..self.n {
-            let base = u * mask_words;
-            for mw in 0..mask_words {
-                let mut mask = self.bcast_mask[base + mw];
-                if mask == 0 {
-                    continue;
-                }
-                let row = rows.row(u);
-                while mask != 0 {
-                    let b = (mw << 6) | mask.trailing_zeros() as usize;
-                    mask &= mask - 1;
-                    carry_save_row(
-                        row,
-                        &mut self.seen[b * words..(b + 1) * words],
-                        &mut self.collide[b * words..(b + 1) * words],
-                    );
-                }
-            }
-        }
-
-        // Per-trial unreliable overlays.
-        for b in 0..b_count {
-            if !self.active[b] || self.counts[b].0 == 0 {
-                continue;
-            }
-            let RoundScratch {
-                extra,
-                broadcasting,
-                reach_first,
-                ..
-            } = &mut self.engines[b].scratch;
-            overlay_extra_bits(
-                extra,
-                broadcasting,
-                reach_first,
-                &mut self.seen[b * words..(b + 1) * words],
-                &mut self.collide[b * words..(b + 1) * words],
-            );
-        }
-
-        // Second row pass: recover each cleanly reached listener's source,
-        // node-major again so the row is fetched once per node.
-        for u in 0..self.n {
-            let base = u * mask_words;
-            for mw in 0..mask_words {
-                let mut mask = self.bcast_mask[base + mw];
-                if mask == 0 {
-                    continue;
-                }
-                let row = rows.row(u);
-                while mask != 0 {
-                    let b = (mw << 6) | mask.trailing_zeros() as usize;
-                    mask &= mask - 1;
-                    recover_row_sources(
-                        row,
-                        u as u32,
-                        &self.seen[b * words..(b + 1) * words],
-                        &self.collide[b * words..(b + 1) * words],
-                        &mut self.engines[b].scratch.reach_first,
-                    );
-                }
-            }
-        }
-
-        // Phase 4, per trial in trial order.
-        for b in 0..b_count {
-            if !self.active[b] {
-                continue;
-            }
-            let (bc, ec) = self.counts[b];
-            let engine = &mut self.engines[b];
-            engine.batched_receive(
-                &self.seen[b * words..(b + 1) * words],
-                &self.collide[b * words..(b + 1) * words],
-                bc,
-                ec,
-            );
-        }
-    }
-    // lint: end-no-alloc
-
-    /// Steps every still-active trial exactly `rounds` more rounds
-    /// (regardless of outputs) — the batched mirror of
-    /// [`Engine::run_rounds`].
-    pub fn run_rounds_each(&mut self, rounds: u64) {
-        for _ in 0..rounds {
-            self.step();
-        }
-    }
-
-    /// Runs every trial until it is done or has executed `max_rounds`
-    /// total rounds, whichever first — per trial, exactly
-    /// [`Engine::run`]'s stop rule (all-done is checked before the
-    /// budget, both before stepping). Active trials stay in round
-    /// lockstep; finished trials freeze while the rest continue. Returns
-    /// one [`RunOutcome`] per trial, in batch order.
-    pub fn run_each(&mut self, max_rounds: u64) -> Vec<RunOutcome> {
-        for flag in &mut self.active {
-            *flag = true;
-        }
-        loop {
-            let mut any = false;
-            for b in 0..self.engines.len() {
-                if !self.active[b] {
-                    continue;
-                }
-                let engine = &self.engines[b];
-                if engine.procs.iter().all(Process::is_done) {
-                    self.outcomes[b] = RunOutcome {
-                        rounds: engine.round,
-                        stop: StopReason::AllDone,
-                    };
-                    self.active[b] = false;
-                } else if engine.round >= max_rounds {
-                    self.outcomes[b] = RunOutcome {
-                        rounds: engine.round,
-                        stop: StopReason::MaxRounds,
-                    };
-                    self.active[b] = false;
-                } else {
-                    any = true;
-                }
-            }
-            if !any {
-                return self.outcomes.clone();
-            }
-            self.step();
-        }
-    }
-
-    /// The batch-level tier selection (see the module docs): runs a trial
-    /// set to `max_rounds` through one [`BatchedEngine`] when batching
-    /// pays — ≥ 2 trials whose engines resolved to the bitset tier (or
-    /// were pinned to the batched one), i.e. a dense shared topology —
-    /// and falls back to per-trial [`Engine::run`] calls otherwise.
-    /// Either way the executions (and the returned per-trial outcomes)
-    /// are bit-identical; only the stepping schedule differs.
-    pub fn run_all(
-        mut engines: Vec<Engine<P>>,
-        max_rounds: u64,
-    ) -> (Vec<Engine<P>>, Vec<RunOutcome>) {
-        let batchable = engines.len() >= 2
-            && engines
-                .iter()
-                .all(|e| matches!(e.step_mode(), StepMode::Bitset | StepMode::Batched));
-        if batchable {
-            let mut batch = BatchedEngine::new(engines);
-            let outcomes = batch.run_each(max_rounds);
-            (batch.into_engines(), outcomes)
-        } else {
-            let outcomes = engines.iter_mut().map(|e| e.run(max_rounds)).collect();
-            (engines, outcomes)
-        }
     }
 }
 
@@ -2073,27 +1484,24 @@ mod tests {
 
     #[test]
     fn pinned_bit_row_tiers_refuse_oversized_rows() {
-        // n = 10⁵ needs 10⁵·1563 words ≈ 1.25 GB of rows: a pinned bit-row
-        // tier must refuse at spawn (before building them), while Auto
+        // n = 10⁵ needs 10⁵·1563 words ≈ 1.25 GB of rows: a pinned bitset
+        // engine must refuse at spawn (before building them), while Auto
         // resolves the sparse path to scalar and spawns.
         let n = 100_000;
         let path =
             DualGraph::classic(Graph::from_edges(n, (0..n - 1).map(|i| (i, i + 1))).unwrap())
                 .unwrap();
-        for mode in [StepMode::Bitset, StepMode::Batched] {
-            let err = EngineBuilder::new(path.clone())
-                .step_mode(mode)
-                .spawn(|_| Node::Chatter(Chatter))
-                .map(|_| ());
-            assert_eq!(
-                err,
-                Err(EngineError::BitRowsTooLarge {
-                    n,
-                    bytes: 1_250_400_000
-                }),
-                "{mode:?}"
-            );
-        }
+        let err = EngineBuilder::new(path.clone())
+            .step_mode(StepMode::Bitset)
+            .spawn(|_| Node::Chatter(Chatter))
+            .map(|_| ());
+        assert_eq!(
+            err,
+            Err(EngineError::BitRowsTooLarge {
+                n,
+                bytes: 1_250_400_000
+            })
+        );
         let auto = EngineBuilder::new(path)
             .spawn(|_| Node::Chatter(Chatter))
             .unwrap();
@@ -2103,115 +1511,6 @@ mod tests {
         assert_eq!(bit_rows_bytes(1 << 40), usize::MAX);
         assert_eq!(bit_rows_bytes(64), 512);
         assert_eq!(bit_rows_bytes(0), 0);
-    }
-
-    #[test]
-    fn batched_tier_matches_bitset_solo_and_in_batch() {
-        // Random chatters over the dense circulant + clique dual: the
-        // batch-of-one path and a 3-trial batch must both reproduce the
-        // bitset tier's executions exactly. (The broad differential suite
-        // at B ∈ {1, 2, 7, 64} lives in tests/determinism.rs.)
-        struct Coin {
-            heard: Vec<Option<u32>>,
-        }
-        impl Process for Coin {
-            type Msg = u32;
-            fn decide(&mut self, ctx: &mut Context<'_>) -> Action<u32> {
-                if ctx.rng.gen_bool(0.3) {
-                    Action::Broadcast(ctx.my_id.get())
-                } else {
-                    Action::Idle
-                }
-            }
-            fn receive(&mut self, _: &mut Context<'_>, m: Option<&u32>) {
-                self.heard.push(m.copied());
-            }
-            fn output(&self) -> Option<bool> {
-                None
-            }
-        }
-        let net = || {
-            let mut edges = Vec::new();
-            for i in 0..70usize {
-                for d in 1..=20 {
-                    edges.push((i, (i + d) % 70));
-                }
-            }
-            let g = Graph::from_edges(70, edges).unwrap();
-            DualGraph::new(g, Graph::complete(70)).unwrap()
-        };
-        let spawn = |seed: u64, mode: StepMode| {
-            EngineBuilder::new(net())
-                .seed(seed)
-                .adversary(crate::adversary::AllUnreliable)
-                .record_trace(true)
-                .step_mode(mode)
-                .spawn(|_| Coin { heard: Vec::new() })
-                .unwrap()
-        };
-        let capture = |e: &Engine<Coin>| {
-            let heard: Vec<_> = e.procs().iter().map(|p| p.heard.clone()).collect();
-            (e.trace().unwrap().clone(), heard, *e.metrics())
-        };
-        for seed in [5u64, 17, 23] {
-            let mut bit = spawn(seed, StepMode::Bitset);
-            bit.run_rounds(40);
-            // Batch-of-one path (also what StepMode::Batched steps).
-            let mut one = spawn(seed, StepMode::Batched);
-            one.run_rounds(40);
-            assert_eq!(capture(&bit), capture(&one), "seed {seed} solo");
-        }
-        // A 3-trial batch, stepped in lockstep.
-        let mut batch = BatchedEngine::new(vec![
-            spawn(5, StepMode::Bitset),
-            spawn(17, StepMode::Bitset),
-            spawn(23, StepMode::Bitset),
-        ]);
-        batch.run_rounds_each(40);
-        for (engine, seed) in batch.engines().iter().zip([5u64, 17, 23]) {
-            let mut reference = spawn(seed, StepMode::Bitset);
-            reference.run_rounds(40);
-            assert_eq!(capture(&reference), capture(engine), "seed {seed} batched");
-        }
-    }
-
-    #[test]
-    fn run_all_selects_batching_only_for_dense_multi_trial_runs() {
-        // Dense clique, 3 trials: engines resolve to Bitset, run_all
-        // batches them; outcomes and rounds match per-trial runs.
-        let clique = || DualGraph::classic(Graph::complete(72)).unwrap();
-        let spawn = |seed: u64| {
-            EngineBuilder::new(clique())
-                .seed(seed)
-                .spawn(|_| Node::Chatter(Chatter))
-                .unwrap()
-        };
-        let (engines, outcomes) = BatchedEngine::run_all(vec![spawn(1), spawn(2), spawn(3)], 12);
-        assert_eq!(engines.len(), 3);
-        for (engine, outcome) in engines.iter().zip(&outcomes) {
-            assert_eq!(engine.round(), 12);
-            assert_eq!(outcome.stop, StopReason::MaxRounds);
-            assert_eq!(outcome.rounds, 12);
-        }
-        // A single trial never batches; a scalar-resolved (sparse) set
-        // falls back to solo runs. Both still execute to the budget.
-        let (solo, _) = BatchedEngine::run_all(vec![spawn(1)], 12);
-        assert_eq!(solo[0].round(), 12);
-        let path = || {
-            let edges: Vec<_> = (0..71).map(|i| (i, i + 1)).collect();
-            DualGraph::classic(Graph::from_edges(72, edges).unwrap()).unwrap()
-        };
-        let sparse: Vec<_> = (0..3)
-            .map(|s| {
-                EngineBuilder::new(path())
-                    .seed(s)
-                    .spawn(|_| Node::Chatter(Chatter))
-                    .unwrap()
-            })
-            .collect();
-        assert!(sparse.iter().all(|e| e.step_mode() == StepMode::Scalar));
-        let (engines, _) = BatchedEngine::run_all(sparse, 12);
-        assert_eq!(engines[0].round(), 12);
     }
 
     #[test]
@@ -2264,19 +1563,5 @@ mod tests {
             (e.trace().unwrap().clone(), heard, *e.metrics())
         };
         assert_eq!(run(StepMode::Scalar), run(StepMode::Bitset));
-    }
-
-    #[test]
-    #[should_panic(expected = "batched trials must share one topology")]
-    fn batches_reject_another_topology_with_as_many_edge_slots() {
-        // A 4-node path and a 4-node star: equal `n`, 6 edge slots each.
-        let path = Graph::from_edges(4, [(0, 1), (1, 2), (2, 3)]).unwrap();
-        let star = Graph::from_edges(4, [(0, 1), (0, 2), (0, 3)]).unwrap();
-        let spawn = |g| {
-            EngineBuilder::new(DualGraph::classic(g).unwrap())
-                .spawn(|_| Chatter)
-                .unwrap()
-        };
-        BatchedEngine::new(vec![spawn(path), spawn(star)]);
     }
 }

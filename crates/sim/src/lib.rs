@@ -79,9 +79,7 @@ mod trace;
 pub use adversary::Adversary;
 pub use detector::{DetectorSet, LinkDetectorAssignment, SpuriousSource};
 pub use dynamic::{DetectorProvider, DynamicDetector, DynamicDetectorError};
-pub use engine::{
-    BatchedEngine, Engine, EngineBuilder, EngineError, RunOutcome, SpawnInfo, StepMode, StopReason,
-};
+pub use engine::{Engine, EngineBuilder, EngineError, RunOutcome, SpawnInfo, StepMode, StopReason};
 pub use graph::{BitRows, CsrGraph, Graph, GraphError, NeighborStamps};
 pub use ids::{IdAssignment, NodeId, ProcessId};
 pub use network::{DualGraph, NetworkError};

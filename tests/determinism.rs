@@ -13,10 +13,7 @@ use radio_sim::adversary::{
     AllUnreliable, BurstyUnreliable, CliqueIsolator, Collider, RandomUnreliable, ReliableOnly,
 };
 use radio_sim::topology::{random_geometric, RandomGeometricConfig};
-use radio_sim::{
-    Action, Adversary, BatchedEngine, Context, DualGraph, Engine, EngineBuilder, Graph, Process,
-    StopReason, Trace,
-};
+use radio_sim::{Action, Adversary, Context, DualGraph, EngineBuilder, Graph, Process, Trace};
 use rand::SeedableRng;
 
 /// A randomized chatterer with a per-node output round, exercising decide,
@@ -121,7 +118,6 @@ enum Tier {
     Legacy,
     Scalar,
     Bitset,
-    Batched,
 }
 
 /// Runs `rounds` rounds and captures a [`Capture`] for one engine tier.
@@ -148,14 +144,8 @@ fn capture(
             Tier::Legacy => engine.step_legacy(),
             Tier::Scalar => engine.step(),
             Tier::Bitset => engine.step_bitset(),
-            Tier::Batched => engine.step_batched(),
         }
     }
-    capture_engine(&engine)
-}
-
-/// The [`Capture`] of an engine in whatever state it is in.
-fn capture_engine(engine: &Engine<Talker>) -> Capture {
     let heard = engine.procs().iter().map(|p| p.heard.clone()).collect();
     (
         engine.trace().cloned(),
@@ -195,20 +185,12 @@ fn golden_trace_bitset_matches_scratch() {
 }
 
 #[test]
-fn golden_trace_batched_matches_bitset() {
-    // The batch-of-one face of the fourth tier: `Engine::step_batched`
-    // must reproduce the bitset tier exactly (which the chain pins to
-    // scalar, which is pinned to legacy).
-    assert_tiers_agree(Tier::Bitset, Tier::Batched);
-}
-
-#[test]
 fn tracing_off_does_not_change_behavior() {
     // Every tier's phase 2 validates the whole proposal only when a trace
     // records (for the trace's activated-edge count); untraced engines
     // drop non-incident pairs before validating. Either way the
     // observable execution must not depend on whether a trace records.
-    for tier in [Tier::Scalar, Tier::Bitset, Tier::Batched] {
+    for tier in [Tier::Scalar, Tier::Bitset] {
         for (net_name, net) in nets() {
             for (adv_name, make) in adversaries() {
                 let traced = capture(&net, make(), 7, 60, tier, true);
@@ -269,7 +251,7 @@ fn disorderly_adversaries_are_normalized_identically() {
     };
     for (net_name, net) in nets() {
         let old = capture(&net, messy(), 3, 60, Tier::Legacy, true);
-        for tier in [Tier::Scalar, Tier::Bitset, Tier::Batched] {
+        for tier in [Tier::Scalar, Tier::Bitset] {
             let new = capture(&net, messy(), 3, 60, tier, true);
             assert_eq!(
                 new.0, old.0,
@@ -355,7 +337,6 @@ fn bitset_clears_reach_words_on_broadcaster_less_rounds() {
                 Tier::Legacy => engine.step_legacy(),
                 Tier::Scalar => engine.step(),
                 Tier::Bitset => engine.step_bitset(),
-                Tier::Batched => engine.step_batched(),
             }
         }
         let heard: Vec<Vec<Option<u32>>> = engine.procs().iter().map(|p| p.heard.clone()).collect();
@@ -372,11 +353,6 @@ fn bitset_clears_reach_words_on_broadcaster_less_rounds() {
             bitset,
             run(Tier::Legacy, all_chatty),
             "bitset diverged from legacy (all_chatty = {all_chatty})"
-        );
-        assert_eq!(
-            bitset,
-            run(Tier::Batched, all_chatty),
-            "batched diverged from bitset (all_chatty = {all_chatty})"
         );
     }
     // Dense variant: odd rounds are all-broadcast (nobody listens); the
@@ -403,175 +379,6 @@ fn bitset_clears_reach_words_on_broadcaster_less_rounds() {
                 assert!(h.is_none(), "phantom delivery echoed into an empty round");
             }
         }
-    }
-}
-
-/// Spawns one [`Talker`] engine on `net` with trial seed `seed`.
-fn spawn_talker(
-    net: &DualGraph,
-    adversary: Box<dyn Adversary>,
-    seed: u64,
-    record_trace: bool,
-) -> Engine<Talker> {
-    EngineBuilder::new(net.clone())
-        .seed(seed)
-        .adversary(adversary)
-        .record_trace(record_trace)
-        .spawn(|info| Talker {
-            heard: Vec::new(),
-            done_after: 10 + info.id.get() as u64 % 7,
-            rounds: 0,
-        })
-        .expect("engine assembles")
-}
-
-/// Runs a B-trial [`BatchedEngine`] in lockstep and asserts every trial is
-/// bit-identical to its solo bitset run, both recording a trace or both
-/// not (the untraced batch is the path every sweep takes).
-fn assert_batch_matches_solo(
-    net_name: &str,
-    net: &DualGraph,
-    adv_name: &str,
-    make: &dyn Fn() -> Box<dyn Adversary>,
-    b: usize,
-    record_trace: bool,
-) {
-    let engines = (0..b)
-        .map(|t| spawn_talker(net, make(), 11 + t as u64, record_trace))
-        .collect();
-    let mut batch = BatchedEngine::new(engines);
-    batch.run_rounds_each(60);
-    for (t, engine) in batch.engines().iter().enumerate() {
-        let solo = capture(net, make(), 11 + t as u64, 60, Tier::Bitset, record_trace);
-        let got = capture_engine(engine);
-        let ctx = format!("{net_name}/{adv_name}/B={b}/trial {t}/trace {record_trace}");
-        assert_eq!(got.0, solo.0, "trace diverged on {ctx}");
-        assert_eq!(got.1, solo.1, "receive transcripts diverged on {ctx}");
-        assert_eq!(got.2, solo.2, "outputs diverged on {ctx}");
-        assert_eq!(got.3, solo.3, "metrics diverged on {ctx}");
-    }
-}
-
-#[test]
-fn batched_trials_match_solo_runs() {
-    // Struct-of-arrays lockstep at B ∈ {1, 2, 7} over the full net ×
-    // adversary grid, including the malformed adversary: every trial of a
-    // batch must reproduce its solo run exactly — traces, transcripts,
-    // outputs, metrics. Per-trial RNG streams are untouched by batching,
-    // so interleaving phases across trials is invisible. Both with and
-    // without traces: the untraced batch is the path `run_algo_batch`
-    // takes in every sweep, and an untraced engine filters the
-    // adversary's proposal in a different order from a tracing one.
-    let mut advs = adversaries();
-    advs.push((
-        "messy",
-        Box::new(|| {
-            Box::new(MessyAdversary {
-                inner: RandomUnreliable::new(0.4, 9),
-            }) as Box<dyn Adversary>
-        }),
-    ));
-    for (net_name, net) in nets() {
-        for (adv_name, make) in &advs {
-            for b in [1usize, 2, 7] {
-                for record_trace in [true, false] {
-                    assert_batch_matches_solo(
-                        net_name,
-                        &net,
-                        adv_name,
-                        make.as_ref(),
-                        b,
-                        record_trace,
-                    );
-                }
-            }
-        }
-    }
-}
-
-#[test]
-fn batched_trials_match_solo_runs_at_full_trial_word() {
-    // B = 64 fills a whole broadcaster-mask word (bit 63 of every mask
-    // entry in use) — the trial-word saturation point. Trimmed to one
-    // two-word net and two adversaries to keep debug-build runtime sane.
-    let (net_name, net) = nets().remove(3); // two-clique-35: 70 nodes
-    for (adv_name, make) in [
-        (
-            "random-0.5",
-            Box::new(|| Box::new(RandomUnreliable::new(0.5, 5)) as Box<dyn Adversary>)
-                as AdversaryFactory,
-        ),
-        ("collider", Box::new(|| Box::new(Collider))),
-    ] {
-        assert_batch_matches_solo(net_name, &net, adv_name, make.as_ref(), 64, true);
-    }
-}
-
-#[test]
-fn batched_run_each_mirrors_solo_stop_rules() {
-    // Trials finishing at different rounds: each batched outcome (round
-    // count and stop reason, AllDone checked before MaxRounds) must equal
-    // the solo `Engine::run`, and a finished trial must stop advancing —
-    // its round counter, metrics, and RNG freeze while the rest of the
-    // batch keeps stepping.
-    struct Sleeper {
-        limit: u64,
-        rounds: u64,
-    }
-    impl Process for Sleeper {
-        type Msg = u32;
-        fn decide(&mut self, ctx: &mut Context<'_>) -> Action<u32> {
-            use rand::Rng;
-            self.rounds += 1;
-            if ctx.rng.gen_bool(0.5) {
-                Action::Broadcast(ctx.my_id.get())
-            } else {
-                Action::Idle
-            }
-        }
-        fn receive(&mut self, _: &mut Context<'_>, _: Option<&u32>) {}
-        fn output(&self) -> Option<bool> {
-            None
-        }
-        fn is_done(&self) -> bool {
-            self.rounds >= self.limit
-        }
-    }
-    let net = DualGraph::classic(Graph::complete(9)).expect("connected");
-    let spawn = |seed: u64, limit: u64| {
-        EngineBuilder::new(net.clone())
-            .seed(seed)
-            .spawn(move |info| Sleeper {
-                limit: limit + info.id.get() as u64 % 3,
-                rounds: 0,
-            })
-            .expect("engine assembles")
-    };
-    let limits = [3u64, 50, 12, 1, 26]; // 50 overruns the budget → MaxRounds
-    let engines = limits
-        .iter()
-        .enumerate()
-        .map(|(t, &limit)| spawn(t as u64, limit))
-        .collect();
-    let mut batch = BatchedEngine::new(engines);
-    let outcomes = batch.run_each(30);
-    assert!(outcomes.iter().any(|o| o.stop == StopReason::MaxRounds));
-    assert!(outcomes.iter().any(|o| o.stop == StopReason::AllDone));
-    for (t, &limit) in limits.iter().enumerate() {
-        let mut solo = spawn(t as u64, limit);
-        let out = solo.run(30);
-        assert_eq!(outcomes[t], out, "trial {t} outcome");
-        assert_eq!(batch.engines()[t].round(), solo.round(), "trial {t} round");
-        assert_eq!(
-            batch.engines()[t].metrics(),
-            solo.metrics(),
-            "trial {t} metrics"
-        );
-        assert_eq!(
-            batch.engines()[t].outputs(),
-            solo.outputs(),
-            "trial {t} outputs"
-        );
     }
 }
 

@@ -272,11 +272,11 @@ proptest! {
         use rand::rngs::StdRng;
         use rand::{RngCore, SeedableRng};
         // `is_deterministic()` is what lets the scenario layer share one
-        // topology build across trials (and hand whole cells to the
-        // batched engine) while reconstructing each trial's detector RNG
-        // from the seed alone: a deterministic kind must leave the
-        // topology RNG stream exactly where it found it — even when the
-        // build fails validation.
+        // topology build across trials (and fuse whole cells into one
+        // `run_algo_batch` call) while reconstructing each trial's
+        // detector RNG from the seed alone: a deterministic kind must
+        // leave the topology RNG stream exactly where it found it — even
+        // when the build fails validation.
         let pool = [
             TopologyKind::Clique { n },
             TopologyKind::Path { n },

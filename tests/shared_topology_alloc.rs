@@ -8,26 +8,43 @@
 //! never for another copy of the adjacency, the bitmask rows or the
 //! detector sets. The detector build itself is bounded too: its frozen
 //! sets are one flat id array plus membership rows, not a tree per node.
+//! And a multi-trial `run_algo_batch` call keeps one engine alive at a
+//! time: its peak of live bytes does not grow with the trial count.
 
 use radio_sim::spec::AdversaryKind;
 use radio_sim::{DualGraph, EngineBuilder, Graph, IdAssignment, LinkDetectorAssignment};
 use radio_structures::params::MisParams;
+use radio_structures::runner::{run_algo_batch, AlgoKind};
 use radio_structures::Mis;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 struct ByteCountingAlloc;
 
+/// Bytes ever requested (growth only).
 static BYTES: AtomicU64 = AtomicU64::new(0);
+/// Bytes currently allocated.
+static LIVE: AtomicU64 = AtomicU64::new(0);
+/// High-water mark of `LIVE`.
+static PEAK: AtomicU64 = AtomicU64::new(0);
 
-// SAFETY: delegates to `System`, adding only a relaxed counter bump.
+fn grow_live(bytes: u64) {
+    let live = LIVE.fetch_add(bytes, Ordering::Relaxed) + bytes;
+    PEAK.fetch_max(live, Ordering::Relaxed);
+}
+
+// SAFETY: delegates to `System`, adding only relaxed counter updates.
 unsafe impl GlobalAlloc for ByteCountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        grow_live(layout.size() as u64);
         System.alloc(layout)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE.fetch_sub(layout.size() as u64, Ordering::Relaxed);
         System.dealloc(ptr, layout)
     }
 
@@ -36,6 +53,11 @@ unsafe impl GlobalAlloc for ByteCountingAlloc {
             new_size.saturating_sub(layout.size()) as u64,
             Ordering::Relaxed,
         );
+        if new_size >= layout.size() {
+            grow_live((new_size - layout.size()) as u64);
+        } else {
+            LIVE.fetch_sub((layout.size() - new_size) as u64, Ordering::Relaxed);
+        }
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -48,6 +70,14 @@ fn bytes_of<T>(f: impl FnOnce() -> T) -> (u64, T) {
     let before = BYTES.load(Ordering::Relaxed);
     let out = f();
     (BYTES.load(Ordering::Relaxed) - before, out)
+}
+
+/// Peak live bytes above the starting level while `f` runs.
+fn peak_of(f: impl FnOnce()) -> u64 {
+    let start = LIVE.load(Ordering::Relaxed);
+    PEAK.store(start, Ordering::Relaxed);
+    f();
+    PEAK.load(Ordering::Relaxed) - start
 }
 
 #[test]
@@ -92,4 +122,31 @@ fn engines_spawned_from_shared_clones_copy_no_topology() {
         first.net().g_bit_rows(),
         second.net().g_bit_rows()
     ));
+
+    // A fused cell spawns, runs and records each trial before the next
+    // one spawns, so eight trials peak no higher than one trial plus the
+    // extra records — well under one more engine's spawn bytes.
+    let cell_peak = |trials: u64| {
+        peak_of(|| {
+            let seeds: Vec<u64> = (0..trials).collect();
+            let mut det_rngs: Vec<StdRng> =
+                seeds.iter().map(|&s| StdRng::seed_from_u64(s)).collect();
+            let recs = run_algo_batch(
+                &net,
+                &AlgoKind::Mis,
+                AdversaryKind::Random { p: 0.5 },
+                &seeds,
+                &mut det_rngs,
+                Some(8),
+            );
+            assert_eq!(recs.len() as u64, trials);
+        })
+    };
+    let one = cell_peak(1);
+    let eight = cell_peak(8);
+    assert!(
+        eight < one + second_bytes,
+        "8 trials peaked at {eight} B against {one} B for one trial; \
+         one engine spawns {second_bytes} B"
+    );
 }

@@ -1,15 +1,13 @@
-//! Steady-state zero-allocation test for `Engine::step()`,
-//! `Engine::step_bitset()`, `Engine::step_batched()`, and
-//! `BatchedEngine::step()`.
+//! Steady-state zero-allocation test for `Engine::step()` and
+//! `Engine::step_bitset()`.
 //!
 //! This file holds exactly one test so the counting global allocator sees
 //! no concurrent allocations from sibling tests. After a warmup that
-//! high-water-marks every scratch buffer (and, for the bitset/batched
-//! tiers, built the cached bitmask rows and trial stripes), stepping the
-//! engine must not touch the heap at all — on any canonical workload, in
-//! any zero-alloc tier, solo or batch.
+//! high-water-marks every scratch buffer (and, for the bitset tier, built
+//! the cached bitmask rows), stepping the engine must not touch the heap
+//! at all — on any canonical workload, in either zero-alloc tier.
 
-use radio_bench::enginebench::{workload_batched_engine, workload_engine_mode, WORKLOADS};
+use radio_bench::enginebench::{workload_engine_mode, WORKLOADS};
 use radio_sim::StepMode;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -40,10 +38,10 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 
 #[test]
 fn step_is_allocation_free_in_steady_state() {
-    for mode in [StepMode::Scalar, StepMode::Bitset, StepMode::Batched] {
+    for mode in [StepMode::Scalar, StepMode::Bitset] {
         for name in WORKLOADS {
             // The pinned mode routes `run_rounds` through the tier under
-            // test; Bitset/Batched spawns also pre-build the bitmask rows,
+            // test; Bitset spawns also pre-build the bitmask rows,
             // and the warmup would cover a lazy build anyway.
             let mut engine = workload_engine_mode(name, mode);
             engine.run_rounds(128); // grow every scratch buffer to its high-water mark
@@ -56,20 +54,5 @@ fn step_is_allocation_free_in_steady_state() {
                 "{name}: the {mode:?} tier allocated in steady state"
             );
         }
-    }
-    // The multi-trial batch engine: B trial stripes, one shared row pass.
-    // All stripe/mask/count buffers are sized at construction, so steady
-    // state must stay off the heap exactly like the solo tiers.
-    for name in WORKLOADS {
-        let mut batched = workload_batched_engine(name);
-        batched.run_rounds_each(128);
-        let before = ALLOCS.load(Ordering::Relaxed);
-        batched.run_rounds_each(512);
-        let after = ALLOCS.load(Ordering::Relaxed);
-        assert_eq!(
-            after - before,
-            0,
-            "{name}: the batched engine allocated in steady state"
-        );
     }
 }
