@@ -138,15 +138,21 @@ pub fn workload_engine(name: &str) -> Engine<Chatter> {
 /// at spawn (outside the measured steady state) on every workload,
 /// including the sparse ones Auto would route to the scalar tier.
 pub fn workload_engine_mode(name: &str, mode: StepMode) -> Engine<Chatter> {
-    let net = workload_net(name);
-    let builder = EngineBuilder::new(net).seed(7).step_mode(mode);
-    let builder = match name {
-        "sparse-256" => builder.adversary(Collider),
-        _ => builder.adversary(RandomUnreliable::new(0.5, 11)),
-    };
-    builder
+    workload_builder(name, mode)
         .spawn(|_| Chatter::new(CHATTER_P))
         .expect("workload engines assemble")
+}
+
+/// The workload's engine builder (network, adversary, seed and pinned
+/// tier), ready to spawn any process.
+pub fn workload_builder(name: &str, mode: StepMode) -> EngineBuilder {
+    let builder = EngineBuilder::new(workload_net(name))
+        .seed(7)
+        .step_mode(mode);
+    match name {
+        "sparse-256" => builder.adversary(Collider),
+        _ => builder.adversary(RandomUnreliable::new(0.5, 11)),
+    }
 }
 
 /// One measured engine configuration within a workload.

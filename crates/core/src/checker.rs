@@ -46,6 +46,12 @@ impl MisReport {
 /// Verifies the MIS conditions for `outputs` (indexed by node) against the
 /// reliable graph of `net` and the detector graph `h`.
 ///
+/// Only the members' neighborhoods are read: each member `u`, in ascending
+/// order, reports its `G`-neighbors `v > u` that are members too, and
+/// marks its `H`-neighbors covered. That costs
+/// `O(n + Σ_{u ∈ MIS} (deg_G u + deg_H u))` rather than a walk over every
+/// edge, with violations in edge order.
+///
 /// # Panics
 ///
 /// Panics if `outputs` or `h` disagree with the network size.
@@ -56,15 +62,23 @@ pub fn check_mis(net: &DualGraph, h: &Graph, outputs: &[Option<bool>]) -> MisRep
     let undecided = outputs.iter().filter(|o| o.is_none()).count();
     let in_set = |v: usize| outputs[v] == Some(true);
 
-    let independence_violations: Vec<(usize, usize)> = net
-        .g()
-        .edges()
-        .filter(|&(u, v)| in_set(u) && in_set(v))
-        .collect();
+    let mut independence_violations = Vec::new();
+    let mut covered = vec![false; n];
+    for u in (0..n).filter(|&u| in_set(u)) {
+        independence_violations.extend(
+            net.g()
+                .neighbors(u)
+                .iter()
+                .filter(|&&v| v > u && in_set(v))
+                .map(|&v| (u, v)),
+        );
+        for &v in h.neighbors(u) {
+            covered[v] = true;
+        }
+    }
 
     let maximality_violations: Vec<usize> = (0..n)
-        .filter(|&v| outputs[v] == Some(false))
-        .filter(|&v| !h.neighbors(v).iter().any(|&u| in_set(u)))
+        .filter(|&v| outputs[v] == Some(false) && !covered[v])
         .collect();
 
     MisReport {
@@ -178,10 +192,77 @@ pub fn density_bound(r: f64) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use radio_sim::Graph;
+    use rand::rngs::StdRng;
+    use rand::Rng;
 
     fn path_net(n: usize) -> DualGraph {
         DualGraph::classic(Graph::from_edges(n, (0..n - 1).map(|i| (i, i + 1))).unwrap()).unwrap()
+    }
+
+    /// The edge-scan checker `check_mis` replaced, kept as its oracle.
+    fn check_mis_by_edge_scan(net: &DualGraph, h: &Graph, outputs: &[Option<bool>]) -> MisReport {
+        let n = net.n();
+        let undecided = outputs.iter().filter(|o| o.is_none()).count();
+        let in_set = |v: usize| outputs[v] == Some(true);
+        let independence_violations: Vec<(usize, usize)> = net
+            .g()
+            .edges()
+            .filter(|&(u, v)| in_set(u) && in_set(v))
+            .collect();
+        let maximality_violations: Vec<usize> = (0..n)
+            .filter(|&v| outputs[v] == Some(false))
+            .filter(|&v| !h.neighbors(v).iter().any(|&u| in_set(u)))
+            .collect();
+        MisReport {
+            terminated: undecided == 0,
+            undecided,
+            independent: independence_violations.is_empty(),
+            independence_violations,
+            maximal: maximality_violations.is_empty(),
+            maximality_violations,
+            mis_size: (0..n).filter(|&v| in_set(v)).count(),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn member_scan_matches_the_edge_scan(
+            n in 1usize..=40,
+            seed in 0u64..1_000_000,
+            g_pct in 0u32..=100,
+            h_pct in 0u32..=100,
+        ) {
+            // G: a random spanning tree (G must be connected) plus chords;
+            // H: G plus further chords. Outputs mix all three states.
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut g = Graph::new(n);
+            for v in 1..n {
+                g.add_edge(rng.gen_range(0..v), v);
+            }
+            let mut h = g.clone();
+            for u in 0..n {
+                for v in u + 1..n {
+                    if rng.gen_bool(f64::from(g_pct) / 400.0) {
+                        g.add_edge(u, v);
+                        h.add_edge(u, v);
+                    } else if rng.gen_bool(f64::from(h_pct) / 400.0) {
+                        h.add_edge(u, v);
+                    }
+                }
+            }
+            let net = DualGraph::classic(g).unwrap();
+            let outputs: Vec<Option<bool>> = (0..n)
+                .map(|_| [None, Some(false), Some(true)][rng.gen_range(0..3usize)])
+                .collect();
+            prop_assert_eq!(
+                check_mis(&net, &h, &outputs),
+                check_mis_by_edge_scan(&net, &h, &outputs)
+            );
+        }
     }
 
     #[test]

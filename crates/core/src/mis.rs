@@ -76,6 +76,9 @@ pub struct MisCore {
     active: bool,
     in_mis: bool,
     announce_prob: f64,
+    /// The `r0` of the last [`MisCore::step`] call (`None` before the
+    /// first), from which [`MisCore::next_step`] dates its answer.
+    last_r0: Option<u64>,
 }
 
 impl MisCore {
@@ -95,6 +98,7 @@ impl MisCore {
             active: false,
             in_mis: false,
             announce_prob: params.announce_prob(),
+            last_r0: None,
         }
     }
 
@@ -126,6 +130,7 @@ impl MisCore {
     /// One round of the protocol. `r0` is the 0-based round index since the
     /// algorithm started; returns the message to broadcast, if any.
     pub fn step(&mut self, ctx: &mut Context<'_>, r0: u64) -> Option<MisMsg> {
+        self.last_r0 = Some(r0);
         if r0 >= self.total {
             return None;
         }
@@ -172,6 +177,28 @@ impl MisCore {
             }
         }
         None
+    }
+
+    /// The first `r0` at which [`MisCore::step`] must run again
+    /// (`u64::MAX` for never). Before it, every `step` would return
+    /// `None`, draw no randomness and leave the protocol state alone, and
+    /// a silent round changes nothing either. Members and active processes
+    /// must step next round. Covered processes and processes past the
+    /// schedule never broadcast again. A knocked-out process only wakes at
+    /// the next epoch start, where it re-checks whether to compete.
+    pub fn next_step(&self) -> u64 {
+        let Some(r0) = self.last_r0 else {
+            return 0;
+        };
+        if r0 + 1 >= self.total {
+            u64::MAX
+        } else if self.in_mis || self.active {
+            r0 + 1
+        } else if self.output.is_some() {
+            u64::MAX
+        } else {
+            (r0 / self.epoch_len + 1) * self.epoch_len
+        }
     }
 
     /// Handles a received MIS message. Messages from processes outside the
@@ -273,6 +300,8 @@ impl Mis {
 impl Process for Mis {
     type Msg = Wire<MisMsg>;
 
+    const IDLES: bool = true;
+
     fn decide(&mut self, ctx: &mut Context<'_>) -> Action<Self::Msg> {
         let r0 = ctx.local_round - 1;
         match self.core.step(ctx, r0) {
@@ -298,6 +327,12 @@ impl Process for Mis {
     /// has an output (w.h.p. before the schedule ends).
     fn is_done(&self) -> bool {
         self.core.output().is_some()
+    }
+
+    /// Knocked-out and covered processes sleep (see
+    /// [`MisCore::next_step`]); local rounds count from 1.
+    fn idle_until(&self) -> u64 {
+        self.core.next_step().saturating_add(1)
     }
 }
 
@@ -403,15 +438,23 @@ mod tests {
             detector: detector.set(NodeId(0)),
             rng: &mut rng,
         };
-        // Round 0 activates the process.
+        // Round 0 activates the process, which must step next round.
+        assert_eq!(core.next_step(), 0);
         let _ = core.step(&mut ctx, 0);
         assert!(core.output().is_none());
+        assert_eq!(core.next_step(), 1);
         // A contender from a detector neighbor knocks it out...
         core.on_message(&ctx, &MisMsg::Contender { from: 2 });
-        // ...after which it never broadcasts for the rest of the epoch.
-        for r0 in 1..core.params_epoch_len_for_test() {
+        // ...after which it never broadcasts for the rest of the epoch,
+        // and promises to idle until the next one.
+        let epoch_len = core.params_epoch_len_for_test();
+        for r0 in 1..epoch_len {
+            assert_eq!(core.next_step(), epoch_len);
             assert!(core.step(&mut ctx, r0).is_none());
         }
+        // Covered, it never needs to step again.
+        core.on_message(&ctx, &MisMsg::Announce { from: 2 });
+        assert_eq!(core.next_step(), u64::MAX);
     }
 
     impl MisCore {

@@ -84,6 +84,22 @@
 //! detector only when a process tests membership — one word load on a
 //! dense assignment.
 //!
+//! **Idle promises.** A process may promise that it is idle (see
+//! [`Process`]'s *Idle promises*): `idle_until` names the first local round
+//! in which its `decide` must run again. When `P::IDLES` is set, the engine
+//! keeps one `skip_until` entry per node, the promise as a global round
+//! (`local + wake − 1`, saturating), and re-reads it after every `decide`
+//! and `receive` call. While `r < skip_until[v]`, the shared decide phase
+//! skips node `v`, and both receive loops skip it when it hears `⊥` — after
+//! the delivery and collision counters are updated, so a message always
+//! reaches its listener. The Section 4 MIS promises for knocked-out and
+//! covered nodes, which on a clique are nearly all of them. Every promise
+//! line sits behind `if P::IDLES`, so it compiles out for processes that
+//! keep the default. `step_legacy` ignores promises and stays the oracle;
+//! it and `procs_mut` reset every entry to 0, so the next production round
+//! calls every awake `decide` again and mixing tiers on one engine stays
+//! exact.
+//!
 //! The scratch invariants:
 //!
 //! * `msgs`, `broadcasting`, `reach_*` are exactly `n` long from spawn and
@@ -431,6 +447,7 @@ impl EngineBuilder {
             },
             max_message_bits: self.max_message_bits,
             decided_round: vec![None; n],
+            skip_until: vec![0; if P::IDLES { n } else { 0 }],
             static_det,
             mode,
             scratch: RoundScratch::new(n, extra_capacity),
@@ -532,6 +549,9 @@ pub struct Engine<P: Process> {
     trace: Option<Trace>,
     max_message_bits: Option<u64>,
     decided_round: Vec<Option<u64>>,
+    /// Per node, the global round before which its process promised to stay
+    /// idle (see the module docs' *Idle promises*). Empty unless `P::IDLES`.
+    skip_until: Vec<u64>,
     /// A shared handle on the provider's sets when it is static (see
     /// [`DetectorProvider::static_assignment`]); `None` for genuinely
     /// dynamic detectors.
@@ -639,6 +659,9 @@ impl<P: Process> Engine<P> {
                 }
                 None
             };
+            if P::IDLES && delivered.is_none() && r < self.skip_until[v] {
+                continue;
+            }
             let det = detector_set(&self.static_det, self.detectors.as_ref(), v, r);
             let mut ctx = Context {
                 local_round: r - self.wake_rounds[v] + 1,
@@ -649,6 +672,9 @@ impl<P: Process> Engine<P> {
             };
             let msg = delivered.and_then(|u| self.scratch.msgs[u].as_ref());
             self.procs[v].receive(&mut ctx, msg);
+            if P::IDLES {
+                self.skip_until[v] = self.promised_round(v);
+            }
         }
         // lint: end-rng-order(receive)
         self.finish_round(r, broadcaster_count, deliveries, collisions, extra_count);
@@ -667,6 +693,11 @@ impl<P: Process> Engine<P> {
         self.round += 1;
         let r = self.round;
         self.metrics.rounds = r;
+        if P::IDLES {
+            // The oracle ignores promises; the next production round
+            // re-reads every one.
+            self.skip_until.fill(0);
+        }
 
         // Phase 1: every awake process decides.
         // lint:allow(no-alloc-region) seed tier allocates its per-round buffers by design
@@ -894,6 +925,9 @@ impl<P: Process> Engine<P> {
             } else {
                 None
             };
+            if P::IDLES && delivered.is_none() && r < self.skip_until[v] {
+                continue;
+            }
             let det = detector_set(&self.static_det, self.detectors.as_ref(), v, r);
             let mut ctx = Context {
                 local_round: r - self.wake_rounds[v] + 1,
@@ -904,6 +938,9 @@ impl<P: Process> Engine<P> {
             };
             let msg = delivered.and_then(|u| self.scratch.msgs[u].as_ref());
             self.procs[v].receive(&mut ctx, msg);
+            if P::IDLES {
+                self.skip_until[v] = self.promised_round(v);
+            }
         }
         // lint: end-rng-order(receive)
         self.finish_round(r, broadcaster_count, deliveries, collisions, extra_count);
@@ -912,8 +949,8 @@ impl<P: Process> Engine<P> {
 
     /// Phase 1 of every production tier: advance the round and let every
     /// awake process decide, in node order — the loop (and therefore the
-    /// per-process RNG draw order) of `step_legacy`'s phase 1. Returns the
-    /// broadcaster count.
+    /// per-process RNG draw order) of `step_legacy`'s phase 1, less the
+    /// calls an idle promise makes moot. Returns the broadcaster count.
     ///
     /// Idle nodes' `msgs` slots are left stale on purpose: delivery only
     /// ever dereferences the slot of a *current-round* broadcaster (via
@@ -927,7 +964,7 @@ impl<P: Process> Engine<P> {
         self.scratch.broadcasters.clear();
         // lint: rng-order(decide)
         for v in 0..n {
-            if self.wake_rounds[v] > r {
+            if self.wake_rounds[v] > r || (P::IDLES && r < self.skip_until[v]) {
                 self.scratch.broadcasting[v] = false;
                 continue;
             }
@@ -957,11 +994,23 @@ impl<P: Process> Engine<P> {
                     self.scratch.msgs[v] = Some(m);
                 }
             }
+            if P::IDLES {
+                self.skip_until[v] = self.promised_round(v);
+            }
         }
         // lint: end-rng-order(decide)
         self.scratch.broadcasters.len() as u32
     }
     // lint: end-no-alloc
+
+    /// Node `v`'s idle promise as a global round: its process's local
+    /// `idle_until` shifted by the wake round, saturating at `u64::MAX`.
+    #[inline]
+    fn promised_round(&self, v: usize) -> u64 {
+        self.procs[v]
+            .idle_until()
+            .saturating_add(self.wake_rounds[v] - 1)
+    }
 
     /// Phase 2 of every production tier: collects the adversary's
     /// proposal for the current round into `scratch.extra` and leaves
@@ -1129,8 +1178,12 @@ impl<P: Process> Engine<P> {
     }
 
     /// Mutable access to the processes (used by wrappers such as the
-    /// continuous CCDS that restart protocols between runs).
+    /// continuous CCDS that restart protocols between runs). Every idle
+    /// promise lapses: the next round calls every awake `decide`.
     pub fn procs_mut(&mut self) -> &mut [P] {
+        if P::IDLES {
+            self.skip_until.fill(0);
+        }
         &mut self.procs
     }
 
@@ -1538,20 +1591,8 @@ mod tests {
                 None
             }
         }
-        let net = || {
-            // G: dense circulant (70 nodes, offsets 1..=20, degree 40);
-            // G': the full clique, so E' \ E is a real unreliable layer.
-            let mut edges = Vec::new();
-            for i in 0..70usize {
-                for d in 1..=20 {
-                    edges.push((i, (i + d) % 70));
-                }
-            }
-            let g = Graph::from_edges(70, edges).unwrap();
-            DualGraph::new(g, Graph::complete(70)).unwrap()
-        };
         let run = |mode| {
-            let mut e = EngineBuilder::new(net())
+            let mut e = EngineBuilder::new(circulant_net())
                 .seed(5)
                 .adversary(crate::adversary::AllUnreliable)
                 .record_trace(true)
@@ -1563,5 +1604,193 @@ mod tests {
             (e.trace().unwrap().clone(), heard, *e.metrics())
         };
         assert_eq!(run(StepMode::Scalar), run(StepMode::Bitset));
+    }
+
+    /// G: dense circulant (70 nodes, offsets 1..=20, degree 40); G': the
+    /// full clique, so E' \ E is a real unreliable layer.
+    fn circulant_net() -> DualGraph {
+        let mut edges = Vec::new();
+        for i in 0..70usize {
+            for d in 1..=20 {
+                edges.push((i, (i + d) % 70));
+            }
+        }
+        let g = Graph::from_edges(70, edges).unwrap();
+        DualGraph::new(g, Graph::complete(70)).unwrap()
+    }
+
+    /// Broadcasts its id with probability 0.3 when it decides, then
+    /// promises a nap of 0–5 rounds drawn from its own RNG (0 promises
+    /// nothing). A message ends the nap. Counts the calls its promises let
+    /// the engine skip, and whether a woken nap's next `decide` came on
+    /// time.
+    #[derive(Default)]
+    struct Napper {
+        /// First local round in which `decide` must run again.
+        wake_at: u64,
+        /// A message cut the current nap short.
+        woken: bool,
+        /// Broadcast inside naps, breaking the promise.
+        liar: bool,
+        decides: u64,
+        /// `decide` calls inside a promised nap.
+        nap_decides: u64,
+        /// `receive(None)` calls inside a promised nap.
+        nap_silences: u64,
+        /// Messages that arrived inside a promised nap.
+        nap_messages: u64,
+        /// Woken naps whose next `decide` came after `wake_at`.
+        late_wakes: u64,
+        /// Every message heard, with its local round.
+        heard: Vec<(u64, u32)>,
+    }
+
+    impl Process for Napper {
+        type Msg = u32;
+        const IDLES: bool = true;
+
+        fn decide(&mut self, ctx: &mut Context<'_>) -> Action<u32> {
+            self.decides += 1;
+            if std::mem::take(&mut self.woken) && ctx.local_round != self.wake_at {
+                self.late_wakes += 1;
+            }
+            if ctx.local_round < self.wake_at {
+                self.nap_decides += 1;
+                return if self.liar {
+                    Action::Broadcast(ctx.my_id.get())
+                } else {
+                    Action::Idle
+                };
+            }
+            self.wake_at = ctx.local_round + ctx.rng.gen_range(0..6u64);
+            if ctx.rng.gen_bool(0.3) {
+                Action::Broadcast(ctx.my_id.get())
+            } else {
+                Action::Idle
+            }
+        }
+
+        fn receive(&mut self, ctx: &mut Context<'_>, msg: Option<&u32>) {
+            let napping = ctx.local_round < self.wake_at;
+            match msg {
+                Some(&m) => {
+                    self.heard.push((ctx.local_round, m));
+                    if napping {
+                        self.nap_messages += 1;
+                        self.wake_at = ctx.local_round + 1;
+                        self.woken = true;
+                    }
+                }
+                None => self.nap_silences += u64::from(napping),
+            }
+        }
+
+        fn output(&self) -> Option<bool> {
+            None
+        }
+
+        fn idle_until(&self) -> u64 {
+            self.wake_at
+        }
+    }
+
+    type Tier = fn(&mut Engine<Napper>);
+    const PRODUCTION_TIERS: [Tier; 2] = [Engine::step, Engine::step_bitset];
+
+    /// Napper engine over the circulant net; node `v` wakes at round
+    /// `1 + v % 5`, so local and global rounds differ.
+    fn napper_engine(liar: bool) -> Engine<Napper> {
+        EngineBuilder::new(circulant_net())
+            .seed(9)
+            .adversary(crate::adversary::RandomUnreliable::new(0.5, 3))
+            .wake_rounds((0..70).map(|v| 1 + v % 5).collect())
+            .record_trace(true)
+            .spawn(|_| Napper {
+                liar,
+                ..Napper::default()
+            })
+            .unwrap()
+    }
+
+    fn total(e: &Engine<Napper>, count: fn(&Napper) -> u64) -> u64 {
+        e.procs().iter().map(count).sum()
+    }
+
+    #[test]
+    fn production_tiers_skip_only_promised_naps() {
+        let run = |step: Tier| {
+            let mut e = napper_engine(false);
+            for _ in 0..200 {
+                step(&mut e);
+            }
+            e
+        };
+        let legacy = run(Engine::step_legacy);
+        // The oracle ignores promises, so it calls into naps.
+        assert!(total(&legacy, |p| p.nap_decides) > 0);
+        assert!(total(&legacy, |p| p.nap_silences) > 0);
+        for step in PRODUCTION_TIERS {
+            let e = run(step);
+            assert_eq!(total(&e, |p| p.nap_decides), 0, "decide inside a nap");
+            assert_eq!(total(&e, |p| p.nap_silences), 0, "⊥ inside a nap");
+            assert_eq!(total(&e, |p| p.late_wakes), 0, "a message did not wake");
+            assert!(total(&e, |p| p.nap_messages) > 0, "no message hit a nap");
+            assert_eq!(e.trace(), legacy.trace());
+            assert_eq!(e.metrics(), legacy.metrics());
+            for (p, q) in e.procs().iter().zip(legacy.procs()) {
+                assert_eq!(p.heard, q.heard);
+            }
+        }
+    }
+
+    #[test]
+    fn a_false_promise_diverges_from_the_oracle() {
+        // A liar broadcasts inside its naps. The production tiers trust
+        // the promise and skip those decides; the oracle calls them.
+        let trace = |step: Tier| {
+            let mut e = napper_engine(true);
+            for _ in 0..50 {
+                step(&mut e);
+            }
+            e.trace().unwrap().clone()
+        };
+        let legacy = trace(Engine::step_legacy);
+        for step in PRODUCTION_TIERS {
+            assert_ne!(trace(step), legacy);
+        }
+    }
+
+    #[test]
+    fn lapsed_promises_call_every_awake_decide() {
+        // Node 69 sleeps through the test; everyone else wakes at round 1.
+        let mut wake = vec![1; 70];
+        wake[69] = 1_000;
+        let lapses: [fn(&mut Engine<Napper>); 2] = [
+            |e| {
+                e.procs_mut();
+            },
+            Engine::step_legacy,
+        ];
+        for lapse in lapses {
+            for step in PRODUCTION_TIERS {
+                let mut e = EngineBuilder::new(circulant_net())
+                    .seed(4)
+                    .wake_rounds(wake.clone())
+                    .spawn(|_| Napper::default())
+                    .unwrap();
+                for _ in 0..20 {
+                    step(&mut e);
+                }
+                lapse(&mut e);
+                // Someone is mid-nap, so only the lapse makes it decide.
+                let next = e.round() + 1;
+                assert!(e.procs().iter().any(|p| p.wake_at > next));
+                let before: Vec<u64> = e.procs().iter().map(|p| p.decides).collect();
+                step(&mut e);
+                for (v, p) in e.procs().iter().enumerate() {
+                    assert_eq!(p.decides - before[v], u64::from(v != 69), "node {v}");
+                }
+            }
+        }
     }
 }

@@ -304,15 +304,13 @@ impl Graph {
         self.adj[u.index()].iter().map(|&v| NodeId(v))
     }
 
-    /// The complete graph on `n` vertices.
+    /// The complete graph on `n` vertices, each sorted row built whole.
     pub fn complete(n: usize) -> Self {
-        let mut g = Graph::new(n);
-        for u in 0..n {
-            for v in (u + 1)..n {
-                g.add_edge(u, v);
-            }
+        Graph {
+            n,
+            adj: (0..n).map(|u| (0..u).chain(u + 1..n).collect()).collect(),
+            edge_count: n * n.saturating_sub(1) / 2,
         }
-        g
     }
 
     /// Union of two graphs on the same vertex set.
@@ -589,6 +587,19 @@ mod tests {
         let path = Graph::from_edges(4, [(0, 1)]).unwrap();
         let u = path.union(&k4);
         assert_eq!(u.edge_count(), 6);
+    }
+
+    #[test]
+    fn complete_matches_the_add_edge_build() {
+        for n in 0..=70 {
+            let mut g = Graph::new(n);
+            for u in 0..n {
+                for v in (u + 1)..n {
+                    g.add_edge(u, v);
+                }
+            }
+            assert_eq!(Graph::complete(n), g, "n = {n}");
+        }
     }
 
     #[test]

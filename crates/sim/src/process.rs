@@ -91,9 +91,34 @@ pub struct Context<'a> {
 ///
 /// Implementations should be deterministic given the context's RNG so
 /// executions are reproducible from the engine seed.
+///
+/// # Idle promises
+///
+/// A process that sits out stretches of rounds may promise so, and the
+/// production tiers (`Engine::step`, `Engine::step_bitset`) then stop
+/// visiting it while the promise holds. The contract:
+///
+/// * [`Process::IDLES`] is `true` only for a process that overrides
+///   [`Process::idle_until`]; the engine reads promises only then, so a
+///   process that keeps the default pays nothing.
+/// * [`Process::idle_until`] names the first local round in which
+///   `decide` must run again. Until that round, every `decide` call would
+///   return [`Action::Idle`], change nothing and draw nothing from
+///   `ctx.rng`, and every `receive(ctx, None)` call would do nothing.
+/// * The engine re-reads the promise after every `decide` and `receive`
+///   call it makes. While a promise holds it skips the process's `decide`
+///   and any `receive` that would hand it `⊥`; a message always reaches
+///   its listener, and that `receive` may cut the nap short.
+///
+/// `Engine::step_legacy` ignores promises and calls everyone, so a false
+/// promise shows up as a divergence from it.
 pub trait Process {
     /// Message type broadcast by this algorithm.
     type Msg: Clone + MessageSize;
+
+    /// Whether this process makes idle promises through
+    /// [`Process::idle_until`] (see *Idle promises* above).
+    const IDLES: bool = false;
 
     /// Choose this round's action.
     fn decide(&mut self, ctx: &mut Context<'_>) -> Action<Self::Msg>;
@@ -114,6 +139,13 @@ pub trait Process {
     /// this.
     fn is_done(&self) -> bool {
         self.output().is_some()
+    }
+
+    /// The first local round in which [`Process::decide`] must run again
+    /// (`u64::MAX` for never). Read only when [`Process::IDLES`] is set;
+    /// the default `0` promises nothing.
+    fn idle_until(&self) -> u64 {
+        0
     }
 }
 

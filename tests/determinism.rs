@@ -6,14 +6,20 @@
 //! edges), same metrics, same outputs — for every adversary, because both
 //! drive the same process RNG streams. The word-packed tier
 //! (`Engine::step_bitset`) is pinned to `step` by the same differential
-//! contract, tier by tier. And the parallel trial runner must be
-//! bit-identical to the serial loop it replaced.
+//! contract, tier by tier. The Section 4 MIS, whose knocked-out and
+//! covered processes promise to idle, must match the oracle on every
+//! tier too. And the parallel trial runner must be bit-identical to the
+//! serial loop it replaced.
 
 use radio_sim::adversary::{
     AllUnreliable, BurstyUnreliable, CliqueIsolator, Collider, RandomUnreliable, ReliableOnly,
 };
 use radio_sim::topology::{random_geometric, RandomGeometricConfig};
-use radio_sim::{Action, Adversary, Context, DualGraph, EngineBuilder, Graph, Process, Trace};
+use radio_sim::{
+    Action, Adversary, Context, DualGraph, EngineBuilder, Graph, NodeId, Process, Trace,
+};
+use radio_structures::params::MisParams;
+use radio_structures::Mis;
 use rand::SeedableRng;
 
 /// A randomized chatterer with a per-node output round, exercising decide,
@@ -380,6 +386,84 @@ fn bitset_clears_reach_words_on_broadcaster_less_rounds() {
             }
         }
     }
+}
+
+/// Everything observable about one MIS execution: trace, outputs,
+/// metrics and each node's first-output round.
+type MisCapture = (
+    Option<Trace>,
+    Vec<Option<bool>>,
+    radio_sim::ExecutionMetrics,
+    Vec<Option<u64>>,
+);
+
+/// Runs the Section 4 MIS through one tier until every process is done or
+/// the last process to wake has had its whole schedule.
+fn capture_mis(
+    net: &DualGraph,
+    adversary: Box<dyn Adversary>,
+    seed: u64,
+    wake_rounds: Vec<u64>,
+    tier: Tier,
+) -> MisCapture {
+    let params = MisParams::default();
+    let n = net.n();
+    let last_wake = wake_rounds.iter().copied().max().unwrap_or(1);
+    let budget = params.total_rounds(n) + last_wake - 1;
+    let mut engine = EngineBuilder::new(net.clone())
+        .seed(seed)
+        .adversary(adversary)
+        .wake_rounds(wake_rounds)
+        .record_trace(true)
+        .spawn(|info| Mis::new(info.n, info.id, params))
+        .expect("engine assembles");
+    while engine.round() < budget && !engine.procs().iter().all(Process::is_done) {
+        match tier {
+            Tier::Legacy => engine.step_legacy(),
+            Tier::Scalar => engine.step(),
+            Tier::Bitset => engine.step_bitset(),
+        }
+    }
+    let decided = (0..n).map(|v| engine.decided_round(NodeId(v))).collect();
+    (
+        engine.trace().cloned(),
+        engine.outputs(),
+        *engine.metrics(),
+        decided,
+    )
+}
+
+#[test]
+fn mis_idle_promises_match_the_oracle_on_every_tier() {
+    // The production tiers skip knocked-out and covered MIS processes;
+    // the oracle calls every one. A wrong promise (one epoch too long,
+    // say) changes who competes, so the executions part.
+    let check = |ctx: &str, net: &DualGraph, make: &AdversaryFactory, seed: u64, wake: &[u64]| {
+        let oracle = capture_mis(net, make(), seed, wake.to_vec(), Tier::Legacy);
+        for tier in [Tier::Scalar, Tier::Bitset] {
+            let got = capture_mis(net, make(), seed, wake.to_vec(), tier);
+            assert_eq!(got.0, oracle.0, "trace diverged on {ctx} ({tier:?})");
+            assert_eq!(got.1, oracle.1, "outputs diverged on {ctx} ({tier:?})");
+            assert_eq!(got.2, oracle.2, "metrics diverged on {ctx} ({tier:?})");
+            assert_eq!(
+                got.3, oracle.3,
+                "decided rounds diverged on {ctx} ({tier:?})"
+            );
+        }
+    };
+    for (net_name, net) in nets() {
+        for (adv_name, make) in adversaries() {
+            for seed in [1u64, 42] {
+                let ctx = format!("{net_name}/{adv_name}/seed {seed}");
+                check(&ctx, &net, &make, seed, &vec![1; net.n()]);
+            }
+        }
+    }
+    // Asynchronous starts: wake rounds spread over 1..=40.
+    let (_, rgg) = &nets()[0];
+    let wake: Vec<u64> = (0..rgg.n() as u64).map(|v| 1 + v * 17 % 40).collect();
+    let (_, random) = &adversaries()[2];
+    check("rgg-48/random-0.5/async", rgg, random, 7, &wake);
 }
 
 #[test]
