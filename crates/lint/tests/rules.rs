@@ -101,7 +101,8 @@ fn workspace_is_clean() {
 /// The engine carries the full marker set: a decide block for the oracle
 /// (`step_legacy`) and for the shared `decide_phase`, a receive block for
 /// each of the three tiers, and a no-alloc fence around `RoundScratch`,
-/// the three step tiers and the three shared phase helpers.
+/// the three step tiers, the three shared phase helpers and the two
+/// sparse-round helpers.
 #[test]
 fn engine_marker_coverage() {
     let src = engine_src();
@@ -122,9 +123,9 @@ fn engine_marker_coverage() {
     );
     assert_eq!(
         src.matches("// lint: begin-no-alloc").count(),
-        7,
+        9,
         "RoundScratch, step, step_legacy, step_bitset, decide_phase, \
-         adversary_phase and finish_round are fenced"
+         refresh_due, after_call, adversary_phase and finish_round are fenced"
     );
 }
 

@@ -39,8 +39,9 @@
 //!    scalar scatter on dense graphs.
 //!
 //! **One decide phase.** The two production tiers share phase 1
-//! (`Engine::decide_phase`): advance the round, then let every awake
-//! process decide in node order. `step_legacy` keeps its own copy of the
+//! (`Engine::decide_phase`): advance the round, then let every due
+//! process decide in node order (every awake one, less the promised naps
+//! below). `step_legacy` keeps its own copy of the
 //! loop as the oracle; the receive loops stay per tier, because they read
 //! reach state differently.
 //!
@@ -100,10 +101,47 @@
 //! calls every awake `decide` again and mixing tiers on one engine stays
 //! exact.
 //!
+//! **Sparse rounds.** With promises, a production round costs what happens
+//! in it: a quiet round is `O(⌈n/64⌉)` word operations, not three `O(n)`
+//! passes.
+//!
+//! * *Due set.* One bit per node (`due`) marks the processes whose
+//!   `decide` runs next round, and `next_wake` is the earliest round at
+//!   which a node outside it becomes due, by its wake round or its
+//!   promise. The decide phase walks the set bits in node order, so the
+//!   call order is unchanged. After each `decide` or `receive` call on `v`
+//!   in round `r`, `v` stays in `due` iff its promise is at most `r + 1`;
+//!   otherwise its bit clears and `next_wake` drops to the promise if that
+//!   is smaller. A message that wakes a sleeper thus puts it back at once.
+//! * *Refresh.* A round that reaches `next_wake` first rebuilds `due` and
+//!   `next_wake` from the wake rounds and `skip_until` in one `O(n)` pass —
+//!   for the MIS, at each epoch start and each distinct wake round.
+//! * *Visit set.* A listener is visited iff it was reached this round, or
+//!   it decided this round and its promise still lets it hear `⊥` (the
+//!   decide phase records that in `bit_listen`). The bitset tier walks
+//!   `bit_seen | bit_listen`; the scalar tier sets a listener's `bit_seen`
+//!   bit when it first stamps its counter and walks the same union. Both
+//!   count deliveries and collisions over the same listeners as before.
+//! * *First outputs.* Outputs change only inside a process's own calls or
+//!   through `procs_mut` (see [`Process`]), so the engine records
+//!   `decided_round` right after each call, and `finish_round` scans every
+//!   output only after spawn, after `procs_mut` and in `step_legacy`
+//!   rounds.
+//! * *Resets.* `step_legacy` and `procs_mut` also force a refresh
+//!   (`next_wake = 0`) and the output scan, so the next production round
+//!   sees every promise a legacy call changed.
+//!
+//! A process without promises runs the same loops with every node of each
+//! word as the bits, so its RNG order and its per-round cost are as before;
+//! `P::IDLES` selects only where the bits come from, and `finish_round`
+//! keeps its full scan for it.
+//!
 //! The scratch invariants:
 //!
 //! * `msgs`, `broadcasting`, `reach_*` are exactly `n` long from spawn and
-//!   are overwritten (not reallocated) every round;
+//!   are overwritten (not reallocated) every round; only the round's
+//!   broadcasters have their `broadcasting` flag set, and the next round
+//!   clears those through the broadcaster list;
 //! * `extra` holds the adversary's proposal, filtered in place by phase 2;
 //!   its capacity high-water-marks after the first few rounds, after
 //!   which `clear()` frees nothing;
@@ -115,7 +153,9 @@
 //! * the bitset tier's `bit_seen`/`bit_collide` words are `⌈n/64⌉` long
 //!   and cleared (not reallocated) every round — the same
 //!   every-round-including-empty rule, enforced by a regression test that
-//!   alternates empty and dense broadcast rounds.
+//!   alternates empty and dense broadcast rounds. The scalar tier clears
+//!   `bit_seen` under the same rule when the process makes promises, and
+//!   every decide phase rewrites `bit_listen` word by word.
 //!
 //! `BENCH_engine.json` tracks every tier's relative throughput
 //! PR-over-PR.
@@ -448,9 +488,12 @@ impl EngineBuilder {
             max_message_bits: self.max_message_bits,
             decided_round: vec![None; n],
             skip_until: vec![0; if P::IDLES { n } else { 0 }],
+            due: vec![0; if P::IDLES { n.div_ceil(64) } else { 0 }],
+            next_wake: 0,
+            scan_outputs: true,
             static_det,
             mode,
-            scratch: RoundScratch::new(n, extra_capacity),
+            scratch: RoundScratch::new(n, extra_capacity, P::IDLES),
         })
     }
 }
@@ -463,7 +506,9 @@ struct RoundScratch<M> {
     /// broadcasters' slots are meaningful; idle slots go stale (never
     /// read, never cleared).
     msgs: Vec<Option<M>>,
-    /// Whether each node broadcast this round.
+    /// Whether each node broadcast this round. Only the flags of the
+    /// round's broadcasters are set, and the next round clears them
+    /// through `broadcasters`.
     broadcasting: Vec<bool>,
     /// The nodes that broadcast this round, in node order.
     broadcasters: Vec<u32>,
@@ -483,17 +528,23 @@ struct RoundScratch<M> {
     /// The bitset tier reuses it as its delivering-source array: whenever a
     /// listener's seen bit is set cleanly, the slot holds the sender.
     reach_first: Vec<u32>,
-    /// Bitset tier: listeners reached at least once this round, one bit
-    /// per node. Cleared (never reallocated) every round.
+    /// Listeners reached at least once this round, one bit per node.
+    /// Cleared (never reallocated) every round by the bitset tier, and by
+    /// the scalar tier when the process idles (see the module docs'
+    /// *Sparse rounds*).
     bit_seen: Vec<u64>,
     /// Bitset tier: listeners reached at least twice this round (the
     /// carry-save "seen twice" half of the pair).
     bit_collide: Vec<u64>,
+    /// The nodes that decided this round and still hear `⊥` (their promise
+    /// is at most the round), one bit per node. Rewritten word by word by
+    /// every decide phase. Empty unless the process idles.
+    bit_listen: Vec<u64>,
 }
 // lint: end-no-alloc
 
 impl<M> RoundScratch<M> {
-    fn new(n: usize, extra_capacity: usize) -> Self {
+    fn new(n: usize, extra_capacity: usize, idles: bool) -> Self {
         RoundScratch {
             msgs: (0..n).map(|_| None).collect(),
             broadcasting: vec![false; n],
@@ -506,6 +557,7 @@ impl<M> RoundScratch<M> {
             reach_first: vec![0; n],
             bit_seen: vec![0; n.div_ceil(64)],
             bit_collide: vec![0; n.div_ceil(64)],
+            bit_listen: vec![0; if idles { n.div_ceil(64) } else { 0 }],
         }
     }
 }
@@ -552,6 +604,17 @@ pub struct Engine<P: Process> {
     /// Per node, the global round before which its process promised to stay
     /// idle (see the module docs' *Idle promises*). Empty unless `P::IDLES`.
     skip_until: Vec<u64>,
+    /// One bit per node: the processes whose `decide` the next production
+    /// round calls (see the module docs' *Sparse rounds*). Empty unless
+    /// `P::IDLES`.
+    due: Vec<u64>,
+    /// No node outside `due` becomes due before this round; a round that
+    /// reaches it rebuilds `due` first. `0` forces the rebuild.
+    next_wake: u64,
+    /// Whether the next `finish_round` scans every output for first-output
+    /// rounds. Always scanned when the process does not idle; otherwise set
+    /// at spawn, by `procs_mut` and by `step_legacy`.
+    scan_outputs: bool,
     /// A shared handle on the provider's sets when it is static (see
     /// [`DetectorProvider::static_assignment`]); `None` for genuinely
     /// dynamic detectors.
@@ -560,6 +623,16 @@ pub struct Engine<P: Process> {
     /// [`StepMode::Auto`] after spawn).
     mode: StepMode,
     scratch: RoundScratch<P::Msg>,
+}
+
+/// The bits of word `w` that name nodes of an `n`-node network: all 64
+/// except in a partial last word.
+#[inline]
+fn node_bits(n: usize, w: usize) -> u64 {
+    match n - (w << 6) {
+        rest @ 0..=63 => (1 << rest) - 1,
+        _ => !0,
+    }
 }
 
 /// The detector set of node `v` at round `r` — an `O(1)` view on the shared
@@ -585,10 +658,15 @@ impl<P: Process> Engine<P> {
     /// Allocation-free in steady state: all per-round buffers live in the
     /// engine's scratch (see the module docs). Deliveries are computed by
     /// scattering each broadcaster's CSR neighborhood into epoch-stamped
-    /// reach counters, `O(Σ deg(broadcasters) + extra edges + n)` per round.
+    /// reach counters. Cost per round, for `B` broadcasters:
+    /// `O(⌈n/64⌉ + |due| + Σ deg(B) + extra edges + |visited|)`, where the
+    /// due deciders and visited listeners are every awake node for a process
+    /// that keeps the default promise, and only the ones the module docs'
+    /// *Sparse rounds* name for one that idles (plus `O(n)` on the rounds a
+    /// promise lapses).
     // lint: begin-no-alloc
     pub fn step(&mut self) {
-        // Phase 1: every awake process decides (see `decide_phase`).
+        // Phase 1: every due process decides (see `decide_phase`).
         let broadcaster_count = self.decide_phase();
         let n = self.net.n();
         let r = self.round;
@@ -601,8 +679,12 @@ impl<P: Process> Engine<P> {
         // stamped counters, then each activated unreliable edge bumps its
         // listening endpoint. The epoch advances every round — including
         // broadcaster-less ones, where stale reach state from earlier
-        // rounds must not deliver.
+        // rounds must not deliver. A promising process also marks each
+        // listener's first stamp in `bit_seen`, cleared under the same rule.
         self.scratch.epoch += 1;
+        if P::IDLES {
+            self.scratch.bit_seen.fill(0);
+        }
         if broadcaster_count > 0 {
             let epoch = self.scratch.epoch;
             let csr_g = self.net.g_csr();
@@ -613,6 +695,7 @@ impl<P: Process> Engine<P> {
                 reach_stamp,
                 reach_count,
                 reach_first,
+                bit_seen,
                 ..
             } = &mut self.scratch;
             let mut bump = |from: u32, to: usize| {
@@ -620,6 +703,9 @@ impl<P: Process> Engine<P> {
                     reach_stamp[to] = epoch;
                     reach_count[to] = 1;
                     reach_first[to] = from;
+                    if P::IDLES {
+                        bit_seen[to >> 6] |= 1 << (to & 63);
+                    }
                 } else {
                     reach_count[to] += 1;
                 }
@@ -636,44 +722,55 @@ impl<P: Process> Engine<P> {
         }
 
         // Delivery: exactly one reachable broadcaster => message; otherwise
-        // ⊥. Sleeping nodes neither broadcast nor receive.
+        // ⊥. Sleeping nodes neither broadcast nor receive. The loop visits
+        // every node of each word, or, for a promising process, only the
+        // reached and ⊥-hearing listeners.
         let epoch = self.scratch.epoch;
         let mut deliveries = 0u32;
         let mut collisions = 0u32;
         // lint: rng-order(receive)
-        for v in 0..n {
-            if self.wake_rounds[v] > r || self.scratch.broadcasting[v] {
-                continue;
-            }
-            let reach = if self.scratch.reach_stamp[v] == epoch {
-                self.scratch.reach_count[v]
+        for w in 0..n.div_ceil(64) {
+            let mut pending = if P::IDLES {
+                self.scratch.bit_seen[w] | self.scratch.bit_listen[w]
             } else {
-                0
+                node_bits(n, w)
             };
-            let delivered = if reach == 1 {
-                deliveries += 1;
-                Some(self.scratch.reach_first[v] as usize)
-            } else {
-                if reach >= 2 {
-                    collisions += 1;
+            while pending != 0 {
+                let v = (w << 6) | pending.trailing_zeros() as usize;
+                pending &= pending - 1;
+                if self.wake_rounds[v] > r || self.scratch.broadcasting[v] {
+                    continue;
                 }
-                None
-            };
-            if P::IDLES && delivered.is_none() && r < self.skip_until[v] {
-                continue;
-            }
-            let det = detector_set(&self.static_det, self.detectors.as_ref(), v, r);
-            let mut ctx = Context {
-                local_round: r - self.wake_rounds[v] + 1,
-                n,
-                my_id: self.ids.id_of(NodeId(v)),
-                detector: det,
-                rng: &mut self.rngs[v],
-            };
-            let msg = delivered.and_then(|u| self.scratch.msgs[u].as_ref());
-            self.procs[v].receive(&mut ctx, msg);
-            if P::IDLES {
-                self.skip_until[v] = self.promised_round(v);
+                let reach = if self.scratch.reach_stamp[v] == epoch {
+                    self.scratch.reach_count[v]
+                } else {
+                    0
+                };
+                let delivered = if reach == 1 {
+                    deliveries += 1;
+                    Some(self.scratch.reach_first[v] as usize)
+                } else {
+                    if reach >= 2 {
+                        collisions += 1;
+                    }
+                    None
+                };
+                if P::IDLES && delivered.is_none() && r < self.skip_until[v] {
+                    continue;
+                }
+                let det = detector_set(&self.static_det, self.detectors.as_ref(), v, r);
+                let mut ctx = Context {
+                    local_round: r - self.wake_rounds[v] + 1,
+                    n,
+                    my_id: self.ids.id_of(NodeId(v)),
+                    detector: det,
+                    rng: &mut self.rngs[v],
+                };
+                let msg = delivered.and_then(|u| self.scratch.msgs[u].as_ref());
+                self.procs[v].receive(&mut ctx, msg);
+                if P::IDLES {
+                    self.after_call(v, r);
+                }
             }
         }
         // lint: end-rng-order(receive)
@@ -695,8 +792,10 @@ impl<P: Process> Engine<P> {
         self.metrics.rounds = r;
         if P::IDLES {
             // The oracle ignores promises; the next production round
-            // re-reads every one.
+            // re-reads every one, and this round rescans every output.
             self.skip_until.fill(0);
+            self.next_wake = 0;
+            self.scan_outputs = true;
         }
 
         // Phase 1: every awake process decides.
@@ -832,15 +931,19 @@ impl<P: Process> Engine<P> {
     /// or more" (collision), which is all the model's delivery rule needs.
     /// The adversary's activated unreliable edges overlay single bits, and
     /// a second row pass records each cleanly reached listener's unique
-    /// source. Cost: `O(B·⌈n/64⌉ + extra + n)` word operations per round
-    /// for `B` broadcasters.
+    /// source. Cost: `O(⌈n/64⌉·(B+1) + extra + |due| + |visited|)` word
+    /// operations per round for `B` broadcasters, where the due deciders and
+    /// visited listeners are every awake node for a process that keeps the
+    /// default promise, and only the ones the module docs' *Sparse rounds*
+    /// name for one that idles (plus `O(n)` on the rounds a promise
+    /// lapses).
     ///
     /// Allocation-free in steady state. The bitmask rows are built (and
     /// cached on the network) at spawn for engines resolved to
     /// [`StepMode::Bitset`], or on the first call otherwise.
     // lint: begin-no-alloc
     pub fn step_bitset(&mut self) {
-        // Phase 1: every awake process decides (see `decide_phase`).
+        // Phase 1: every due process decides (see `decide_phase`).
         let broadcaster_count = self.decide_phase();
         let n = self.net.n();
         let r = self.round;
@@ -907,39 +1010,49 @@ impl<P: Process> Engine<P> {
 
         // Delivery: read each listener's bit pair — collide => ⊥ with a
         // collision counted, seen => the recorded source's message,
-        // neither => silence. Same receive-call order as `step`.
+        // neither => silence. Same receive-call order and visit rule as
+        // `step`.
         let mut deliveries = 0u32;
         let mut collisions = 0u32;
         // lint: rng-order(receive)
-        for v in 0..n {
-            if self.wake_rounds[v] > r || self.scratch.broadcasting[v] {
-                continue;
-            }
-            let (w, bit) = (v >> 6, 1u64 << (v & 63));
-            let delivered = if self.scratch.bit_collide[w] & bit != 0 {
-                collisions += 1;
-                None
-            } else if self.scratch.bit_seen[w] & bit != 0 {
-                deliveries += 1;
-                Some(self.scratch.reach_first[v] as usize)
+        for w in 0..words {
+            let mut pending = if P::IDLES {
+                self.scratch.bit_seen[w] | self.scratch.bit_listen[w]
             } else {
-                None
+                node_bits(n, w)
             };
-            if P::IDLES && delivered.is_none() && r < self.skip_until[v] {
-                continue;
-            }
-            let det = detector_set(&self.static_det, self.detectors.as_ref(), v, r);
-            let mut ctx = Context {
-                local_round: r - self.wake_rounds[v] + 1,
-                n,
-                my_id: self.ids.id_of(NodeId(v)),
-                detector: det,
-                rng: &mut self.rngs[v],
-            };
-            let msg = delivered.and_then(|u| self.scratch.msgs[u].as_ref());
-            self.procs[v].receive(&mut ctx, msg);
-            if P::IDLES {
-                self.skip_until[v] = self.promised_round(v);
+            while pending != 0 {
+                let bit = pending & pending.wrapping_neg();
+                pending ^= bit;
+                let v = (w << 6) | bit.trailing_zeros() as usize;
+                if self.wake_rounds[v] > r || self.scratch.broadcasting[v] {
+                    continue;
+                }
+                let delivered = if self.scratch.bit_collide[w] & bit != 0 {
+                    collisions += 1;
+                    None
+                } else if self.scratch.bit_seen[w] & bit != 0 {
+                    deliveries += 1;
+                    Some(self.scratch.reach_first[v] as usize)
+                } else {
+                    None
+                };
+                if P::IDLES && delivered.is_none() && r < self.skip_until[v] {
+                    continue;
+                }
+                let det = detector_set(&self.static_det, self.detectors.as_ref(), v, r);
+                let mut ctx = Context {
+                    local_round: r - self.wake_rounds[v] + 1,
+                    n,
+                    my_id: self.ids.id_of(NodeId(v)),
+                    detector: det,
+                    rng: &mut self.rngs[v],
+                };
+                let msg = delivered.and_then(|u| self.scratch.msgs[u].as_ref());
+                self.procs[v].receive(&mut ctx, msg);
+                if P::IDLES {
+                    self.after_call(v, r);
+                }
             }
         }
         // lint: end-rng-order(receive)
@@ -948,9 +1061,14 @@ impl<P: Process> Engine<P> {
     // lint: end-no-alloc
 
     /// Phase 1 of every production tier: advance the round and let every
-    /// awake process decide, in node order — the loop (and therefore the
+    /// due process decide, in node order — the loop (and therefore the
     /// per-process RNG draw order) of `step_legacy`'s phase 1, less the
     /// calls an idle promise makes moot. Returns the broadcaster count.
+    ///
+    /// Without promises every awake node is due. With them the loop walks
+    /// the set bits of `due`, rebuilt first when some node outside it may
+    /// have become due (see the module docs' *Sparse rounds*), and records
+    /// in `bit_listen` who decided and still hears `⊥`.
     ///
     /// Idle nodes' `msgs` slots are left stale on purpose: delivery only
     /// ever dereferences the slot of a *current-round* broadcaster (via
@@ -961,26 +1079,42 @@ impl<P: Process> Engine<P> {
         self.round += 1;
         let r = self.round;
         self.metrics.rounds = r;
-        self.scratch.broadcasters.clear();
+        let RoundScratch {
+            broadcasters,
+            broadcasting,
+            ..
+        } = &mut self.scratch;
+        for &u in broadcasters.iter() {
+            broadcasting[u as usize] = false;
+        }
+        broadcasters.clear();
+        if P::IDLES && r >= self.next_wake {
+            self.refresh_due(r);
+        }
         // lint: rng-order(decide)
-        for v in 0..n {
-            if self.wake_rounds[v] > r || (P::IDLES && r < self.skip_until[v]) {
-                self.scratch.broadcasting[v] = false;
-                continue;
-            }
-            let det = detector_set(&self.static_det, self.detectors.as_ref(), v, r);
-            let mut ctx = Context {
-                local_round: r - self.wake_rounds[v] + 1,
-                n,
-                my_id: self.ids.id_of(NodeId(v)),
-                detector: det,
-                rng: &mut self.rngs[v],
+        for w in 0..n.div_ceil(64) {
+            let mut pending = if P::IDLES {
+                self.due[w]
+            } else {
+                node_bits(n, w)
             };
-            match self.procs[v].decide(&mut ctx) {
-                Action::Idle => {
-                    self.scratch.broadcasting[v] = false;
+            let mut listen = 0;
+            while pending != 0 {
+                let bit = pending & pending.wrapping_neg();
+                pending ^= bit;
+                let v = (w << 6) | bit.trailing_zeros() as usize;
+                if self.wake_rounds[v] > r {
+                    continue;
                 }
-                Action::Broadcast(m) => {
+                let det = detector_set(&self.static_det, self.detectors.as_ref(), v, r);
+                let mut ctx = Context {
+                    local_round: r - self.wake_rounds[v] + 1,
+                    n,
+                    my_id: self.ids.id_of(NodeId(v)),
+                    detector: det,
+                    rng: &mut self.rngs[v],
+                };
+                if let Action::Broadcast(m) = self.procs[v].decide(&mut ctx) {
                     let bits = m.bits();
                     self.metrics.broadcasts += 1;
                     self.metrics.bits_broadcast += bits;
@@ -993,9 +1127,12 @@ impl<P: Process> Engine<P> {
                     self.scratch.broadcasters.push(v as u32);
                     self.scratch.msgs[v] = Some(m);
                 }
+                if P::IDLES && self.after_call(v, r) <= r {
+                    listen |= bit;
+                }
             }
             if P::IDLES {
-                self.skip_until[v] = self.promised_round(v);
+                self.scratch.bit_listen[w] = listen;
             }
         }
         // lint: end-rng-order(decide)
@@ -1003,14 +1140,56 @@ impl<P: Process> Engine<P> {
     }
     // lint: end-no-alloc
 
-    /// Node `v`'s idle promise as a global round: its process's local
-    /// `idle_until` shifted by the wake round, saturating at `u64::MAX`.
-    #[inline]
-    fn promised_round(&self, v: usize) -> u64 {
-        self.procs[v]
-            .idle_until()
-            .saturating_add(self.wake_rounds[v] - 1)
+    /// Rebuilds `due` and `next_wake` for round `r` from the wake rounds
+    /// and promises: a node is due once it is awake and its promise has
+    /// lapsed. `O(n)`, so it runs only in a round that reaches
+    /// `next_wake`.
+    // lint: begin-no-alloc
+    fn refresh_due(&mut self, r: u64) {
+        let mut next_wake = u64::MAX;
+        let words = self.due.iter_mut();
+        let nodes = self.wake_rounds.chunks(64).zip(self.skip_until.chunks(64));
+        for (word, (wake, skip)) in words.zip(nodes) {
+            *word = 0;
+            for (i, (&a, &b)) in wake.iter().zip(skip).enumerate() {
+                let due_at = a.max(b);
+                if due_at <= r {
+                    *word |= 1 << i;
+                } else {
+                    next_wake = next_wake.min(due_at);
+                }
+            }
+        }
+        self.next_wake = next_wake;
     }
+    // lint: end-no-alloc
+
+    /// Bookkeeping after a `decide` or `receive` call on node `v` in round
+    /// `r`, made only when `P::IDLES`: re-reads the promise as a global
+    /// round (the local `idle_until` shifted by the wake round,
+    /// saturating), keeps `v` in `due` iff it must decide next round
+    /// (lowering `next_wake` when it leaves), and records a first output.
+    /// Returns the promise.
+    // lint: begin-no-alloc
+    #[inline]
+    fn after_call(&mut self, v: usize, r: u64) -> u64 {
+        let promise = self.procs[v]
+            .idle_until()
+            .saturating_add(self.wake_rounds[v] - 1);
+        self.skip_until[v] = promise;
+        let (w, bit) = (v >> 6, 1u64 << (v & 63));
+        if promise <= r + 1 {
+            self.due[w] |= bit;
+        } else {
+            self.due[w] &= !bit;
+            self.next_wake = self.next_wake.min(promise);
+        }
+        if self.decided_round[v].is_none() && self.procs[v].output().is_some() {
+            self.decided_round[v] = Some(r);
+        }
+        promise
+    }
+    // lint: end-no-alloc
 
     /// Phase 2 of every production tier: collects the adversary's
     /// proposal for the current round into `scratch.extra` and leaves
@@ -1079,7 +1258,10 @@ impl<P: Process> Engine<P> {
     // lint: end-no-alloc
 
     /// Shared end-of-round bookkeeping: aggregate metrics, first-output
-    /// rounds, and the optional trace record.
+    /// rounds, and the optional trace record. The output scan runs every
+    /// round for a process that keeps the default promise; for one that
+    /// idles, `after_call` records first outputs as calls happen, and the
+    /// scan runs only when `scan_outputs` asks for it.
     // lint: begin-no-alloc
     fn finish_round(
         &mut self,
@@ -1091,9 +1273,12 @@ impl<P: Process> Engine<P> {
     ) {
         self.metrics.deliveries += u64::from(deliveries);
         self.metrics.collisions += u64::from(collisions);
-        for v in 0..self.decided_round.len() {
-            if self.decided_round[v].is_none() && self.procs[v].output().is_some() {
-                self.decided_round[v] = Some(r);
+        if !P::IDLES || self.scan_outputs {
+            self.scan_outputs = false;
+            for v in 0..self.decided_round.len() {
+                if self.decided_round[v].is_none() && self.procs[v].output().is_some() {
+                    self.decided_round[v] = Some(r);
+                }
             }
         }
         if let Some(trace) = &mut self.trace {
@@ -1179,10 +1364,13 @@ impl<P: Process> Engine<P> {
 
     /// Mutable access to the processes (used by wrappers such as the
     /// continuous CCDS that restart protocols between runs). Every idle
-    /// promise lapses: the next round calls every awake `decide`.
+    /// promise lapses: the next round calls every awake `decide`, and its
+    /// end rescans every output for first-output rounds.
     pub fn procs_mut(&mut self) -> &mut [P] {
         if P::IDLES {
             self.skip_until.fill(0);
+            self.next_wake = 0;
+            self.scan_outputs = true;
         }
         &mut self.procs
     }
@@ -1791,6 +1979,193 @@ mod tests {
                     assert_eq!(p.decides - before[v], u64::from(v != 69), "node {v}");
                 }
             }
+        }
+    }
+
+    /// Node 0 is a beacon: it promises nothing and broadcasts every third
+    /// local round. Every other node broadcasts its id with probability
+    /// 0.3 when it decides, then promises `u64::MAX` until a message wakes
+    /// it, so no nap ever lapses: only the engine's bookkeeping after a
+    /// call brings a sleeper back. Outputs once it hears a message, unless
+    /// `out` was set first.
+    #[derive(Default)]
+    struct Sleeper {
+        beacon: bool,
+        /// First local round in which `decide` must run again.
+        wake_at: u64,
+        /// A message cut the current nap short.
+        woken: bool,
+        /// Woken naps whose next `decide` came after `wake_at`.
+        late_wakes: u64,
+        /// Every message heard, with its local round.
+        heard: Vec<(u64, u32)>,
+        out: Option<bool>,
+    }
+
+    impl Process for Sleeper {
+        type Msg = u32;
+        const IDLES: bool = true;
+
+        fn decide(&mut self, ctx: &mut Context<'_>) -> Action<u32> {
+            if std::mem::take(&mut self.woken) && ctx.local_round != self.wake_at {
+                self.late_wakes += 1;
+            }
+            let broadcast = if self.beacon {
+                ctx.local_round.is_multiple_of(3)
+            } else if ctx.local_round < self.wake_at {
+                false
+            } else {
+                self.wake_at = u64::MAX;
+                ctx.rng.gen_bool(0.3)
+            };
+            if broadcast {
+                Action::Broadcast(ctx.my_id.get())
+            } else {
+                Action::Idle
+            }
+        }
+
+        fn receive(&mut self, ctx: &mut Context<'_>, msg: Option<&u32>) {
+            if let Some(&m) = msg {
+                self.heard.push((ctx.local_round, m));
+                self.out.get_or_insert(true);
+                if !self.beacon && ctx.local_round < self.wake_at {
+                    self.wake_at = ctx.local_round + 1;
+                    self.woken = true;
+                }
+            }
+        }
+
+        fn output(&self) -> Option<bool> {
+            self.out
+        }
+
+        fn idle_until(&self) -> u64 {
+            if self.beacon {
+                0
+            } else {
+                self.wake_at
+            }
+        }
+    }
+
+    type SleeperTier = fn(&mut Engine<Sleeper>);
+
+    /// Steps `e` for `rounds` rounds, switching to the next of `tiers`
+    /// (cyclically) every five rounds.
+    fn step_in_stints(e: &mut Engine<Sleeper>, rounds: u64, tiers: &[SleeperTier]) {
+        for _ in 0..rounds {
+            tiers[(e.round() / 5) as usize % tiers.len()](e);
+        }
+    }
+
+    /// Pure scalar, pure bitset, and both interleaved with the oracle.
+    const SLEEPER_RUNS: [&[SleeperTier]; 3] = [
+        &[Engine::step],
+        &[Engine::step_bitset],
+        &[Engine::step, Engine::step_legacy, Engine::step_bitset],
+    ];
+
+    /// G: a 70-node ring joining each node to the next two; G': the next
+    /// four. Sparse, so a sleeper's wake travels as a wave instead of
+    /// colliding everywhere at once.
+    fn ring_net() -> DualGraph {
+        let ring = |k: usize| {
+            Graph::from_edges(
+                70,
+                (0..70).flat_map(|i| (1..=k).map(move |d| (i, (i + d) % 70))),
+            )
+            .unwrap()
+        };
+        DualGraph::new(ring(2), ring(4)).unwrap()
+    }
+
+    fn sleeper_engine(
+        seed: u64,
+        wake_rounds: Vec<u64>,
+        out: impl Fn(usize) -> Option<bool>,
+    ) -> Engine<Sleeper> {
+        EngineBuilder::new(ring_net())
+            .seed(seed)
+            .adversary(crate::adversary::RandomUnreliable::new(0.5, 8))
+            .wake_rounds(wake_rounds)
+            .record_trace(true)
+            .spawn(|info| Sleeper {
+                beacon: info.node.index() == 0,
+                out: out(info.node.index()),
+                ..Sleeper::default()
+            })
+            .unwrap()
+    }
+
+    fn decided_rounds<P: Process>(e: &Engine<P>) -> Vec<Option<u64>> {
+        (0..e.net().n())
+            .map(|v| e.decided_round(NodeId(v)))
+            .collect()
+    }
+
+    #[test]
+    fn woken_sleepers_match_the_oracle_on_interleaved_tiers() {
+        // Everyone wakes at round 1, so the only rebuild of the due set
+        // after round 1 comes from a `step_legacy` round: a sleeper that a
+        // message wakes must be brought back by the call's own bookkeeping.
+        let capture = |tiers: &[SleeperTier]| {
+            let mut e = sleeper_engine(6, vec![1; 70], |_| None);
+            step_in_stints(&mut e, 150, tiers);
+            let late: u64 = e.procs().iter().map(|p| p.late_wakes).sum();
+            assert_eq!(
+                late,
+                0,
+                "a woken sleeper decided late ({} tiers)",
+                tiers.len()
+            );
+            let heard: Vec<_> = e.procs().iter().map(|p| p.heard.clone()).collect();
+            (
+                e.trace().unwrap().clone(),
+                *e.metrics(),
+                heard,
+                decided_rounds(&e),
+            )
+        };
+        let oracle = capture(&[Engine::step_legacy]);
+        // The beacon alone broadcasts 50 times; the rest come from woken
+        // sleepers, which keep waking to the end.
+        assert!(
+            oracle.1.broadcasts > 100,
+            "{} broadcasts",
+            oracle.1.broadcasts
+        );
+        let tail = &oracle.0.rounds[120..];
+        assert!(tail.iter().map(|rec| rec.broadcasters).sum::<u32>() > tail.len() as u32 / 3);
+        for tiers in SLEEPER_RUNS {
+            assert_eq!(capture(tiers), oracle, "diverged ({} tiers)", tiers.len());
+        }
+    }
+
+    #[test]
+    fn first_output_rounds_match_the_oracle_on_every_path() {
+        // Node 1 outputs at spawn and sleeps until round 50; node 2 sleeps
+        // until round 100, and `procs_mut` sets its output after round 30.
+        // Neither is called before it wakes, so only the output scans after
+        // spawn and after `procs_mut` can date them.
+        let mut wake = vec![1; 70];
+        wake[1] = 50;
+        wake[2] = 100;
+        let capture = |tiers: &[SleeperTier]| {
+            let mut e = sleeper_engine(2, wake.clone(), |v| (v == 1).then_some(false));
+            step_in_stints(&mut e, 30, tiers);
+            e.procs_mut()[2].out = Some(true);
+            step_in_stints(&mut e, 90, tiers);
+            decided_rounds(&e)
+        };
+        let oracle = capture(&[Engine::step_legacy]);
+        assert_eq!(oracle[1], Some(1));
+        assert_eq!(oracle[2], Some(31));
+        // Most nodes output inside a `receive`, dated by the call itself.
+        assert!(oracle.iter().filter(|d| d.is_some_and(|r| r > 1)).count() > 30);
+        for tiers in SLEEPER_RUNS {
+            // Round 1 and round 31 are production rounds on every run.
+            assert_eq!(capture(tiers), oracle, "{} tiers", tiers.len());
         }
     }
 }

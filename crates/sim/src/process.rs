@@ -109,6 +109,12 @@ pub struct Context<'a> {
 ///   call it makes. While a promise holds it skips the process's `decide`
 ///   and any `receive` that would hand it `⊥`; a message always reaches
 ///   its listener, and that `receive` may cut the nap short.
+/// * [`Process::output`] and [`Process::is_done`] change only inside the
+///   process's own `decide` and `receive` calls, or through
+///   `Engine::procs_mut`. The engine relies on this: for a promising
+///   process it records first-output rounds right after each call, and
+///   rescans every output only after spawn, after `procs_mut` and in
+///   `step_legacy` rounds.
 ///
 /// `Engine::step_legacy` ignores promises and calls everyone, so a false
 /// promise shows up as a divergence from it.

@@ -8,8 +8,9 @@
 //! (`Engine::step_bitset`) is pinned to `step` by the same differential
 //! contract, tier by tier. The Section 4 MIS, whose knocked-out and
 //! covered processes promise to idle, must match the oracle on every
-//! tier too. And the parallel trial runner must be bit-identical to the
-//! serial loop it replaced.
+//! tier too, and so must a test process whose naps run long or forever
+//! across bit-word boundaries. And the parallel trial runner must be
+//! bit-identical to the serial loop it replaced.
 
 use radio_sim::adversary::{
     AllUnreliable, BurstyUnreliable, CliqueIsolator, Collider, RandomUnreliable, ReliableOnly,
@@ -464,6 +465,134 @@ fn mis_idle_promises_match_the_oracle_on_every_tier() {
     let wake: Vec<u64> = (0..rgg.n() as u64).map(|v| 1 + v * 17 % 40).collect();
     let (_, random) = &adversaries()[2];
     check("rgg-48/random-0.5/async", rgg, random, 7, &wake);
+}
+
+/// After each `decide` it makes, naps 0–5 rounds, 30–200 rounds or for
+/// good, drawn from its own RNG; a message ends any nap. Broadcasts its id
+/// with probability 0.3 when it decides and outputs once it has heard a
+/// message. Counts woken naps whose next `decide` came late.
+#[derive(Default)]
+struct LongNapper {
+    /// First local round in which `decide` must run again.
+    wake_at: u64,
+    /// A message cut the current nap short.
+    woken: bool,
+    /// Messages that cut a nap with more than five rounds left.
+    long_naps_cut: u64,
+    late_wakes: u64,
+    heard: Vec<(u64, u32)>,
+}
+
+impl Process for LongNapper {
+    type Msg = u32;
+    const IDLES: bool = true;
+
+    fn decide(&mut self, ctx: &mut Context<'_>) -> Action<u32> {
+        use rand::Rng;
+        if std::mem::take(&mut self.woken) && ctx.local_round != self.wake_at {
+            self.late_wakes += 1;
+        }
+        if ctx.local_round < self.wake_at {
+            return Action::Idle;
+        }
+        self.wake_at = match ctx.rng.gen_range(0..4u32) {
+            0 | 1 => ctx.local_round + ctx.rng.gen_range(0..6u64),
+            2 => ctx.local_round + ctx.rng.gen_range(30..=200u64),
+            _ => u64::MAX,
+        };
+        if ctx.rng.gen_bool(0.3) {
+            Action::Broadcast(ctx.my_id.get())
+        } else {
+            Action::Idle
+        }
+    }
+
+    fn receive(&mut self, ctx: &mut Context<'_>, msg: Option<&u32>) {
+        if let Some(&m) = msg {
+            self.heard.push((ctx.local_round, m));
+            if ctx.local_round < self.wake_at {
+                self.long_naps_cut += u64::from(self.wake_at - ctx.local_round > 5);
+                self.wake_at = ctx.local_round + 1;
+                self.woken = true;
+            }
+        }
+    }
+
+    fn output(&self) -> Option<bool> {
+        (!self.heard.is_empty()).then_some(true)
+    }
+
+    fn is_done(&self) -> bool {
+        false
+    }
+
+    fn idle_until(&self) -> u64 {
+        self.wake_at
+    }
+}
+
+/// A ring whose `G` joins each node to the three next ones and whose `G'`
+/// adds the three after those.
+fn ring_net(n: usize) -> DualGraph {
+    let ring = |offsets: std::ops::RangeInclusive<usize>| {
+        let edges = (0..n).flat_map(|i| offsets.clone().map(move |d| (i, (i + d) % n)));
+        Graph::from_edges(n, edges).expect("ring")
+    };
+    DualGraph::new(ring(1..=3), ring(1..=6)).expect("valid dual graph")
+}
+
+#[test]
+fn long_naps_across_word_boundaries_match_the_oracle() {
+    // Long naps and naps for good leave the due set without a rebuild for
+    // many rounds, so a sleeper that a message wakes must be brought back
+    // by the bookkeeping after that `receive`, and a node whose nap lapses
+    // by a rebuild — on nets whose last bit word is partial, full, or
+    // holds one node.
+    for n in [63usize, 64, 65, 129] {
+        let net = ring_net(n);
+        let wake: Vec<u64> = (0..n as u64).map(|v| 1 + v * 37 % 300).collect();
+        let capture = |tier: Tier| {
+            let mut engine = EngineBuilder::new(net.clone())
+                .seed(n as u64)
+                .adversary(RandomUnreliable::new(0.5, 3))
+                .wake_rounds(wake.clone())
+                .record_trace(true)
+                .spawn(|_| LongNapper::default())
+                .expect("engine assembles");
+            for _ in 0..600 {
+                match tier {
+                    Tier::Legacy => engine.step_legacy(),
+                    Tier::Scalar => engine.step(),
+                    Tier::Bitset => engine.step_bitset(),
+                }
+            }
+            let procs = engine.procs();
+            let late: u64 = procs.iter().map(|p| p.late_wakes).sum();
+            assert_eq!(late, 0, "a woken nap decided late on n = {n} ({tier:?})");
+            let cut: u64 = procs.iter().map(|p| p.long_naps_cut).sum();
+            let heard: Vec<_> = procs.iter().map(|p| p.heard.clone()).collect();
+            let decided: Vec<_> = (0..n).map(|v| engine.decided_round(NodeId(v))).collect();
+            (
+                engine.trace().cloned(),
+                *engine.metrics(),
+                heard,
+                decided,
+                cut,
+            )
+        };
+        let oracle = capture(Tier::Legacy);
+        assert!(oracle.4 > 0, "no message cut a long nap on n = {n}");
+        for tier in [Tier::Scalar, Tier::Bitset] {
+            let got = capture(tier);
+            assert_eq!(got.0, oracle.0, "trace diverged on n = {n} ({tier:?})");
+            assert_eq!(got.1, oracle.1, "metrics diverged on n = {n} ({tier:?})");
+            assert_eq!(got.2, oracle.2, "messages diverged on n = {n} ({tier:?})");
+            assert_eq!(
+                got.3, oracle.3,
+                "decided rounds diverged on n = {n} ({tier:?})"
+            );
+        }
+    }
 }
 
 #[test]

@@ -6,7 +6,8 @@
 //! high-water-marks every scratch buffer (and, for the bitset tier, built
 //! the cached bitmask rows), stepping the engine must not touch the heap
 //! at all — on any canonical workload, in either zero-alloc tier, for a
-//! process that never idles and for one that promises naps.
+//! process that never idles and for one that promises naps, long enough
+//! that the engine rebuilds its due set inside the counted rounds.
 
 use radio_bench::enginebench::{workload_builder, workload_engine_mode, CHATTER_P, WORKLOADS};
 use radio_sim::{Action, Context, Engine, Process, StepMode};
@@ -39,8 +40,8 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static GLOBAL: CountingAlloc = CountingAlloc;
 
 /// Broadcasts with the workload's probability when it decides, then
-/// promises a nap of 0–5 rounds drawn from its own RNG; a message ends
-/// the nap.
+/// promises a nap of 0–5 rounds or, one time in five, of 30–200 rounds,
+/// drawn from its own RNG; a message ends the nap.
 #[derive(Default)]
 struct Napper {
     wake_at: u64,
@@ -56,7 +57,12 @@ impl Process for Napper {
             return Action::Idle;
         }
         self.decides += 1;
-        self.wake_at = ctx.local_round + ctx.rng.gen_range(0..6u64);
+        let nap = if ctx.rng.gen_bool(0.2) {
+            30..=200
+        } else {
+            0..=5
+        };
+        self.wake_at = ctx.local_round + ctx.rng.gen_range::<u64, _>(nap);
         if ctx.rng.gen_bool(CHATTER_P) {
             Action::Broadcast(ctx.my_id.get())
         } else {
