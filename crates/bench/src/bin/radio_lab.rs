@@ -57,7 +57,11 @@
 //! tail back to the checkpointed durable prefix (with a warning), and
 //! continues from the last durable chunk; the final table, CSV, and
 //! JSONL are **byte-identical** to an uninterrupted run. A fingerprint
-//! mismatch (the spec changed) is refused.
+//! mismatch (the spec changed) is refused. Checkpointed, sharded and
+//! served slices run the same executor as plain `--stream` — one shared
+//! build per run of deterministic-topology units, fused cells — through
+//! [`radio_bench::checkpoint::run_slice_checkpointed`], and set up a
+//! resume through [`radio_bench::checkpoint::resume_or_start`].
 //!
 //! `--shard i/m` (requires `--stream`, one scenario) runs the i-th of
 //! `m` contiguous index ranges and writes a
@@ -73,7 +77,7 @@
 #![forbid(unsafe_code)]
 
 use radio_bench::checkpoint::{
-    merge_partials, shard_range, truncate_jsonl_to_lines, ShardPartial, ShardRef, SweepCheckpoint,
+    merge_partials, resume_or_start, shard_range, ShardPartial, ShardRef, SweepCheckpoint,
     PARTIAL_SCHEMA,
 };
 use radio_bench::scenario::{
@@ -592,51 +596,11 @@ fn run_checkpointed(
                 _ => fail(&format!("RADIO_LAB_DIE_AFTER_CHUNKS must be >= 1, got {v}")),
             });
 
-    let (mut agg, mut jsonl, todo_start, base_records, base_wall_s);
-    if resume {
+    let checkpoint = if resume {
         let cp_path = Path::new(checkpoint_path.expect("--resume implies --checkpoint"));
-        let cp = SweepCheckpoint::load(cp_path).unwrap_or_else(|e| {
-            fail(&format!("cannot resume: {e}"));
-        });
-        cp.validate(spec, shard, &bounds, records_path.is_some())
-            .unwrap_or_else(|e| fail(&format!("cannot resume: {e}")));
-        jsonl = match (cp.jsonl_lines, records_path) {
-            (Some(lines), Some(path)) => {
-                let report = truncate_jsonl_to_lines(Path::new(path), lines)
-                    .unwrap_or_else(|e| fail(&format!("cannot resume: {e}")));
-                if report.dropped_bytes > 0 {
-                    eprintln!(
-                        "warning: {path}: dropped {} byte(s) past the checkpoint ({} complete \
-                         line(s){}) — the resumed sweep re-emits them",
-                        report.dropped_bytes,
-                        report.dropped_lines,
-                        if report.torn_tail {
-                            " plus a torn final line"
-                        } else {
-                            ""
-                        }
-                    );
-                }
-                let file = std::fs::OpenOptions::new()
-                    .append(true)
-                    .open(path)
-                    .unwrap_or_else(|e| fail(&format!("cannot append to {path}: {e}")));
-                Some(JsonlWriter::resume(
-                    BufWriter::new(SinkFile::new(file)),
-                    lines,
-                ))
-            }
-            _ => None,
-        };
-        agg = StreamAggregate::restore_for_spec(spec, cp.aggregate)
-            .unwrap_or_else(|e| fail(&format!("cannot resume: {e}")));
-        todo_start = cp.next_index;
-        base_records = cp.records;
-        base_wall_s = cp.wall_s;
-        eprintln!(
-            "resuming {} at grid index {} of {}..{} ({} records durable)...",
-            spec.id, todo_start, bounds.start, bounds.end, base_records
-        );
+        Some(
+            SweepCheckpoint::load(cp_path).unwrap_or_else(|e| fail(&format!("cannot resume: {e}"))),
+        )
     } else {
         if let Some(cp) = checkpoint_path {
             if Path::new(cp).exists() {
@@ -646,15 +610,40 @@ fn run_checkpointed(
                 ));
             }
         }
-        jsonl = records_path.map(|path| {
-            let file = std::fs::File::create(path)
-                .unwrap_or_else(|e| fail(&format!("cannot create {path}: {e}")));
-            JsonlWriter::new(BufWriter::new(SinkFile::new(file)))
-        });
-        agg = StreamAggregate::for_spec(spec);
-        todo_start = bounds.start;
-        base_records = 0;
-        base_wall_s = 0.0;
+        None
+    };
+    let mut state = resume_or_start(
+        spec,
+        shard,
+        &bounds,
+        checkpoint,
+        records_path.map(Path::new),
+        SinkFile::new,
+    )
+    .unwrap_or_else(|e| {
+        let prefix = if resume { "cannot resume: " } else { "" };
+        fail(&format!("{prefix}{e}"))
+    });
+    if let Some(t) = state.truncation.filter(|t| t.dropped_bytes > 0) {
+        eprintln!(
+            "warning: {}: dropped {} byte(s) past the checkpoint ({} complete line(s){}) — the \
+             resumed sweep re-emits them",
+            records_path.unwrap_or("records"),
+            t.dropped_bytes,
+            t.dropped_lines,
+            if t.torn_tail {
+                " plus a torn final line"
+            } else {
+                ""
+            }
+        );
+    }
+    if resume {
+        eprintln!(
+            "resuming {} at grid index {} of {}..{} ({} records durable)...",
+            spec.id, state.next_index, bounds.start, bounds.end, state.base_records
+        );
+    } else {
         eprintln!(
             "running {} ({} units{}, streaming in chunks of {chunk}{}{})...",
             spec.id,
@@ -674,17 +663,13 @@ fn run_checkpointed(
             radio_bench::checkpoint::SliceJob {
                 spec,
                 chunk,
-                todo: todo_start..bounds.end,
                 bounds: bounds.clone(),
                 shard,
-                base_records,
-                base_wall_s,
                 checkpoint_path: checkpoint_path.map(Path::new),
                 limit_chunks,
                 on_chunk: None,
             },
-            &mut agg,
-            jsonl.as_mut(),
+            &mut state,
         )
     };
     let outcome = match pool {
@@ -706,14 +691,14 @@ fn run_checkpointed(
         // simulates; the checkpoint (if configured) stays behind.
         std::process::exit(137);
     }
-    if let Some(w) = jsonl.take() {
+    if let Some(w) = state.jsonl.take() {
         w.finish().unwrap_or_else(|e| {
             eprintln!("cannot flush {}: {e}", records_path.unwrap_or("records"));
             std::process::exit(1);
         });
         eprintln!("wrote {}", records_path.unwrap_or("records"));
     }
-    let table = agg.table(spec);
+    let table = state.agg.table(spec);
     emit_table(&table, json_tables);
     eprintln!("{}: {:.3}s", spec.id, outcome.wall_s);
     if let Some(path) = csv_path {
@@ -732,7 +717,7 @@ fn run_checkpointed(
             wall_s: outcome.wall_s,
             records_path: records_path.map(str::to_string),
             spec: spec.clone(),
-            aggregate: agg.snapshot(),
+            aggregate: state.agg.snapshot(),
         };
         partial
             .save(Path::new(out_path))

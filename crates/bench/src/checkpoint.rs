@@ -1,13 +1,21 @@
 //! Checkpoint/restore and sharding for streamed sweeps: fault-tolerant,
 //! mergeable partial computation over the scenario grid.
 //!
-//! PR 4 made sweep memory O(chunk); this layer makes sweep *progress*
-//! durable and divisible. Both features lean on two existing invariants:
-//! [`ScenarioSpec::unit_at`] decodes any grid index to its unit — seeds
-//! included — in O(1), so execution can (re)enter the grid anywhere, and
-//! the aggregation accumulators merge **in index order bit-for-bit**
+//! Streaming made sweep memory O(chunk); this layer makes sweep
+//! *progress* durable and divisible. Both features lean on three
+//! invariants: [`ScenarioSpec::unit_at`] decodes any grid index to its
+//! unit — seeds included — in O(1), so execution can (re)enter the grid
+//! anywhere; [`run_slice_checkpointed`] runs the `--stream` sweep
+//! executor itself, whose windows never share state, so any slice
+//! produces exactly its part of the uninterrupted record stream; and the
+//! aggregation accumulators merge **in index order bit-for-bit**
 //! ([`crate::stats::StreamingSummary::merge`] replays raw samples), so
 //! partial folds recombine into exactly the uninterrupted fold.
+//!
+//! [`resume_or_start`] is where every checkpointed slice (`--checkpoint`,
+//! `--shard`, a `serve` worker's attempt) begins: it validates and
+//! restores a checkpoint, truncating the record log to its durable lines,
+//! or starts the slice fresh.
 //!
 //! # Checkpoint schema (`radio-lab/checkpoint/v1`)
 //!
@@ -60,8 +68,7 @@
 //! counts.)
 
 use crate::aggregate::AggregateSnapshot;
-use crate::parallel::run_trials_chunked_range;
-use crate::scenario::{run_unit, ScenarioSpec};
+use crate::scenario::{run_windows, ScenarioSpec};
 use crate::sink::{JsonlWriter, RecordSink, SinkFile, StreamAggregate};
 use serde::{Deserialize, Serialize};
 use std::fs::File;
@@ -414,6 +421,92 @@ pub fn truncate_jsonl_to_lines(path: &Path, lines: u64) -> io::Result<JsonlTrunc
 /// deterministic write failures).
 pub type FileJsonl = JsonlWriter<BufWriter<SinkFile>>;
 
+/// A checkpointed slice's sinks and starting point, as [`resume_or_start`]
+/// restored them from a checkpoint or opened them fresh;
+/// [`run_slice_checkpointed`] folds into the sinks.
+pub struct SliceState {
+    /// The aggregation fold.
+    pub agg: StreamAggregate,
+    /// The record log, open for writing (`None` = no log).
+    pub jsonl: Option<FileJsonl>,
+    /// First grid index still to execute.
+    pub next_index: u64,
+    /// Records durable before the run starts (from the checkpoint).
+    pub base_records: u64,
+    /// Wall-clock seconds spent before the run starts.
+    pub base_wall_s: f64,
+    /// What truncating the record log back to the checkpoint's durable
+    /// lines removed (`None` = nothing was resumed, or no log rides along).
+    pub truncation: Option<JsonlTruncation>,
+}
+
+/// Prepares the slice `bounds` for [`run_slice_checkpointed`]. With a
+/// `checkpoint` it validates it against the invocation
+/// ([`SweepCheckpoint::validate`]), truncates the record log at
+/// `jsonl_path` to the checkpoint's durable lines
+/// ([`truncate_jsonl_to_lines`]), reopens it for appending, and restores
+/// the fold and counters; without one it creates the log and starts an
+/// empty fold at `bounds.start`. `wrap` turns the log file into the sink
+/// file the writer drives ([`SinkFile::new`], or a fault-armed
+/// [`SinkFile::with_trip`]).
+///
+/// # Errors
+///
+/// [`io::ErrorKind::InvalidData`] when the checkpoint does not continue
+/// this invocation or its fold does not restore; filesystem errors
+/// (naming the log path) otherwise.
+pub fn resume_or_start(
+    spec: &ScenarioSpec,
+    shard: Option<ShardRef>,
+    bounds: &Range<u64>,
+    checkpoint: Option<SweepCheckpoint>,
+    jsonl_path: Option<&Path>,
+    wrap: impl FnOnce(File) -> SinkFile,
+) -> io::Result<SliceState> {
+    let Some(cp) = checkpoint else {
+        let jsonl = match jsonl_path {
+            Some(path) => {
+                let file = File::create(path).map_err(|e| log_error("create", path, e))?;
+                Some(JsonlWriter::new(BufWriter::new(wrap(file))))
+            }
+            None => None,
+        };
+        return Ok(SliceState {
+            agg: StreamAggregate::for_spec(spec),
+            jsonl,
+            next_index: bounds.start,
+            base_records: 0,
+            base_wall_s: 0.0,
+            truncation: None,
+        });
+    };
+    cp.validate(spec, shard, bounds, jsonl_path.is_some())
+        .map_err(invalid)?;
+    let (mut jsonl, mut truncation) = (None, None);
+    // `validate` guarantees a log on both sides or neither.
+    if let (Some(lines), Some(path)) = (cp.jsonl_lines, jsonl_path) {
+        truncation = Some(truncate_jsonl_to_lines(path, lines)?);
+        let file = std::fs::OpenOptions::new()
+            .append(true)
+            .open(path)
+            .map_err(|e| log_error("append to", path, e))?;
+        jsonl = Some(JsonlWriter::resume(BufWriter::new(wrap(file)), lines));
+    }
+    Ok(SliceState {
+        agg: StreamAggregate::restore_for_spec(spec, cp.aggregate).map_err(invalid)?,
+        jsonl,
+        next_index: cp.next_index,
+        base_records: cp.records,
+        base_wall_s: cp.wall_s,
+        truncation,
+    })
+}
+
+/// `e` with the failed step and the record-log path in its message.
+fn log_error(what: &str, path: &Path, e: io::Error) -> io::Error {
+    io::Error::new(e.kind(), format!("cannot {what} {}: {e}", path.display()))
+}
+
 /// How a [`run_slice_checkpointed`] call ended.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SliceRun {
@@ -439,25 +532,17 @@ pub struct SliceRun {
 /// aborts the sweep like a sink error would.
 pub type ChunkHook<'a> = &'a mut dyn FnMut(u64, u64) -> io::Result<()>;
 
-/// What [`run_slice_checkpointed`] executes: the spec, the pending and
-/// overall index ranges, the durability targets, and the counters carried
-/// over from a resumed checkpoint.
+/// What [`run_slice_checkpointed`] executes: the spec, the slice and the
+/// durability targets (where the slice resumes is the [`SliceState`]'s).
 pub struct SliceJob<'a> {
     /// The sweep's spec.
     pub spec: &'a ScenarioSpec,
     /// Chunk size (units per window).
     pub chunk: u64,
-    /// Still-pending indices — a suffix of `bounds` (equal to it for a
-    /// fresh run, `next_index..end` when resuming).
-    pub todo: Range<u64>,
     /// The full slice this sweep covers (whole grid, or a shard's range).
     pub bounds: Range<u64>,
     /// The shard identity recorded in checkpoints (`None` = unsharded).
     pub shard: Option<ShardRef>,
-    /// Records already durable before this call (from the checkpoint).
-    pub base_records: u64,
-    /// Wall-clock seconds already spent before this call.
-    pub base_wall_s: f64,
     /// Where to write per-chunk checkpoints (`None` = don't checkpoint).
     pub checkpoint_path: Option<&'a Path>,
     /// Testing hook: stop cleanly after this many chunks, leaving the
@@ -467,18 +552,19 @@ pub struct SliceJob<'a> {
     pub on_chunk: Option<ChunkHook<'a>>,
 }
 
-/// Executes the still-pending indices of a [`SliceJob`], folding into
-/// `agg` (and `jsonl`, when given) and writing a [`SweepCheckpoint`]
-/// after **every durable chunk**: sinks flush first, then the checkpoint
+/// Executes a [`SliceJob`]'s indices from `state.next_index` on, folding
+/// into `state.agg` (and `state.jsonl`, when open) and writing a
+/// [`SweepCheckpoint`] after **every durable chunk**: sinks flush first, then the checkpoint
 /// lands atomically, so the checkpoint never points past durable data
 /// and a crash at any moment loses at most the in-flight chunk. On
 /// completion the checkpoint file is consumed (deleted).
 ///
-/// The record stream this run observes is identical to
-/// [`crate::scenario::run_spec_streaming_range`] over the same indices —
-/// both decode units through [`ScenarioSpec::unit_at`] and consume
-/// windows in index order — so resumed and sharded output is
-/// byte-identical to the uninterrupted pipeline's.
+/// Execution is the sweep executor every `--stream` run uses — the same
+/// index-ordered windows, shared deterministic builds and fused cells —
+/// so the record stream is identical to
+/// [`crate::scenario::run_spec_streaming_range`] over the same indices by
+/// construction, and resumed and sharded output is byte-identical to the
+/// uninterrupted pipeline's.
 ///
 /// # Errors
 ///
@@ -486,31 +572,30 @@ pub struct SliceJob<'a> {
 ///
 /// # Panics
 ///
-/// Panics if the chunk size is zero or the ranges are inconsistent.
-pub fn run_slice_checkpointed(
-    job: SliceJob<'_>,
-    agg: &mut StreamAggregate,
-    mut jsonl: Option<&mut FileJsonl>,
-) -> io::Result<SliceRun> {
+/// Panics if the chunk size is zero or `state.next_index` lies outside
+/// the slice.
+pub fn run_slice_checkpointed(job: SliceJob<'_>, state: &mut SliceState) -> io::Result<SliceRun> {
     let SliceJob {
         spec,
         chunk,
-        todo,
         bounds,
         shard,
-        base_records,
-        base_wall_s,
         checkpoint_path,
         limit_chunks,
         mut on_chunk,
     } = job;
+    let todo = state.next_index..bounds.end;
     assert!(
-        bounds.start <= todo.start && todo.end == bounds.end,
-        "pending range {todo:?} must be a suffix of the sweep bounds {bounds:?}"
+        (bounds.start..=bounds.end).contains(&todo.start),
+        "resume index {} outside the sweep bounds {bounds:?}",
+        todo.start
     );
+    let base_wall_s = state.base_wall_s;
+    let mut records = state.base_records;
+    let agg = &mut state.agg;
+    let mut jsonl = state.jsonl.as_mut();
     let fingerprint = spec_fingerprint(spec);
     let started = Instant::now();
-    let mut records = base_records;
     let mut next_index = todo.start;
     let mut chunks_done = 0u64;
     // Set only by the limit_chunks hook, immediately before it raises its
@@ -518,59 +603,50 @@ pub fn run_slice_checkpointed(
     // the simulated kill, whatever its ErrorKind.
     let mut hit_limit = false;
     let interrupted = io::ErrorKind::Interrupted;
-    let result = run_trials_chunked_range(
-        todo.clone(),
-        chunk,
-        |i| {
-            let unit = spec.unit_at(i);
-            let recs = run_unit(spec, &unit);
-            (unit, recs)
-        },
-        |window_start, window| {
-            for (unit, recs) in &window {
-                records += recs.len() as u64;
-                agg.accept(spec, unit, recs)?;
-                if let Some(log) = jsonl.as_deref_mut() {
-                    log.accept(spec, unit, recs)?;
-                }
-            }
-            // Durability order: sinks flush (and, when a checkpoint will
-            // reference them, fsync), then the checkpoint lands — so the
-            // checkpoint never records a line count that could vanish in
-            // a power loss.
+    let result = run_windows(spec, todo, chunk, |window_start, window| {
+        for (unit, recs) in &window {
+            records += recs.len() as u64;
+            agg.accept(spec, unit, recs)?;
             if let Some(log) = jsonl.as_deref_mut() {
-                log.flush_chunk()?;
-                if checkpoint_path.is_some() {
-                    log.sync_data()?;
-                }
+                log.accept(spec, unit, recs)?;
             }
-            next_index = window_start + window.len() as u64;
-            if let Some(path) = checkpoint_path {
-                SweepCheckpoint {
-                    schema: CHECKPOINT_SCHEMA.to_string(),
-                    fingerprint: fingerprint.clone(),
-                    shard,
-                    start: bounds.start,
-                    end: bounds.end,
-                    next_index,
-                    records,
-                    wall_s: base_wall_s + started.elapsed().as_secs_f64(),
-                    jsonl_lines: jsonl.as_ref().map(|log| log.lines()),
-                    aggregate: agg.snapshot(),
-                }
-                .save(path)?;
+        }
+        // Durability order: sinks flush (and, when a checkpoint will
+        // reference them, fsync), then the checkpoint lands — so the
+        // checkpoint never records a line count that could vanish in
+        // a power loss.
+        if let Some(log) = jsonl.as_deref_mut() {
+            log.flush_chunk()?;
+            if checkpoint_path.is_some() {
+                log.sync_data()?;
             }
-            chunks_done += 1;
-            if let Some(hook) = on_chunk.as_deref_mut() {
-                hook(next_index, chunks_done)?;
+        }
+        next_index = window_start + window.len() as u64;
+        if let Some(path) = checkpoint_path {
+            SweepCheckpoint {
+                schema: CHECKPOINT_SCHEMA.to_string(),
+                fingerprint: fingerprint.clone(),
+                shard,
+                start: bounds.start,
+                end: bounds.end,
+                next_index,
+                records,
+                wall_s: base_wall_s + started.elapsed().as_secs_f64(),
+                jsonl_lines: jsonl.as_ref().map(|log| log.lines()),
+                aggregate: agg.snapshot(),
             }
-            if limit_chunks == Some(chunks_done) && next_index < bounds.end {
-                hit_limit = true;
-                return Err(io::Error::new(interrupted, "chunk limit reached"));
-            }
-            Ok(())
-        },
-    );
+            .save(path)?;
+        }
+        chunks_done += 1;
+        if let Some(hook) = on_chunk.as_deref_mut() {
+            hook(next_index, chunks_done)?;
+        }
+        if limit_chunks == Some(chunks_done) && next_index < bounds.end {
+            hit_limit = true;
+            return Err(io::Error::new(interrupted, "chunk limit reached"));
+        }
+        Ok(())
+    });
     match result {
         Ok(()) => {
             if let Some(path) = checkpoint_path {
@@ -936,113 +1012,73 @@ mod tests {
 
     #[test]
     fn sink_error_surfaces_without_advancing_checkpoint() {
-        use crate::sink::{FaultTrip, SinkFile, INJECTED_SINK_ERROR};
-        use std::io::BufWriter;
+        use crate::sink::{FaultTrip, INJECTED_SINK_ERROR};
 
         let dir = scratch("sinkerr");
         let spec = spec();
         let total = spec.grid_size() as u64;
+        let job = |checkpoint_path, on_chunk| SliceJob {
+            spec: &spec,
+            chunk: 2,
+            bounds: 0..total,
+            shard: None,
+            checkpoint_path: Some(checkpoint_path),
+            limit_chunks: None,
+            on_chunk,
+        };
+        let start = |cp, path: &Path, wrap: &dyn Fn(File) -> SinkFile| {
+            resume_or_start(&spec, None, &(0..total), cp, Some(path), wrap).expect("starts")
+        };
         let ref_cp = dir.join("ref.ckpt");
         let cp = dir.join("cp.json");
 
         // Reference: the same slice, uninterrupted.
         let ref_jsonl = dir.join("ref.jsonl");
-        let mut ref_agg = StreamAggregate::for_spec(&spec);
-        let mut ref_log = JsonlWriter::new(BufWriter::new(SinkFile::new(
-            std::fs::File::create(&ref_jsonl).expect("creates"),
-        )));
-        run_slice_checkpointed(
-            SliceJob {
-                spec: &spec,
-                chunk: 2,
-                todo: 0..total,
-                bounds: 0..total,
-                shard: None,
-                base_records: 0,
-                base_wall_s: 0.0,
-                checkpoint_path: Some(&ref_cp),
-                limit_chunks: None,
-                on_chunk: None,
-            },
-            &mut ref_agg,
-            Some(&mut ref_log),
-        )
-        .expect("reference runs");
-        ref_log.finish().expect("finishes");
+        let mut reference = start(None, &ref_jsonl, &SinkFile::new);
+        run_slice_checkpointed(job(&ref_cp, None), &mut reference).expect("reference runs");
+        reference
+            .jsonl
+            .take()
+            .expect("log")
+            .finish()
+            .expect("finishes");
 
         // Faulted run: arm the trip at the first chunk boundary, so the
         // second chunk's record-log flush fails mid-sweep.
         let jsonl_path = dir.join("out.jsonl");
         let trip = FaultTrip::new();
-        let mut agg = StreamAggregate::for_spec(&spec);
-        let mut log = JsonlWriter::new(BufWriter::new(SinkFile::with_trip(
-            std::fs::File::create(&jsonl_path).expect("creates"),
-            trip.clone(),
-        )));
+        let mut faulted = start(None, &jsonl_path, &|f| SinkFile::with_trip(f, trip.clone()));
         let mut arm = |_next: u64, chunks_done: u64| {
             if chunks_done == 1 {
                 trip.arm();
             }
             Ok(())
         };
-        let err = run_slice_checkpointed(
-            SliceJob {
-                spec: &spec,
-                chunk: 2,
-                todo: 0..total,
-                bounds: 0..total,
-                shard: None,
-                base_records: 0,
-                base_wall_s: 0.0,
-                checkpoint_path: Some(&cp),
-                limit_chunks: None,
-                on_chunk: Some(&mut arm),
-            },
-            &mut agg,
-            Some(&mut log),
-        )
-        .expect_err("armed trip must surface as the sweep error");
+        let err = run_slice_checkpointed(job(&cp, Some(&mut arm)), &mut faulted)
+            .expect_err("armed trip must surface as the sweep error");
         assert!(
             err.to_string().contains(INJECTED_SINK_ERROR),
             "unexpected error: {err}"
         );
-        drop(log);
+        drop(faulted);
 
         // The checkpoint still describes the last durable chunk — the
         // failed chunk never advanced it.
         let back = SweepCheckpoint::load(&cp).expect("checkpoint survives the fault");
         assert_eq!(back.next_index, 2, "failed chunk must not advance");
-        let lines = back.jsonl_lines.expect("log line count recorded");
+        assert!(back.jsonl_lines.is_some(), "log line count recorded");
 
         // Resume with a healthy sink: truncate to the durable prefix,
         // restore, finish — byte-identical to the uninterrupted run.
-        truncate_jsonl_to_lines(&jsonl_path, lines).expect("truncates to durable prefix");
-        let mut agg = StreamAggregate::restore_for_spec(&spec, back.aggregate.clone())
-            .map_err(io::Error::other)
-            .expect("accumulator restores");
-        let file = std::fs::OpenOptions::new()
-            .append(true)
-            .open(&jsonl_path)
-            .expect("reopens");
-        let mut log = JsonlWriter::resume(BufWriter::new(SinkFile::new(file)), lines);
-        let run = run_slice_checkpointed(
-            SliceJob {
-                spec: &spec,
-                chunk: 2,
-                todo: back.next_index..total,
-                bounds: 0..total,
-                shard: None,
-                base_records: back.records,
-                base_wall_s: 0.0,
-                checkpoint_path: Some(&cp),
-                limit_chunks: None,
-                on_chunk: None,
-            },
-            &mut agg,
-            Some(&mut log),
-        )
-        .expect("resumes");
-        log.finish().expect("finishes");
+        let mut resumed = start(Some(back), &jsonl_path, &SinkFile::new);
+        assert_eq!(resumed.next_index, 2);
+        let run = run_slice_checkpointed(job(&cp, None), &mut resumed).expect("resumes");
+        resumed
+            .jsonl
+            .take()
+            .expect("log")
+            .finish()
+            .expect("finishes");
         assert_eq!(run.records, total);
         assert!(!cp.exists(), "completed run consumes its checkpoint");
         assert_eq!(
@@ -1051,8 +1087,8 @@ mod tests {
             "resumed record log must match the uninterrupted run byte-for-byte"
         );
         assert_eq!(
-            agg.table(&spec).render(),
-            ref_agg.table(&spec).render(),
+            resumed.agg.table(&spec).render(),
+            reference.agg.table(&spec).render(),
             "resumed table must match the uninterrupted run"
         );
         let _ = std::fs::remove_dir_all(&dir);

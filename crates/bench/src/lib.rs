@@ -31,9 +31,7 @@ pub use checkpoint::{
     merge_partials, shard_range, spec_fingerprint, ShardPartial, ShardRef, SweepCheckpoint,
 };
 pub use experiments::{run_experiment, ALL_EXPERIMENTS};
-pub use parallel::{
-    run_trials, run_trials_chunked, run_trials_chunked_range, run_trials_in, ThreadPool,
-};
+pub use parallel::{run_trials, run_trials_in, ThreadPool};
 pub use scenario::{
     render, run_spec, run_spec_streaming, run_spec_streaming_range, ScenarioRun, ScenarioSpec,
     StreamStats,

@@ -6,6 +6,9 @@
 //! them out over rayon and returns results **in trial order**, which makes
 //! parallel sweeps bit-identical to the serial `for s in 0..trials` loop
 //! they replace — a property the determinism regression test pins down.
+//! [`run_trials_windowed`] is the windowed form with shared per-run
+//! context and fused spans; the scenario executor runs every sweep
+//! through it.
 //!
 //! Parallelism is sized by the ambient [`rayon::ThreadPool`] when one is
 //! installed (see [`run_trials_in`]), falling back to `RAYON_NUM_THREADS`
@@ -13,6 +16,29 @@
 //! var: pools are per-run values, so concurrent sweeps in one process
 //! don't race on global state. `RAYON_NUM_THREADS=1` still forces serial
 //! execution when no pool is installed (e.g. when profiling a trial).
+//!
+//! Runs of equal keys share one context, built on the run's first index
+//! (see [`run_trials_windowed`] for the window and fusion rules):
+//!
+//! ```
+//! use radio_bench::parallel::{run_trials, run_trials_windowed};
+//! // Key: t / 4 (runs of 4); context: the key squared, built once.
+//! let mut shared = Vec::new();
+//! run_trials_windowed(
+//!     0..16,
+//!     16,
+//!     |t| Some(t / 4),
+//!     |t| (t / 4) * (t / 4),
+//!     |_, _| None,
+//!     |ctx, t| ctx.copied().unwrap() + t,
+//!     |_, results| {
+//!         shared.extend(results);
+//!         Ok::<(), std::convert::Infallible>(())
+//!     },
+//! )
+//! .unwrap();
+//! assert_eq!(shared, run_trials(16, |t| (t / 4) * (t / 4) + t));
+//! ```
 
 use rayon::prelude::*;
 pub use rayon::ThreadPool;
@@ -59,207 +85,68 @@ where
     pool.install(|| run_trials(trials, f))
 }
 
-/// [`run_trials`] in index-ordered chunks: executes `[0, trials)` as
-/// consecutive windows of at most `chunk` indices, running each window in
-/// parallel and handing its results — still in index order — to `consume`
-/// before the next window starts. Peak memory is **O(chunk)**, not
-/// O(trials), while the concatenation of all windows is bit-identical to
-/// `run_trials(trials, f)` (and therefore to the serial loop): the same
-/// `f(i)` runs for the same `i`, only the collection is windowed.
+/// [`run_trials`] in index-ordered windows with shared per-run context
+/// and an optional fused fast path — the one windowed runner every sweep
+/// goes through.
 ///
-/// `consume` receives `(start_index, results)` per window and may fail
-/// (e.g. an I/O sink); the first error stops the sweep and is returned.
-/// Windows are never reordered, so a consumer that folds in arrival order
-/// observes exactly the serial record stream.
+/// * **Windows.** `range` executes as consecutive windows of at most
+///   `chunk` indices; each window runs in parallel and hands its results,
+///   still in index order, to `consume(window_start, results)` before the
+///   next window starts. Peak memory is O(chunk), and the concatenation of
+///   the windows is bit-identical to `run_trials` over `range` — the same
+///   `f(i)` runs for the same `i`, only the collection is windowed. The
+///   first `consume` error stops the sweep and is returned.
+/// * **Shared runs.** Within a window, consecutive indices whose `key_of`
+///   values are equal (and `Some`) form a *run*; `build` runs once per
+///   run, on the run's first index, and every trial of the run receives a
+///   shared reference to the result. Keyless trials never share and never
+///   build (their context is `None`). Runs never span a window: a run
+///   crossing a boundary rebuilds in the next window, which keeps windows
+///   self-contained, so resumed and sharded slices compose exactly.
+/// * **Fusion.** Every shared run of ≥ 2 trials is cut into up to
+///   [`rayon::current_num_threads`] contiguous spans of ≥ 2 trials each
+///   (one span at width 1), and `fuse(ctx, start..end)` is offered each
+///   span first. `Some(results)` (one result per index, in index order)
+///   replaces the per-trial calls for that span; `None` declines, and the
+///   span's trials run through `f` as before. Singleton and keyless
+///   trials never consult `fuse`.
+///
+/// The contract: for any `key_of`/`build`/`fuse`, results must equal what
+/// the per-trial `f` would produce — sharing and fusion are execution
+/// strategies, never semantic ones, so results depend neither on the
+/// chunk size nor on the width that cut the spans.
 ///
 /// # Panics
 ///
-/// Panics if `chunk` is zero.
+/// Panics if `chunk` is zero, the range is inverted, or a fused span
+/// returns the wrong number of results.
 ///
 /// # Examples
 ///
+/// Windows concatenate to the unwindowed sweep (keyless trials, no
+/// fusion):
+///
 /// ```
-/// use radio_bench::parallel::{run_trials, run_trials_chunked};
+/// use radio_bench::parallel::{run_trials, run_trials_windowed};
 /// let mut streamed = Vec::new();
-/// run_trials_chunked(10, 3, |t| t * t, |start, results| {
-///     assert_eq!(start, streamed.len() as u64);
-///     streamed.extend(results);
-///     Ok::<(), std::convert::Infallible>(())
-/// })
+/// run_trials_windowed(
+///     0..10,
+///     3,
+///     |_| None::<()>,
+///     |_| (),
+///     |_, _| None,
+///     |_, t| t * t,
+///     |start, results| {
+///         assert_eq!(start, streamed.len() as u64);
+///         streamed.extend(results);
+///         Ok::<(), std::convert::Infallible>(())
+///     },
+/// )
 /// .unwrap();
 /// assert_eq!(streamed, run_trials(10, |t| t * t));
 /// ```
-pub fn run_trials_chunked<R, E, F, S>(trials: u64, chunk: u64, f: F, consume: S) -> Result<(), E>
-where
-    R: Send,
-    F: Fn(u64) -> R + Sync,
-    S: FnMut(u64, Vec<R>) -> Result<(), E>,
-{
-    run_trials_chunked_range(0..trials, chunk, f, consume)
-}
-
-/// [`run_trials_chunked`] over an arbitrary index slice `range` of a larger
-/// grid: windows cover `[range.start, range.end)` in index order, so the
-/// concatenation of the windows of consecutive ranges is exactly the
-/// windows of the whole — the primitive behind resumable (`--resume`
-/// continues at the checkpointed index) and sharded (`--shard i/m` runs
-/// one contiguous slice) sweeps. `consume` still receives each window's
-/// absolute start index.
-///
-/// # Panics
-///
-/// Panics if `chunk` is zero or the range is inverted.
-pub fn run_trials_chunked_range<R, E, F, S>(
-    range: std::ops::Range<u64>,
-    chunk: u64,
-    f: F,
-    mut consume: S,
-) -> Result<(), E>
-where
-    R: Send,
-    F: Fn(u64) -> R + Sync,
-    S: FnMut(u64, Vec<R>) -> Result<(), E>,
-{
-    assert!(chunk > 0, "chunk size must be positive");
-    assert!(range.start <= range.end, "inverted index range");
-    let mut start = range.start;
-    while start < range.end {
-        let end = range.end.min(start.saturating_add(chunk));
-        let results: Vec<R> = (start..end).into_par_iter().map(&f).collect();
-        consume(start, results)?;
-        start = end;
-    }
-    Ok(())
-}
-
-/// [`run_trials`] with shared per-batch context: consecutive indices whose
-/// `key_of` values are equal (and `Some`) form a *batch*; `build` runs once
-/// per batch — on the batch's first index — and every trial in the batch
-/// receives a shared reference to the result. Trials whose key is `None`
-/// never share (their context is `None`).
-///
-/// This is the struct-of-arrays primitive behind scenario sweeps: units
-/// that differ only in their trial index freeze the same topology, so the
-/// adjacency/bitmask rows are built once and read by the whole batch
-/// instead of being rebuilt per trial.
-///
-/// The contract mirrors [`run_trials`]: results come back in index order,
-/// and for any `key_of`/`build`, `f(ctx, i)` must equal what the unbatched
-/// closure would produce for `i` — batching is a caching layer, never a
-/// semantic one. Keys are computed serially (they must be cheap); contexts
-/// are built in parallel across batches; trials then fan out in parallel
-/// across the *whole* window, so one giant batch still uses every core.
-///
-/// # Examples
-///
-/// ```
-/// use radio_bench::parallel::{run_trials, run_trials_batched};
-/// // Key: t / 4 (batches of 4); context: the key squared, built once.
-/// let batched = run_trials_batched(
-///     16,
-///     |t| Some(t / 4),
-///     |t| (t / 4) * (t / 4),
-///     |ctx, t| ctx.copied().unwrap() + t,
-/// );
-/// assert_eq!(batched, run_trials(16, |t| (t / 4) * (t / 4) + t));
-/// ```
-pub fn run_trials_batched<K, C, R, KF, BF, F>(trials: u64, key_of: KF, build: BF, f: F) -> Vec<R>
-where
-    K: PartialEq,
-    C: Send + Sync,
-    R: Send,
-    KF: Fn(u64) -> Option<K>,
-    BF: Fn(u64) -> C + Sync,
-    F: Fn(Option<&C>, u64) -> R + Sync,
-{
-    batched_window(0..trials, &key_of, &build, &f)
-}
-
-/// [`run_trials_chunked_range`] with [`run_trials_batched`]'s shared-batch
-/// execution inside each window. Batches are formed within a window only:
-/// a run of equal keys spanning a window boundary rebuilds its context in
-/// the next window, which costs one extra `build` but keeps windows
-/// self-contained — so the record stream is bit-identical at any chunk
-/// size, and resumable/sharded sweeps compose exactly as before.
-///
-/// # Panics
-///
-/// Panics if `chunk` is zero or the range is inverted.
-pub fn run_trials_batched_chunked_range<K, C, R, E, KF, BF, F, S>(
-    range: std::ops::Range<u64>,
-    chunk: u64,
-    key_of: KF,
-    build: BF,
-    f: F,
-    mut consume: S,
-) -> Result<(), E>
-where
-    K: PartialEq,
-    C: Send + Sync,
-    R: Send,
-    KF: Fn(u64) -> Option<K>,
-    BF: Fn(u64) -> C + Sync,
-    F: Fn(Option<&C>, u64) -> R + Sync,
-    S: FnMut(u64, Vec<R>) -> Result<(), E>,
-{
-    assert!(chunk > 0, "chunk size must be positive");
-    assert!(range.start <= range.end, "inverted index range");
-    let mut start = range.start;
-    while start < range.end {
-        let end = range.end.min(start.saturating_add(chunk));
-        let results = batched_window(start..end, &key_of, &build, &f);
-        consume(start, results)?;
-        start = end;
-    }
-    Ok(())
-}
-
-/// [`run_trials_batched`] with a *fused* fast path inside each shared
-/// batch: every run of ≥ 2 consecutive equal-keyed trials is cut into up
-/// to [`rayon::current_num_threads`] contiguous spans of ≥ 2 trials each
-/// (one span at width 1), and `fuse(ctx, start..end)` is offered each span
-/// first. Returning `Some(results)` (exactly one result per index, in
-/// index order) replaces the per-trial calls for that span — this is how
-/// scenario sweeps hand a run of same-topology trials to one call that
-/// builds the per-network setup (ids, detectors) once and steps each
-/// trial solo on it, one span per worker. Returning `None` declines, and
-/// every trial in the span runs through `f` as before.
-///
-/// The contract extends the batching one: for any span, `fuse` must
-/// produce exactly what the per-trial `f` calls would — fusion is an
-/// execution strategy, never a semantic change, so results do not depend
-/// on the width that cut the spans. Singleton and keyless trials never
-/// consult `fuse`.
-pub fn run_trials_batched_fused<K, C, R, KF, BF, FF, F>(
-    trials: u64,
-    key_of: KF,
-    build: BF,
-    fuse: FF,
-    f: F,
-) -> Vec<R>
-where
-    K: PartialEq,
-    C: Send + Sync,
-    R: Send,
-    KF: Fn(u64) -> Option<K>,
-    BF: Fn(u64) -> C + Sync,
-    FF: Fn(&C, std::ops::Range<u64>) -> Option<Vec<R>> + Sync,
-    F: Fn(Option<&C>, u64) -> R + Sync,
-{
-    fused_window(0..trials, &key_of, &build, &fuse, &f)
-}
-
-/// [`run_trials_batched_chunked_range`] with [`run_trials_batched_fused`]'s
-/// fused fast path inside each window. Fusion spans are windowed exactly
-/// like batches (a run crossing a window boundary fuses per window), so
-/// the record stream stays bit-identical at any chunk size and
-/// resumable/sharded sweeps compose exactly as before.
-///
-/// # Panics
-///
-/// Panics if `chunk` is zero or the range is inverted.
-#[allow(clippy::too_many_arguments)] // the chunked/batched/fused knob union
-pub fn run_trials_batched_fused_chunked_range<K, C, R, E, KF, BF, FF, F, S>(
+#[allow(clippy::too_many_arguments)] // the window/run/fusion knob union
+pub fn run_trials_windowed<K, C, R, E, KF, BF, FF, F, S>(
     range: std::ops::Range<u64>,
     chunk: u64,
     key_of: KF,
@@ -283,29 +170,11 @@ where
     let mut start = range.start;
     while start < range.end {
         let end = range.end.min(start.saturating_add(chunk));
-        let results = fused_window(start..end, &key_of, &build, &fuse, &f);
+        let results = run_window(start..end, &key_of, &build, &fuse, &f);
         consume(start, results)?;
         start = end;
     }
     Ok(())
-}
-
-/// One batched window: group, build contexts, fan out (no fusion).
-fn batched_window<K, C, R, KF, BF, F>(
-    window: std::ops::Range<u64>,
-    key_of: &KF,
-    build: &BF,
-    f: &F,
-) -> Vec<R>
-where
-    K: PartialEq,
-    C: Send + Sync,
-    R: Send,
-    KF: Fn(u64) -> Option<K>,
-    BF: Fn(u64) -> C + Sync,
-    F: Fn(Option<&C>, u64) -> R + Sync,
-{
-    fused_window(window, key_of, build, &|_: &C, _| None, f)
 }
 
 /// Cuts `[start, end)` into `min(width, len / 2)` contiguous spans (at
@@ -321,10 +190,10 @@ fn split_run(start: u64, end: u64, width: usize) -> impl Iterator<Item = (u64, u
     })
 }
 
-/// One batched window with the fused fast path: group, build contexts,
-/// offer each multi-trial shared run to `fuse` in width-sized spans, fan
-/// the rest out.
-fn fused_window<K, C, R, KF, BF, FF, F>(
+/// One window: group it into runs, build each shared run's context, offer
+/// each multi-trial shared run to `fuse` in width-sized spans, fan the rest
+/// out.
+fn run_window<K, C, R, KF, BF, FF, F>(
     window: std::ops::Range<u64>,
     key_of: &KF,
     build: &BF,
@@ -402,6 +271,42 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::convert::Infallible;
+    use std::ops::Range;
+
+    /// [`run_trials_windowed`] over `0..trials` with a collecting
+    /// consumer: the results and each window's start, in arrival order.
+    fn windowed<K, C, R>(
+        trials: u64,
+        chunk: u64,
+        key_of: impl Fn(u64) -> Option<K>,
+        build: impl Fn(u64) -> C + Sync,
+        fuse: impl Fn(&C, Range<u64>) -> Option<Vec<R>> + Sync,
+        f: impl Fn(Option<&C>, u64) -> R + Sync,
+    ) -> (Vec<R>, Vec<u64>)
+    where
+        K: PartialEq,
+        C: Send + Sync,
+        R: Send,
+    {
+        let (mut got, mut starts) = (Vec::new(), Vec::new());
+        let Ok(()) = run_trials_windowed(0..trials, chunk, key_of, build, fuse, f, |start, r| {
+            starts.push(start);
+            got.extend(r);
+            Ok::<(), Infallible>(())
+        });
+        (got, starts)
+    }
+
+    /// `windowed` in one window with a declining `fuse`: shared runs only.
+    fn batched<K: PartialEq, C: Send + Sync, R: Send>(
+        trials: u64,
+        key_of: impl Fn(u64) -> Option<K>,
+        build: impl Fn(u64) -> C + Sync,
+        f: impl Fn(Option<&C>, u64) -> R + Sync,
+    ) -> Vec<R> {
+        windowed(trials, trials.max(1), key_of, build, |_, _| None, f).0
+    }
 
     #[test]
     fn matches_serial_order() {
@@ -419,21 +324,10 @@ mod tests {
 
     #[test]
     fn chunked_concatenation_matches_unchunked_every_chunk_size() {
-        let expect = run_trials(23, |t| t.wrapping_mul(0x9e37_79b9).rotate_left(7));
+        let f = |_: Option<&()>, t: u64| t.wrapping_mul(0x9e37_79b9).rotate_left(7);
+        let expect = run_trials(23, |t| f(None, t));
         for chunk in [1u64, 2, 3, 7, 22, 23, 24, 1000] {
-            let mut got = Vec::new();
-            let mut starts = Vec::new();
-            run_trials_chunked(
-                23,
-                chunk,
-                |t| t.wrapping_mul(0x9e37_79b9).rotate_left(7),
-                |start, results| {
-                    starts.push(start);
-                    got.extend(results);
-                    Ok::<(), std::convert::Infallible>(())
-                },
-            )
-            .unwrap();
+            let (got, starts) = windowed(23, chunk, |_| None::<()>, |_| (), |_, _| None, f);
             assert_eq!(got, expect, "chunk = {chunk}");
             // Windows arrive in index order, each starting where the
             // previous ended.
@@ -444,10 +338,13 @@ mod tests {
     #[test]
     fn chunked_consumer_error_stops_the_sweep() {
         let mut seen = 0u64;
-        let err = run_trials_chunked(
-            100,
+        let err = run_trials_windowed(
+            0..100,
             10,
-            |t| t,
+            |_| None::<()>,
+            |_| (),
+            |_, _| None,
+            |_, t| t,
             |start, _| {
                 seen = start;
                 if start >= 20 {
@@ -464,7 +361,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "chunk size must be positive")]
     fn chunked_rejects_zero_chunk() {
-        let _ = run_trials_chunked(4, 0, |t| t, |_, _| Ok::<(), ()>(()));
+        let _ = windowed(4, 0, |_| None::<()>, |_| (), |_, _| None, |_, t| t);
     }
 
     #[test]
@@ -472,31 +369,32 @@ mod tests {
         // The unbatched reference: context derived per trial.
         let ctx_of = |t: u64| t / 5;
         let expect = run_trials(31, |t| ctx_of(t) * 1000 + t);
-        // One batch per 5 indices, one giant batch, singleton batches, and
-        // a keyless (never-shared) sweep all agree index-for-index.
+        // One run per 5 indices, one giant run, singleton runs, and a
+        // keyless (never-shared) sweep all agree index-for-index.
         let keys: [fn(u64) -> Option<u64>; 4] =
             [|t| Some(t / 5), |_| Some(0), |t| Some(t), |_| None];
         for (k, key_of) in keys.iter().enumerate() {
-            let got = run_trials_batched(31, key_of, ctx_of, |ctx, t| {
+            let got = batched(31, key_of, ctx_of, |ctx, t| {
                 ctx.copied().unwrap_or_else(|| ctx_of(t)) * 1000 + t
             });
-            // The giant-batch key shares ctx_of(0) across all trials, which
+            // The giant-run key shares ctx_of(0) across all trials, which
             // only matches the reference for the t/5 key when contexts are
-            // genuinely equal — so compare against the batch-aware value.
+            // genuinely equal — so compare against the run-aware value:
+            // each run takes its first index's context.
             let want: Vec<u64> = (0..31)
                 .map(|t| {
-                    let batch_head = match key_of(t) {
+                    let run_head = match key_of(t) {
                         Some(_) => (0..=t).rev().take_while(|&s| key_of(s) == key_of(t)).last(),
                         None => None,
                     };
-                    ctx_of(batch_head.unwrap_or(t)) * 1000 + t
+                    ctx_of(run_head.unwrap_or(t)) * 1000 + t
                 })
                 .collect();
             assert_eq!(got, want, "key shape {k}");
         }
-        // And for the realistic key (context constant within a batch) the
-        // batched sweep is bit-identical to the unbatched one.
-        let got = run_trials_batched(
+        // And for the realistic key (context constant within a run) the
+        // shared sweep is bit-identical to the unshared one.
+        let got = batched(
             31,
             |t| Some(t / 5),
             ctx_of,
@@ -509,7 +407,7 @@ mod tests {
     fn batched_builds_once_per_run() {
         use std::sync::atomic::{AtomicU64, Ordering};
         let builds = AtomicU64::new(0);
-        let got = run_trials_batched(
+        let got = batched(
             12,
             |t| Some(t / 4),
             |t| {
@@ -518,12 +416,12 @@ mod tests {
             },
             |ctx, t| ctx.copied().unwrap() * 100 + t,
         );
-        assert_eq!(builds.load(Ordering::Relaxed), 3, "one build per batch");
+        assert_eq!(builds.load(Ordering::Relaxed), 3, "one build per run");
         assert_eq!(got, (0..12).map(|t| (t / 4) * 100 + t).collect::<Vec<_>>());
 
         // None keys never build.
         builds.store(0, Ordering::Relaxed);
-        run_trials_batched(
+        batched(
             8,
             |_| None::<u64>,
             |_| builds.fetch_add(1, Ordering::Relaxed),
@@ -542,12 +440,13 @@ mod tests {
         let key_of = |t: u64| (t != 20).then_some(t / 5);
         let build = |t: u64| t / 5;
         let f = |ctx: Option<&u64>, t: u64| (ctx.copied(), t);
-        let expect = run_trials_batched(31, key_of, build, f);
+        let expect = batched(31, key_of, build, f);
         // A fuse that accepts every offered span. At width 1 every run is
         // offered whole (wider pools cut runs; see the split test below).
         let fused_spans = AtomicU64::new(0);
-        let got = ThreadPool::new(1).install(|| {
-            run_trials_batched_fused(
+        let (got, _) = ThreadPool::new(1).install(|| {
+            windowed(
+                31,
                 31,
                 key_of,
                 build,
@@ -563,11 +462,9 @@ mod tests {
         // Runs: [0,5) [5,10) [10,15) [15,20) {20} [21,25) [25,30) [30,31).
         // The keyless singleton and the final 1-trial run are never offered.
         assert_eq!(fused_spans.load(Ordering::Relaxed), 6);
-        // A fuse that always declines is exactly the unfused sweep.
-        let got = run_trials_batched_fused(31, key_of, build, |_, _| None, f);
-        assert_eq!(got, expect);
         // A fuse that accepts only even-keyed spans mixes both paths.
-        let got = run_trials_batched_fused(
+        let (got, _) = windowed(
+            31,
             31,
             key_of,
             build,
@@ -578,14 +475,19 @@ mod tests {
             f,
         );
         assert_eq!(got, expect);
+        // A fuse that always declines is exactly the unfused sweep: every
+        // trial runs through `f` over its run's shared context.
+        let unfused: Vec<_> = (0..31).map(|t| (key_of(t).map(|_| build(t)), t)).collect();
+        assert_eq!(expect, unfused);
     }
 
     /// The spans one shared run of `trials` reaches `fuse` as on a pool of
     /// `width` workers, in index order.
-    fn fused_spans(width: usize, trials: u64) -> Vec<std::ops::Range<u64>> {
+    fn fused_spans(width: usize, trials: u64) -> Vec<Range<u64>> {
         let spans = std::sync::Mutex::new(Vec::new());
-        let got = ThreadPool::new(width).install(|| {
-            run_trials_batched_fused(
+        let (got, _) = ThreadPool::new(width).install(|| {
+            windowed(
+                trials,
                 trials,
                 |_| Some(()),
                 |_| (),
@@ -615,7 +517,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "one result per trial")]
     fn fused_span_must_cover_its_trials() {
-        let _ = run_trials_batched_fused(
+        let _ = windowed(
+            8,
             8,
             |t| Some(t / 4),
             |t| t,
@@ -629,27 +532,13 @@ mod tests {
         let key_of = |t: u64| (t / 7 != 1).then_some(t / 7); // run, gap, run
         let build = |t: u64| t / 7;
         let f = |ctx: Option<&u64>, t: u64| (ctx.copied(), t);
-        let fuse = |ctx: &u64, span: std::ops::Range<u64>| {
+        let fuse = |ctx: &u64, span: Range<u64>| {
             ctx.is_multiple_of(2)
                 .then(|| span.map(|t| (Some(*ctx), t)).collect())
         };
-        let expect = run_trials_batched(23, key_of, build, f);
+        let expect = batched(23, key_of, build, f);
         for chunk in [1u64, 2, 3, 5, 7, 8, 22, 23, 1000] {
-            let mut got = Vec::new();
-            run_trials_batched_fused_chunked_range(
-                0..23,
-                chunk,
-                key_of,
-                build,
-                fuse,
-                f,
-                |start, results| {
-                    assert_eq!(start, got.len() as u64);
-                    got.extend(results);
-                    Ok::<(), std::convert::Infallible>(())
-                },
-            )
-            .unwrap();
+            let (got, _) = windowed(23, chunk, key_of, build, fuse, f);
             assert_eq!(got, expect, "chunk = {chunk}");
         }
     }
@@ -659,16 +548,11 @@ mod tests {
         let key_of = |t: u64| (t / 7 != 1).then_some(t / 7); // run, gap, run
         let build = |t: u64| t / 7;
         let f = |ctx: Option<&u64>, t: u64| (ctx.copied(), t);
-        let expect = run_trials_batched(23, key_of, build, f);
+        let expect = batched(23, key_of, build, f);
         for chunk in [1u64, 2, 3, 5, 7, 8, 22, 23, 1000] {
-            let mut got = Vec::new();
-            run_trials_batched_chunked_range(0..23, chunk, key_of, build, f, |start, results| {
-                assert_eq!(start, got.len() as u64);
-                got.extend(results);
-                Ok::<(), std::convert::Infallible>(())
-            })
-            .unwrap();
+            let (got, starts) = windowed(23, chunk, key_of, build, |_, _| None, f);
             assert_eq!(got, expect, "chunk = {chunk}");
+            assert_eq!(starts, (0..23).step_by(chunk as usize).collect::<Vec<_>>());
         }
     }
 

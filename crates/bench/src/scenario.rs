@@ -5,15 +5,18 @@
 //! nesting order, and a render style. The [`ScenarioSpec::plan`] sweep
 //! planner expands the grid into [`TrialUnit`]s with index-derived seeds;
 //! [`run_spec`] fans the units out through
-//! [`crate::parallel::run_trials`] (bit-identical to a serial sweep) and
-//! collects one or more [`RunRecord`]s per unit; [`render`] turns the
-//! records into the experiment's [`Table`].
+//! [`crate::parallel::run_trials_windowed`] (bit-identical to a serial
+//! sweep) and collects one or more [`RunRecord`]s per unit; [`render`]
+//! turns the records into the experiment's [`Table`].
 //!
 //! Every paper experiment E1–E11 is a spec in the [`registry`] — adding a
 //! scenario is a ~10-line data value (or a JSON file fed to the
 //! `radio-lab` binary), not a new module.
 //!
-//! Two execution modes share one planner:
+//! Two execution modes share one planner and one executor (`run_windows`:
+//! index-ordered windows, one shared build per run of deterministic-net
+//! units, fused [`run_algo_batch`] cells), which the checkpointed and
+//! served slices of [`crate::checkpoint`] run too:
 //!
 //! * [`run_spec`] materializes everything — all units, all records — and
 //!   hands the [`ScenarioRun`] to [`render`]. Memory is O(grid).
@@ -43,7 +46,6 @@
 //!   never drops or duplicates a grid cell).
 
 use crate::aggregate::AggregateSpec;
-use crate::parallel::run_trials_batched_fused;
 use crate::stats::{dropped_points_note, loglog_exponent_counting};
 use crate::table::{f1, f3, Table};
 use hitting_games::{
@@ -406,37 +408,16 @@ impl ScenarioRun {
 }
 
 /// Executes every planned unit of `spec` in parallel (results identical to
-/// the serial sweep) and collects the records.
-///
-/// Units that freeze the same network — consecutive trials of a
-/// deterministic topology under a net-building workload — share one built
-/// instance (adjacency *and* bitmask rows) through
-/// [`crate::parallel::run_trials_batched_fused`]; see `run_unit_with`
-/// for why the records are bit-identical to the build-per-trial sweep.
-/// Within a shared span, runs of ≥ 2 Core trials of one grid cell are
-/// additionally *fused* into a single [`run_algo_batch`] call, which
-/// builds the cell's ids and detectors once and steps each trial solo on
-/// them (`fuse_shared_units`) — still record-identical.
+/// the serial sweep) and collects the records: the sweep executor
+/// (`run_windows`) over the whole grid as one window.
 pub fn run_spec(spec: &ScenarioSpec) -> ScenarioRun {
-    let units = spec.plan();
+    let total = spec.grid_size() as u64;
     let start = Instant::now();
-    let records = run_trials_batched_fused(
-        units.len() as u64,
-        |i| shared_net_key(spec, i),
-        |i| build_shared_net(spec, i),
-        |shared, span| {
-            let start = usize::try_from(span.start).expect("unit index fits");
-            let end = usize::try_from(span.end).expect("unit index fits");
-            fuse_shared_units(spec, shared, &units[start..end])
-        },
-        |shared, i| {
-            run_unit_with(
-                spec,
-                &units[usize::try_from(i).expect("unit index fits")],
-                shared,
-            )
-        },
-    );
+    let (mut units, mut records) = (Vec::new(), Vec::new());
+    let Ok(()) = run_windows(spec, 0..total, total.max(1), |_, window| {
+        (units, records) = window.into_iter().unzip();
+        Ok::<(), std::convert::Infallible>(())
+    });
     ScenarioRun {
         units,
         records,
@@ -458,8 +439,7 @@ pub struct StreamStats {
 }
 
 /// [`run_spec`] with O(chunk) peak memory: executes the grid in
-/// index-ordered chunks of `chunk` units via
-/// [`crate::parallel::run_trials_chunked`] and hands every completed
+/// index-ordered chunks of `chunk` units and hands every completed
 /// unit's records — in unit order — to each sink in turn. Nothing is
 /// retained after a sink returns, so an arbitrarily large grid runs in
 /// bounded memory; a [`crate::sink::Materialize`] sink restores today's
@@ -493,9 +473,9 @@ pub fn run_spec_streaming(
 /// `range.start..range.end`, in unit order. Because the grid decodes
 /// index-by-index ([`ScenarioSpec::unit_at`]) with index-derived seeds,
 /// the concatenation of consecutive ranges is **bit-identical** to the
-/// whole sweep — this is the execution primitive behind resumable
-/// (`--resume` re-enters at the checkpointed index) and sharded
-/// (`--shard i/m` runs one contiguous slice) sweeps.
+/// whole sweep — the property resumable (`--resume`) and sharded
+/// (`--shard i/m`) sweeps rest on; their checkpointed driver,
+/// [`crate::checkpoint::run_slice_checkpointed`], runs the same executor.
 ///
 /// After each completed chunk every sink's
 /// [`crate::sink::RecordSink::flush_chunk`] runs, so I/O sinks are
@@ -515,43 +495,67 @@ pub fn run_spec_streaming_range(
     range: std::ops::Range<u64>,
     sinks: &mut [&mut dyn crate::sink::RecordSink],
 ) -> std::io::Result<StreamStats> {
-    run_spec_streaming_range_with(spec, chunk, range, sinks, |_, _| Ok(()))
+    let units = range.end.saturating_sub(range.start);
+    let start = Instant::now();
+    let mut records = 0u64;
+    run_windows(spec, range, chunk, |_, window| {
+        for (unit, recs) in &window {
+            records += recs.len() as u64;
+            for sink in sinks.iter_mut() {
+                sink.accept(spec, unit, recs)?;
+            }
+        }
+        for sink in sinks.iter_mut() {
+            sink.flush_chunk()?;
+        }
+        Ok::<(), std::io::Error>(())
+    })?;
+    Ok(StreamStats {
+        units,
+        records,
+        wall_s: start.elapsed().as_secs_f64(),
+    })
 }
 
-/// [`run_spec_streaming_range`] with a chunk-boundary hook: after each
-/// chunk's records have been accepted by every sink *and* every sink has
-/// flushed, `on_chunk(next_index, records_so_far)` runs — `next_index` is
-/// the first grid index not yet executed and `records_so_far` counts the
-/// slice's records accepted so far. The checkpoint writer hangs here: by
-/// the time the hook sees an index, everything before it is durable in
-/// the sinks, so a checkpoint recording `next_index` never points past
-/// durable data.
+/// The sweep executor — every sweep ([`run_spec`], the streaming runners,
+/// the checkpointed and served slices) runs through it. Executes grid
+/// indices `range` in index-ordered windows of at most `chunk` units via
+/// [`crate::parallel::run_trials_windowed`] and hands each window's
+/// `(unit, records)` pairs, in unit order, to `consume(window_start,
+/// window)` before the next window starts.
+///
+/// Units that freeze the same network — consecutive trials of a
+/// deterministic topology under a net-building workload — share one built
+/// instance (adjacency *and* bitmask rows) per window; see `run_unit_with`
+/// for why the records are bit-identical to the build-per-trial sweep.
+/// Within a shared span, runs of ≥ 2 Core trials of one grid cell are
+/// additionally *fused* into a single [`run_algo_batch`] call, which
+/// builds the cell's ids and detectors once and steps each trial solo on
+/// them (`fuse_shared_units`) — still record-identical. Windows never
+/// share, so the record stream is the same at every chunk size, and
+/// consecutive ranges concatenate to the whole grid's.
 ///
 /// # Errors
 ///
-/// Returns the first sink or hook error; the sweep stops at that chunk.
+/// Returns the first `consume` error; the sweep stops at that window.
 ///
 /// # Panics
 ///
 /// Panics if `chunk` is zero, the range is inverted, or `range.end`
 /// exceeds the grid size.
-pub fn run_spec_streaming_range_with(
+pub(crate) fn run_windows<E>(
     spec: &ScenarioSpec,
-    chunk: u64,
     range: std::ops::Range<u64>,
-    sinks: &mut [&mut dyn crate::sink::RecordSink],
-    mut on_chunk: impl FnMut(u64, u64) -> std::io::Result<()>,
-) -> std::io::Result<StreamStats> {
+    chunk: u64,
+    consume: impl FnMut(u64, Vec<(TrialUnit, Vec<RunRecord>)>) -> Result<(), E>,
+) -> Result<(), E> {
     assert!(
         range.end <= spec.grid_size() as u64,
         "range end {} exceeds grid of {}",
         range.end,
         spec.grid_size()
     );
-    let units = range.end.saturating_sub(range.start);
-    let start = Instant::now();
-    let mut records = 0u64;
-    crate::parallel::run_trials_batched_fused_chunked_range(
+    crate::parallel::run_trials_windowed(
         range,
         chunk,
         |i| shared_net_key(spec, i),
@@ -566,24 +570,8 @@ pub fn run_spec_streaming_range_with(
             let recs = run_unit_with(spec, &unit, shared);
             (unit, recs)
         },
-        |window_start, window| {
-            for (unit, recs) in &window {
-                records += recs.len() as u64;
-                for sink in sinks.iter_mut() {
-                    sink.accept(spec, unit, recs)?;
-                }
-            }
-            for sink in sinks.iter_mut() {
-                sink.flush_chunk()?;
-            }
-            on_chunk(window_start + window.len() as u64, records)
-        },
-    )?;
-    Ok(StreamStats {
-        units,
-        records,
-        wall_s: start.elapsed().as_secs_f64(),
-    })
+        consume,
+    )
 }
 
 /// The batch key of grid index `i` for shared-network execution, or `None`
@@ -681,13 +669,16 @@ fn fuse_shared_units(
     Some(out)
 }
 
-/// Executes one trial unit, building its network privately.
+/// Executes one trial unit, building its network privately: the
+/// build-per-trial reference the differential tests compare the sweep
+/// executor against.
+#[cfg(test)]
 pub(crate) fn run_unit(spec: &ScenarioSpec, unit: &TrialUnit) -> Vec<RunRecord> {
     run_unit_with(spec, unit, None)
 }
 
 /// Executes one trial unit, borrowing `shared` as the frozen network when
-/// the batched runner provides one.
+/// the sweep executor provides one.
 ///
 /// With `shared = None` this is the reference build-per-trial execution.
 /// With `Some`, the net-building workloads skip their private build but

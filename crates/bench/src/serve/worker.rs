@@ -29,14 +29,14 @@ use super::spool::{
     ShardState, SpecDir, SpecPhase, SpoolManifest,
 };
 use crate::checkpoint::{
-    run_slice_checkpointed, shard_range, spec_fingerprint, truncate_jsonl_to_lines, ShardPartial,
-    ShardRef, SliceJob, SweepCheckpoint, PARTIAL_SCHEMA,
+    resume_or_start, run_slice_checkpointed, shard_range, spec_fingerprint, ShardPartial, ShardRef,
+    SliceJob, SweepCheckpoint, PARTIAL_SCHEMA,
 };
 use crate::parallel::ThreadPool;
 use crate::scenario::ScenarioSpec;
-use crate::sink::{FaultTrip, JsonlWriter, SinkFile, StreamAggregate};
+use crate::sink::{FaultTrip, SinkFile};
 use std::cell::Cell;
-use std::io::{self, BufWriter, Write};
+use std::io::{self, Write};
 use std::path::PathBuf;
 use std::time::{Duration, SystemTime};
 
@@ -262,11 +262,7 @@ fn execute_attempt(
     // discarded (the attempt restarts the slice from scratch — correct,
     // just slower); a mismatched one is a real error.
     let cp = match SweepCheckpoint::load(&ckpt_path) {
-        Ok(cp) => {
-            cp.validate(spec, Some(sref), &bounds, manifest.records)
-                .map_err(|e| fail(io::Error::new(io::ErrorKind::InvalidData, e)))?;
-            Some(cp)
-        }
+        Ok(cp) => Some(cp),
         Err(e) if e.kind() == io::ErrorKind::NotFound => None,
         Err(e) => {
             eprintln!(
@@ -278,73 +274,44 @@ fn execute_attempt(
             None
         }
     };
-
+    let resuming = cp.is_some();
     let trip = FaultTrip::new();
+    let mut state = resume_or_start(
+        spec,
+        Some(sref),
+        &bounds,
+        cp,
+        manifest.records.then_some(jsonl_path.as_path()),
+        |file| SinkFile::with_trip(file, trip.clone()),
+    )
+    .map_err(fail)?;
+    if let Some(t) = state.truncation.filter(|t| t.dropped_bytes > 0) {
+        eprintln!(
+            "[{}] {}: dropped {} byte(s) past the checkpoint ({} complete line(s){}) — this \
+             attempt re-emits them",
+            cfg.worker_id,
+            jsonl_path.display(),
+            t.dropped_bytes,
+            t.dropped_lines,
+            if t.torn_tail {
+                " plus a torn final line"
+            } else {
+                ""
+            }
+        );
+    }
+    if resuming {
+        eprintln!(
+            "[{}] resuming shard {shard} at grid index {} of {}..{} ({} records durable)",
+            cfg.worker_id, state.next_index, bounds.start, bounds.end, state.base_records
+        );
+    }
+
     let faults: Vec<&FaultEvent> = cfg.fault_plan.as_ref().map_or_else(Vec::new, |p| {
         p.events_for(&cfg.worker_id, &spec.id, shard, claim.attempt)
     });
     // at_chunk == 0 fires before the attempt's first chunk.
     fire_faults(cfg, &faults, 0, &jsonl_path, &trip, manifest.records);
-
-    let (mut agg, mut jsonl, todo_start, base_records, base_wall_s);
-    match cp {
-        Some(cp) => {
-            jsonl = match (cp.jsonl_lines, manifest.records) {
-                (Some(lines), true) => {
-                    let report = truncate_jsonl_to_lines(&jsonl_path, lines).map_err(fail)?;
-                    if report.dropped_bytes > 0 {
-                        eprintln!(
-                            "[{}] {}: dropped {} byte(s) past the checkpoint ({} complete \
-                             line(s){}) — this attempt re-emits them",
-                            cfg.worker_id,
-                            jsonl_path.display(),
-                            report.dropped_bytes,
-                            report.dropped_lines,
-                            if report.torn_tail {
-                                " plus a torn final line"
-                            } else {
-                                ""
-                            }
-                        );
-                    }
-                    let file = std::fs::OpenOptions::new()
-                        .append(true)
-                        .open(&jsonl_path)
-                        .map_err(fail)?;
-                    Some(JsonlWriter::resume(
-                        BufWriter::new(SinkFile::with_trip(file, trip.clone())),
-                        lines,
-                    ))
-                }
-                _ => None,
-            };
-            agg = StreamAggregate::restore_for_spec(spec, cp.aggregate)
-                .map_err(|e| fail(io::Error::new(io::ErrorKind::InvalidData, e)))?;
-            todo_start = cp.next_index;
-            base_records = cp.records;
-            base_wall_s = cp.wall_s;
-            eprintln!(
-                "[{}] resuming shard {shard} at grid index {todo_start} of {}..{} ({} records \
-                 durable)",
-                cfg.worker_id, bounds.start, bounds.end, base_records
-            );
-        }
-        None => {
-            jsonl = if manifest.records {
-                let file = std::fs::File::create(&jsonl_path).map_err(fail)?;
-                Some(JsonlWriter::new(BufWriter::new(SinkFile::with_trip(
-                    file,
-                    trip.clone(),
-                ))))
-            } else {
-                None
-            };
-            agg = StreamAggregate::for_spec(spec);
-            todo_start = bounds.start;
-            base_records = 0;
-            base_wall_s = 0.0;
-        }
-    }
 
     let lease_lost = Cell::new(false);
     let mut beat = claim.beat;
@@ -375,16 +342,13 @@ fn execute_attempt(
     let job = SliceJob {
         spec,
         chunk: manifest.chunk,
-        todo: todo_start..bounds.end,
         bounds: bounds.clone(),
         shard: Some(sref),
-        base_records,
-        base_wall_s,
         checkpoint_path: Some(&ckpt_path),
         limit_chunks: None,
         on_chunk: Some(&mut hook),
     };
-    let run_slice = || run_slice_checkpointed(job, &mut agg, jsonl.as_mut());
+    let run_slice = || run_slice_checkpointed(job, &mut state);
     let run = match pool {
         Some(p) => p.install(run_slice),
         None => run_slice(),
@@ -399,7 +363,7 @@ fn execute_attempt(
 
     // The partial must never reference record-log lines that could
     // vanish in a power loss: flush + fsync before publishing.
-    let records_path = match jsonl {
+    let records_path = match state.jsonl {
         Some(mut log) => {
             log.sync_data().map_err(fail)?;
             Some(jsonl_path.to_string_lossy().into_owned())
@@ -416,7 +380,7 @@ fn execute_attempt(
         wall_s: run.wall_s,
         records_path,
         spec: spec.clone(),
-        aggregate: agg.snapshot(),
+        aggregate: state.agg.snapshot(),
     };
     partial.save(&sd.partial_path(shard)).map_err(fail)?;
     Ok(())

@@ -5,7 +5,10 @@
 //! value-taking flags are refused, a killed checkpointed sweep resumes
 //! byte-identically (torn `--records` tails truncated with a warning,
 //! changed-spec fingerprints refused), and a sharded sweep merges
-//! byte-identically to the single-process run.
+//! byte-identically to the single-process run. The spec opens with a
+//! deterministic clique, whose trials share one build and run as fused
+//! cells, so those cells cross the chunk boundaries of every streamed,
+//! resumed and sharded run here.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -15,6 +18,7 @@ const SPEC: &str = r#"{
   "caption": "radio-lab CLI streaming smoke",
   "render": "Aggregate",
   "topologies": [
+    { "kind": { "Clique": { "n": 16 } }, "seed": null },
     { "kind": { "GeometricDense": { "n": 12 } }, "seed": null },
     { "kind": { "GeometricDense": { "n": 20 } }, "seed": null }
   ],
@@ -89,7 +93,7 @@ fn streamed_csv_is_byte_identical_to_materialized() {
     // The JSONL log holds one parseable record per unit (MIS = one record
     // each), and no cell anywhere reads "NaN".
     let jsonl = std::fs::read_to_string(dir.join("records.jsonl")).expect("JSONL log");
-    assert_eq!(jsonl.lines().count(), 6, "2 topologies × 1 × 1 × 3 trials");
+    assert_eq!(jsonl.lines().count(), 9, "3 topologies × 1 × 1 × 3 trials");
     for line in jsonl.lines() {
         assert!(line.contains("\"algo\""), "record line: {line}");
     }
@@ -98,7 +102,7 @@ fn streamed_csv_is_byte_identical_to_materialized() {
     // The streamed results JSON carries counts, not records.
     let report = std::fs::read_to_string(dir.join("str.json")).expect("results JSON");
     assert!(report.contains("\"schema\": \"radio-lab/v2\""));
-    assert!(report.contains("\"units\": 6"));
+    assert!(report.contains("\"units\": 9"));
     assert!(
         report.contains("\"run\": null"),
         "records embedded despite --no-records"

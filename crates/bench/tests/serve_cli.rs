@@ -7,6 +7,12 @@
 //! takeover, and bounded sink-error retries). A shard that exhausts its
 //! retries must degrade loudly: partial table marked INCOMPLETE, no
 //! CSV/JSONL artifacts, exit code 3.
+//!
+//! The spec opens with a deterministic clique, whose trials share one
+//! build and run as fused cells of two under `--chunk 2`. The reference
+//! streams at chunk 1, where nothing fuses, so every serve run below
+//! diffs fused cells, split across chunk and attempt boundaries, against
+//! unfused ones.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -16,6 +22,7 @@ const SPEC: &str = r#"{
   "caption": "radio-lab serve chaos smoke",
   "render": "Aggregate",
   "topologies": [
+    { "kind": { "Clique": { "n": 16 } }, "seed": null },
     { "kind": { "GeometricDense": { "n": 12 } }, "seed": null },
     { "kind": { "GeometricDense": { "n": 20 } }, "seed": null }
   ],
@@ -24,7 +31,7 @@ const SPEC: &str = r#"{
     { "kind": { "Core": { "algo": "Mis" } },
       "run_seed": null, "net_seed": null, "det_seed": null }
   ],
-  "trials": 3,
+  "trials": 4,
   "nest": "TopologyMajor",
   "seeds": { "net_base": 77, "run_base": 5 },
   "stop": "Default",
@@ -110,7 +117,7 @@ fn serve_args<'a>(spool: &'a str, extra: &[&'a str]) -> Vec<&'a str> {
         "--shards",
         "2",
         "--chunk",
-        "1",
+        "2",
         "--poll-ms",
         "10",
         "--records",
@@ -141,7 +148,7 @@ fn serve_matches_stream_run_across_worker_counts() {
                 "--shards",
                 shards,
                 "--chunk",
-                "1",
+                "2",
                 "--poll-ms",
                 "10",
                 "--records",
@@ -197,7 +204,7 @@ fn serve_recovers_from_a_kill_with_a_torn_records_tail() {
 fn serve_survives_a_kill_at_every_chunk_boundary() {
     let dir = scratch("killmatrix");
     let ref_stdout = reference(&dir);
-    // 6 grid units, 2 shards, chunk 1: each shard is 3 chunks, so
+    // 12 grid units, 2 shards, chunk 2: each shard is 3 chunks, so
     // boundaries 1..=3 cover first / middle / final-chunk kills (the
     // final boundary dies after the shard's last checkpoint but before
     // the partial publishes — recovery must still finish it).

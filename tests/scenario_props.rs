@@ -339,20 +339,20 @@ proptest! {
         let ctx_of = move |i: u64| (i / width).wrapping_mul(salt | 1);
         let f = move |ctx: Option<&u64>, i: u64| ctx.copied().unwrap_or_else(|| ctx_of(i)) ^ i;
         let expect = radio_bench::run_trials(trials, move |i| ctx_of(i) ^ i);
-        let batched =
-            radio_bench::parallel::run_trials_batched(trials, key_of, ctx_of, f);
-        prop_assert_eq!(&batched, &expect);
-        // And the chunked-range form concatenates to the same stream at
-        // any chunk size (batches never span a window).
-        let mut streamed = Vec::new();
-        radio_bench::parallel::run_trials_batched_chunked_range(
-            0..trials, chunk, key_of, ctx_of, f,
-            |start, results| {
-                prop_assert_eq!(start, streamed.len() as u64);
-                streamed.extend(results);
-                Ok(())
-            },
-        )?;
-        prop_assert_eq!(&streamed, &expect);
+        // One window with a declining `fuse` is the plain shared-run
+        // sweep; the windowed form concatenates to the same stream at any
+        // chunk size (runs never span a window).
+        for chunk in [trials.max(1), chunk] {
+            let mut streamed = Vec::new();
+            radio_bench::parallel::run_trials_windowed(
+                0..trials, chunk, key_of, ctx_of, |_, _| None, f,
+                |start, results| {
+                    prop_assert_eq!(start, streamed.len() as u64);
+                    streamed.extend(results);
+                    Ok(())
+                },
+            )?;
+            prop_assert_eq!(&streamed, &expect, "chunk = {}", chunk);
+        }
     }
 }
