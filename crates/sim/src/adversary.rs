@@ -12,26 +12,38 @@
 //! [`CliqueIsolator`], the Lemma 7.2 adversary that prevents inter-clique
 //! communication on the two-clique network).
 
+use crate::graph::low_bits;
 use crate::network::DualGraph;
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 
 /// Chooses, each round, which unreliable edges (`E' \ E`) join the reach set.
 ///
-/// The returned edges are filtered by the engine: anything not in `E' \ E`
-/// is ignored defensively, so implementations may over-approximate.
+/// The choice is a bitmask over [`DualGraph::unreliable_edge_list`]: bit
+/// `i % 64` of word `i / 64` activates edge `i`. The mask holds `⌈m'/64⌉`
+/// words for `m'` unreliable edges (none on a classic network) and arrives
+/// cleared. A mask cannot name a pair outside `E' \ E`, a self-loop or a
+/// duplicate, so the engine takes it as it is: setting a bit twice is
+/// harmless, and bits past the last edge of the final word never deliver
+/// and never count. An adaptive adversary that walks a node's unreliable
+/// row finds each slot's edge index in [`DualGraph::unreliable_edge_ids`].
+///
+/// Only an activated edge with exactly one broadcasting endpoint can change
+/// a reception, and the engine reads the mask only along the broadcasters'
+/// unreliable rows; the trace still counts every activated edge.
 pub trait Adversary {
-    /// Select this round's extra (unreliable) reach edges.
+    /// Marks this round's extra (unreliable) reach edges in `mask`.
     ///
-    /// `broadcasting[v]` reports whether node `v` broadcasts this round —
-    /// the adversary is adaptive. Edges are pushed into `out` (cleared by
-    /// the caller) as unordered pairs.
+    /// The adversary is adaptive: `broadcasting[v]` reports whether node
+    /// `v` broadcasts this round, and `broadcasters` lists those nodes in
+    /// ascending order.
     fn extra_edges(
         &mut self,
         round: u64,
         net: &DualGraph,
         broadcasting: &[bool],
-        out: &mut Vec<(usize, usize)>,
+        broadcasters: &[u32],
+        mask: &mut [u64],
     );
 
     /// Short name for traces and experiment tables.
@@ -46,13 +58,27 @@ impl Adversary for Box<dyn Adversary> {
         round: u64,
         net: &DualGraph,
         broadcasting: &[bool],
-        out: &mut Vec<(usize, usize)>,
+        broadcasters: &[u32],
+        mask: &mut [u64],
     ) {
-        (**self).extra_edges(round, net, broadcasting, out);
+        (**self).extra_edges(round, net, broadcasting, broadcasters, mask);
     }
 
     fn name(&self) -> &'static str {
         (**self).name()
+    }
+}
+
+/// Sets the bit of edge `e` in `mask`.
+#[inline]
+fn activate(mask: &mut [u64], e: usize) {
+    mask[e >> 6] |= 1 << (e & 63);
+}
+
+/// Sets the bits of all `m` unreliable edges.
+fn activate_all(mask: &mut [u64], m: usize) {
+    for (w, word) in mask.iter_mut().enumerate() {
+        *word = low_bits(m, w);
     }
 }
 
@@ -67,7 +93,8 @@ impl Adversary for ReliableOnly {
         _round: u64,
         _net: &DualGraph,
         _broadcasting: &[bool],
-        _out: &mut Vec<(usize, usize)>,
+        _broadcasters: &[u32],
+        _mask: &mut [u64],
     ) {
     }
 
@@ -88,9 +115,10 @@ impl Adversary for AllUnreliable {
         _round: u64,
         net: &DualGraph,
         _broadcasting: &[bool],
-        out: &mut Vec<(usize, usize)>,
+        _broadcasters: &[u32],
+        mask: &mut [u64],
     ) {
-        out.extend(net.unreliable_edges());
+        activate_all(mask, net.unreliable_edge_count());
     }
 
     fn name(&self) -> &'static str {
@@ -134,14 +162,19 @@ impl Adversary for RandomUnreliable {
         _round: u64,
         net: &DualGraph,
         _broadcasting: &[bool],
-        out: &mut Vec<(usize, usize)>,
+        _broadcasters: &[u32],
+        mask: &mut [u64],
     ) {
-        let edges = net.unreliable_edge_list();
-        if self.p <= 0.0 {
+        let m = net.unreliable_edge_count();
+        // Nothing activates, and nothing is drawn, when `1 - p` rounds to 1:
+        // `p = 0`, or `p ≤ 2⁻⁵⁴`, below the 53-bit resolution of
+        // `gen_bool`. The skip sampler below would divide by `ln 1 = 0`
+        // there and activate every edge.
+        if 1.0 - self.p == 1.0 {
             return;
         }
         if self.p >= 1.0 {
-            out.extend_from_slice(edges);
+            activate_all(mask, m);
             return;
         }
         if self.p < 0.25 {
@@ -157,37 +190,29 @@ impl Adversary for RandomUnreliable {
                 // Geometric(p) number of skipped edges; 1 - u ∈ (0, 1].
                 let skip = ((1.0 - u).ln() / ln_q) as usize;
                 i = i.saturating_add(skip);
-                if i >= edges.len() {
+                if i >= m {
                     return;
                 }
-                out.push(edges[i]);
+                activate(mask, i);
                 i += 1;
             }
         }
         if self.p == 0.5 {
             // The common experiment setting: every bit of a random word is
-            // an exact Bernoulli(½) coin, so one RNG call covers 64 edges.
-            // Walking the word's set bits (bit `i` keeps `chunk[i]`, lowest
-            // first) emits the kept edges with no per-edge branch.
-            for chunk in edges.chunks(64) {
-                let mut word = self.rng.next_u64();
-                if chunk.len() < 64 {
-                    word &= (1u64 << chunk.len()) - 1;
-                }
-                while word != 0 {
-                    out.push(chunk[word.trailing_zeros() as usize]);
-                    word &= word - 1;
-                }
+            // an exact Bernoulli(½) coin, so one RNG call marks 64 edges
+            // (bit `i` of the word is the coin of the word's `i`-th edge).
+            for (w, word) in mask.iter_mut().enumerate() {
+                *word = self.rng.next_u64() & low_bits(m, w);
             }
             return;
         }
         // Dense activation: a coin per edge is cheaper than a logarithm
         // per activated edge. Hoist the acceptance threshold out of the
-        // loop.
+        // loop, and shift each coin into its bit instead of branching.
         let threshold = coin_threshold(self.p);
-        for &e in edges {
-            if (self.rng.next_u64() >> 11) < threshold {
-                out.push(e);
+        for (w, word) in mask.iter_mut().enumerate() {
+            for bit in 0..(m - (w << 6)).min(64) {
+                *word |= u64::from((self.rng.next_u64() >> 11) < threshold) << bit;
             }
         }
     }
@@ -215,31 +240,39 @@ impl Adversary for Collider {
         _round: u64,
         net: &DualGraph,
         broadcasting: &[bool],
-        out: &mut Vec<(usize, usize)>,
+        broadcasters: &[u32],
+        mask: &mut [u64],
     ) {
-        for v in 0..net.n() {
-            if broadcasting[v] {
-                continue;
-            }
-            let reliable_hits = net
-                .g_csr()
-                .neighbors(v)
-                .iter()
-                .filter(|&&u| broadcasting[u as usize])
-                .count();
-            if reliable_hits != 1 {
-                continue;
-            }
-            // Find an unreliable edge from a different broadcaster. The
-            // unreliable CSR layer is exactly E' \ E, so no membership
-            // re-check against G is needed.
-            if let Some(&u) = net
-                .unreliable_csr()
-                .neighbors(v)
-                .iter()
-                .find(|&&u| broadcasting[u as usize])
-            {
-                out.push((u as usize, v));
+        // A lone broadcaster is no listener's unreliable neighbour and its
+        // reliable one at once (E' \ E and E are disjoint), so it leaves no
+        // clean reception to break.
+        if broadcasters.len() < 2 {
+            return;
+        }
+        // Incident-first: only a listener on some broadcaster's unreliable
+        // row can take an edge. It takes the edge to its lowest-numbered
+        // broadcasting unreliable neighbour — the first broadcaster, in
+        // node order, whose row holds it — iff exactly one of its
+        // `G`-neighbours broadcasts. Both counts sum whole rows instead of
+        // stopping early: a branch per neighbour costs more than the loads.
+        let (reliable, unreliable) = (net.g_csr(), net.unreliable_csr());
+        // The broadcasters in `row` numbered below `below`.
+        let count = |row: &[u32], below: u32| -> u32 {
+            let hits = row.iter().map(|&u| (u < below) & broadcasting[u as usize]);
+            hits.map(u32::from).sum()
+        };
+        for &b in broadcasters {
+            let row = unreliable.neighbors(b as usize);
+            for (&v, &e) in row.iter().zip(net.unreliable_edge_ids(b as usize)) {
+                let v = v as usize;
+                if broadcasting[v] {
+                    continue;
+                }
+                if count(reliable.neighbors(v), u32::MAX) == 1
+                    && count(unreliable.neighbors(v), b) == 0
+                {
+                    activate(mask, e as usize);
+                }
             }
         }
     }
@@ -305,34 +338,35 @@ impl Adversary for BurstyUnreliable {
         _round: u64,
         net: &DualGraph,
         _broadcasting: &[bool],
-        out: &mut Vec<(usize, usize)>,
+        _broadcasters: &[u32],
+        mask: &mut [u64],
     ) {
-        // The network precomputes the unreliable edge list, so per-round
-        // work is allocation-free (modulo the one-time state vector).
-        let edges = net.unreliable_edge_list();
-        if !self.initialized || self.states.len() != edges.len() {
+        // Per-round work is allocation-free (modulo the one-time state
+        // vector).
+        let m = net.unreliable_edge_count();
+        if !self.initialized || self.states.len() != m {
             // Start each edge at its stationary distribution.
             let rate = self.stationary_delivery_rate();
-            self.states = (0..edges.len()).map(|_| self.rng.gen_bool(rate)).collect();
+            self.states = (0..m).map(|_| self.rng.gen_bool(rate)).collect();
             self.initialized = true;
         }
         // One `gen_bool` per edge, its two acceptance thresholds hoisted
-        // out of the loop. Every edge is written to a stack buffer and the
-        // write cursor advances only past Good edges, so the loop has no
-        // data-dependent branch; each full buffer is appended in one copy,
-        // keeping the edge-list order.
+        // out of the loop. Each edge's new state is shifted into its bit
+        // of the mask, so the loop has no data-dependent branch. The
+        // generator runs from a local copy, which keeps its state in
+        // registers across the state stores.
         let (t_gb, t_bg) = (coin_threshold(self.p_gb), coin_threshold(self.p_bg));
-        let mut kept = [(0usize, 0usize); 64];
-        for (states, chunk) in self.states.chunks_mut(64).zip(edges.chunks(64)) {
-            let mut len = 0;
-            for (state, &edge) in states.iter_mut().zip(chunk) {
+        let mut rng = self.rng.clone();
+        for (word, states) in mask.iter_mut().zip(self.states.chunks_mut(64)) {
+            let mut bits = 0;
+            for (bit, state) in states.iter_mut().enumerate() {
                 let t = if *state { t_gb } else { t_bg };
-                *state ^= (self.rng.next_u64() >> 11) < t;
-                kept[len] = edge;
-                len += usize::from(*state);
+                *state ^= (rng.next_u64() >> 11) < t;
+                bits |= u64::from(*state) << bit;
             }
-            out.extend_from_slice(&kept[..len]);
+            *word = bits;
         }
+        self.rng = rng;
     }
 
     fn name(&self) -> &'static str {
@@ -359,17 +393,17 @@ impl Adversary for CliqueIsolator {
         _round: u64,
         net: &DualGraph,
         broadcasting: &[bool],
-        out: &mut Vec<(usize, usize)>,
+        broadcasters: &[u32],
+        mask: &mut [u64],
     ) {
-        if broadcasting.iter().filter(|&&b| b).count() < 2 {
+        if broadcasters.len() < 2 {
             return;
         }
         // For every listener, ensure at least two broadcasters reach it by
         // activating unreliable edges from broadcasters as needed. Scanning
         // the listener's unreliable CSR row visits exactly the candidate
         // broadcasters in ascending order — same choices as enumerating all
-        // broadcasters and testing edge membership, without materializing
-        // the broadcaster list.
+        // broadcasters and testing edge membership.
         for v in 0..net.n() {
             if broadcasting[v] {
                 continue;
@@ -383,12 +417,13 @@ impl Adversary for CliqueIsolator {
             if reach >= 2 {
                 continue;
             }
-            for &u in net.unreliable_csr().neighbors(v) {
+            let row = net.unreliable_csr().neighbors(v);
+            for (&u, &e) in row.iter().zip(net.unreliable_edge_ids(v)) {
                 if reach >= 2 {
                     break;
                 }
                 if broadcasting[u as usize] {
-                    out.push((u as usize, v));
+                    activate(mask, e as usize);
                     reach += 1;
                 }
             }
@@ -404,6 +439,7 @@ impl Adversary for CliqueIsolator {
 mod tests {
     use super::*;
     use crate::graph::Graph;
+    use crate::topology::{random_geometric, RandomGeometricConfig};
 
     fn net_with_chord() -> DualGraph {
         let g = Graph::from_edges(4, [(0, 1), (1, 2), (2, 3)]).unwrap();
@@ -413,46 +449,104 @@ mod tests {
         DualGraph::new(g, gp).unwrap()
     }
 
+    /// One round's mask from `adv`, sized and cleared as the engine does,
+    /// with the broadcaster list derived from the flags.
+    fn round_mask(
+        adv: &mut impl Adversary,
+        round: u64,
+        net: &DualGraph,
+        broadcasting: &[bool],
+    ) -> Vec<u64> {
+        let broadcasters: Vec<u32> = (0..net.n() as u32)
+            .filter(|&v| broadcasting[v as usize])
+            .collect();
+        let mut mask = vec![0; net.unreliable_edge_count().div_ceil(64)];
+        adv.extra_edges(round, net, broadcasting, &broadcasters, &mut mask);
+        mask
+    }
+
+    /// The edges one round of `adv` activates, in list order.
+    fn activated(
+        adv: &mut impl Adversary,
+        net: &DualGraph,
+        broadcasting: &[bool],
+    ) -> Vec<(usize, usize)> {
+        let mask = round_mask(adv, 1, net, broadcasting);
+        net.unreliable_edges()
+            .enumerate()
+            .filter(|&(i, _)| mask[i >> 6] >> (i & 63) & 1 == 1)
+            .map(|(_, e)| e)
+            .collect()
+    }
+
+    /// The mask naming exactly the edges of `pairs`, in either orientation.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a pair outside `E' \ E`.
+    fn pairs_mask(net: &DualGraph, pairs: &[(usize, usize)]) -> Vec<u64> {
+        let list = net.unreliable_edge_list();
+        let mut mask = vec![0; list.len().div_ceil(64)];
+        for &(a, b) in pairs {
+            let i = list
+                .binary_search(&(a.min(b), a.max(b)))
+                .unwrap_or_else(|_| panic!("({a}, {b}) is not an unreliable edge"));
+            activate(&mut mask, i);
+        }
+        mask
+    }
+
     #[test]
     fn reliable_only_adds_nothing() {
         let net = net_with_chord();
-        let mut out = Vec::new();
-        ReliableOnly.extra_edges(1, &net, &[true, false, false, false], &mut out);
-        assert!(out.is_empty());
+        assert!(activated(&mut ReliableOnly, &net, &[true, false, false, false]).is_empty());
     }
 
     #[test]
     fn all_unreliable_adds_everything() {
         let net = net_with_chord();
-        let mut out = Vec::new();
-        AllUnreliable.extra_edges(1, &net, &[false; 4], &mut out);
-        out.sort_unstable();
-        assert_eq!(out, vec![(0, 2), (0, 3)]);
+        let all = activated(&mut AllUnreliable, &net, &[false; 4]);
+        assert_eq!(all, vec![(0, 2), (0, 3)]);
     }
 
     #[test]
     fn random_respects_probability_extremes() {
         let net = net_with_chord();
-        let mut out = Vec::new();
-        RandomUnreliable::new(0.0, 9).extra_edges(1, &net, &[false; 4], &mut out);
-        assert!(out.is_empty());
-        RandomUnreliable::new(1.0, 9).extra_edges(1, &net, &[false; 4], &mut out);
-        assert_eq!(out.len(), 2);
+        let none = activated(&mut RandomUnreliable::new(0.0, 9), &net, &[false; 4]);
+        assert!(none.is_empty());
+        let all = activated(&mut RandomUnreliable::new(1.0, 9), &net, &[false; 4]);
+        assert_eq!(all.len(), 2);
+    }
+
+    #[test]
+    fn random_with_a_vanishing_p_activates_nothing() {
+        // `1 - p` rounds to 1 for each of these `p`, so no 53-bit coin can
+        // come up. Unguarded, the geometric skip sampler would divide by
+        // `ln 1 = 0` and activate every edge.
+        let net = rgg_net();
+        let broadcasting = vec![false; net.n()];
+        for p in [5e-324, 1e-18, 5e-17] {
+            assert_eq!(1.0 - p, 1.0);
+            let mut adv = RandomUnreliable::new(p, 4);
+            for r in 0..10 {
+                let mask = round_mask(&mut adv, r, &net, &broadcasting);
+                assert!(mask.iter().all(|&w| w == 0), "p = {p}, round {r}");
+            }
+            // And it drew nothing.
+            let fresh = StdRng::seed_from_u64(4).next_u64();
+            assert_eq!(adv.rng.next_u64(), fresh, "p = {p} drew from its stream");
+        }
     }
 
     #[test]
     fn collider_breaks_clean_reception() {
         let net = net_with_chord();
-        // Nodes 1 and 3 broadcast. Node 2 hears both over E (collision
-        // already) -> nothing added for it. Node 0 hears only node 1 over E;
-        // the collider activates the unreliable edge (0, 3) wait — (0,3) is
-        // from broadcaster 3 to listener 0, turning 0's clean reception into
-        // a collision.
-        let mut out = Vec::new();
-        Collider.extra_edges(1, &net, &[false, true, false, true], &mut out);
-        assert_eq!(out.len(), 1);
-        let (a, b) = out[0];
-        assert_eq!((a.min(b), a.max(b)), (0, 3));
+        // Nodes 1 and 3 broadcast. Node 2 hears both over E (a collision
+        // already), so nothing is added for it. Node 0 hears only node 1
+        // over E; the collider activates the unreliable edge (0, 3) from
+        // broadcaster 3, turning 0's clean reception into a collision.
+        let out = activated(&mut Collider, &net, &[false, true, false, true]);
+        assert_eq!(out, vec![(0, 3)]);
     }
 
     #[test]
@@ -460,9 +554,7 @@ mod tests {
         let net = net_with_chord();
         // Only node 1 broadcasts: nodes 0 and 2 get clean receptions, but no
         // *other* broadcaster exists, so nothing can be activated.
-        let mut out = Vec::new();
-        Collider.extra_edges(1, &net, &[false, true, false, false], &mut out);
-        assert!(out.is_empty());
+        assert!(activated(&mut Collider, &net, &[false, true, false, false]).is_empty());
     }
 
     #[test]
@@ -477,11 +569,8 @@ mod tests {
         let mut flips = 0;
         let mut present_total = 0;
         let rounds = 2000;
-        let mut out = Vec::new();
-        for r in 0..rounds {
-            out.clear();
-            adv.extra_edges(r, &net, &[false; 4], &mut out);
-            let present = out.contains(&(0, 2));
+        for _ in 0..rounds {
+            let present = activated(&mut adv, &net, &[false; 4]).contains(&(0, 2));
             if present {
                 present_total += 1;
             }
@@ -504,12 +593,11 @@ mod tests {
     #[test]
     fn bursty_extremes() {
         let net = net_with_chord();
-        let mut out = Vec::new();
         // p_gb = 1, p_bg = 0: everything decays to Bad and stays there.
         let mut adv = BurstyUnreliable::new(1.0, 0.0, 1);
-        for r in 0..10 {
-            out.clear();
-            adv.extra_edges(r, &net, &[false; 4], &mut out);
+        let mut out = Vec::new();
+        for _ in 0..10 {
+            out = activated(&mut adv, &net, &[false; 4]);
         }
         assert!(out.is_empty());
     }
@@ -517,28 +605,25 @@ mod tests {
     #[test]
     fn isolator_quiet_when_single_broadcaster() {
         let net = net_with_chord();
-        let mut out = Vec::new();
-        CliqueIsolator.extra_edges(1, &net, &[true, false, false, false], &mut out);
+        let out = activated(&mut CliqueIsolator, &net, &[true, false, false, false]);
         assert!(out.is_empty());
     }
 
     #[test]
     fn isolator_collides_everyone_when_two_broadcast() {
         let net = net_with_chord();
-        let mut out = Vec::new();
-        // Nodes 2 and 3 broadcast; node 0 hears neither over E... node 0's E
-        // neighbors: {1}. So reach 0; isolator activates (2,0)? (0,2) is
-        // unreliable and 2 broadcasts; (0,3) also. It should add both to
-        // reach 2.
-        CliqueIsolator.extra_edges(1, &net, &[false, false, true, true], &mut out);
-        let touching_zero = out.iter().filter(|&&(a, b)| a == 0 || b == 0).count();
-        assert_eq!(touching_zero, 2);
+        // Nodes 2 and 3 broadcast. Node 0's only E-neighbour, node 1, is
+        // silent, so nothing reaches it over E; its unreliable edges (0, 2)
+        // and (0, 3) both lead to broadcasters, and the isolator activates
+        // both to reach 2. Node 1 hears node 2 over E and has no
+        // unreliable edge, so it keeps its clean reception.
+        let out = activated(&mut CliqueIsolator, &net, &[false, false, true, true]);
+        assert_eq!(out, vec![(0, 2), (0, 3)]);
     }
 
     /// A path `G` on `chords + 2` nodes whose `G'` adds the chords
-    /// `(i, i + 2)`: exactly `chords` unreliable edges, so the lists
-    /// straddle the 64-edge word boundaries of the word-at-a-time
-    /// adversaries.
+    /// `(i, i + 2)`: exactly `chords` unreliable edges, so the masks
+    /// straddle the 64-edge word boundaries.
     fn path_with_chords(chords: usize) -> DualGraph {
         let n = chords + 2;
         let g = Graph::from_edges(n, (0..n - 1).map(|i| (i, i + 1))).unwrap();
@@ -551,6 +636,13 @@ mod tests {
         net
     }
 
+    /// A dense random-geometric net on 128 nodes, the shape of the
+    /// experiments' adversary grids (several hundred unreliable edges).
+    fn rgg_net() -> DualGraph {
+        let mut rng = StdRng::seed_from_u64(17);
+        random_geometric(&RandomGeometricConfig::dense(128), &mut rng).unwrap()
+    }
+
     const STREAM_CHORDS: [usize; 6] = [0, 1, 63, 64, 65, 130];
     const STREAM_ROUNDS: u64 = 50;
 
@@ -561,10 +653,9 @@ mod tests {
             let broadcasting = vec![false; net.n()];
             let mut adv = RandomUnreliable::new(0.5, 21);
             let mut rng = StdRng::seed_from_u64(21);
-            let (mut got, mut want) = (Vec::new(), Vec::new());
+            let mut want = Vec::new();
             for r in 0..STREAM_ROUNDS {
-                got.clear();
-                adv.extra_edges(r, &net, &broadcasting, &mut got);
+                let got = round_mask(&mut adv, r, &net, &broadcasting);
                 // Reference: bit `i` of one fresh word per 64 edges is the
                 // coin of the chunk's `i`-th edge.
                 want.clear();
@@ -577,7 +668,7 @@ mod tests {
                         word >>= 1;
                     }
                 }
-                assert_eq!(got, want, "{chords} chords, round {r}");
+                assert_eq!(got, pairs_mask(&net, &want), "{chords} chords, round {r}");
             }
         }
     }
@@ -594,10 +685,9 @@ mod tests {
             // Reference: stationary start, then one `gen_bool` per edge
             // per round flipping its state, keeping the Good edges.
             let mut states: Vec<bool> = (0..edges.len()).map(|_| rng.gen_bool(0.5)).collect();
-            let (mut got, mut want) = (Vec::new(), Vec::new());
+            let mut want = Vec::new();
             for r in 0..STREAM_ROUNDS {
-                got.clear();
-                adv.extra_edges(r, &net, &broadcasting, &mut got);
+                let got = round_mask(&mut adv, r, &net, &broadcasting);
                 want.clear();
                 for (state, &edge) in states.iter_mut().zip(edges) {
                     let flip = if *state { p_gb } else { p_bg };
@@ -608,8 +698,247 @@ mod tests {
                         want.push(edge);
                     }
                 }
-                assert_eq!(got, want, "{chords} chords, round {r}");
+                assert_eq!(got, pairs_mask(&net, &want), "{chords} chords, round {r}");
             }
         }
+    }
+
+    /// The pair-emitting form of the built-in adversaries before they
+    /// marked a mask, kept as test-only references: each one pushes the
+    /// pairs it activates, and each port's mask must name exactly that set.
+    trait PairReference {
+        fn pairs(&mut self, net: &DualGraph, broadcasting: &[bool], out: &mut Vec<(usize, usize)>);
+    }
+
+    struct RefRandom {
+        p: f64,
+        rng: StdRng,
+    }
+
+    impl PairReference for RefRandom {
+        fn pairs(&mut self, net: &DualGraph, _: &[bool], out: &mut Vec<(usize, usize)>) {
+            let edges = net.unreliable_edge_list();
+            if self.p <= 0.0 {
+                return;
+            }
+            if self.p >= 1.0 {
+                out.extend_from_slice(edges);
+                return;
+            }
+            if self.p < 0.25 {
+                let ln_q = (1.0 - self.p).ln();
+                let mut i = 0usize;
+                loop {
+                    let u: f64 = self.rng.gen_range(0.0..1.0);
+                    let skip = ((1.0 - u).ln() / ln_q) as usize;
+                    i = i.saturating_add(skip);
+                    if i >= edges.len() {
+                        return;
+                    }
+                    out.push(edges[i]);
+                    i += 1;
+                }
+            }
+            if self.p == 0.5 {
+                for chunk in edges.chunks(64) {
+                    let mut word = self.rng.next_u64();
+                    if chunk.len() < 64 {
+                        word &= (1u64 << chunk.len()) - 1;
+                    }
+                    while word != 0 {
+                        out.push(chunk[word.trailing_zeros() as usize]);
+                        word &= word - 1;
+                    }
+                }
+                return;
+            }
+            let threshold = coin_threshold(self.p);
+            for &e in edges {
+                if (self.rng.next_u64() >> 11) < threshold {
+                    out.push(e);
+                }
+            }
+        }
+    }
+
+    struct RefBursty {
+        t_gb: u64,
+        t_bg: u64,
+        rate: f64,
+        rng: StdRng,
+        states: Option<Vec<bool>>,
+    }
+
+    impl PairReference for RefBursty {
+        fn pairs(&mut self, net: &DualGraph, _: &[bool], out: &mut Vec<(usize, usize)>) {
+            let edges = net.unreliable_edge_list();
+            let rng = &mut self.rng;
+            let rate = self.rate;
+            let states = self
+                .states
+                .get_or_insert_with(|| (0..edges.len()).map(|_| rng.gen_bool(rate)).collect());
+            for (state, &edge) in states.iter_mut().zip(edges) {
+                let t = if *state { self.t_gb } else { self.t_bg };
+                *state ^= (rng.next_u64() >> 11) < t;
+                if *state {
+                    out.push(edge);
+                }
+            }
+        }
+    }
+
+    struct RefAll;
+
+    impl PairReference for RefAll {
+        fn pairs(&mut self, net: &DualGraph, _: &[bool], out: &mut Vec<(usize, usize)>) {
+            out.extend(net.unreliable_edges());
+        }
+    }
+
+    struct RefCollider;
+
+    impl PairReference for RefCollider {
+        fn pairs(&mut self, net: &DualGraph, broadcasting: &[bool], out: &mut Vec<(usize, usize)>) {
+            for v in 0..net.n() {
+                if broadcasting[v] {
+                    continue;
+                }
+                let reliable_hits = net
+                    .g_csr()
+                    .neighbors(v)
+                    .iter()
+                    .filter(|&&u| broadcasting[u as usize])
+                    .count();
+                if reliable_hits != 1 {
+                    continue;
+                }
+                if let Some(&u) = net
+                    .unreliable_csr()
+                    .neighbors(v)
+                    .iter()
+                    .find(|&&u| broadcasting[u as usize])
+                {
+                    out.push((u as usize, v));
+                }
+            }
+        }
+    }
+
+    struct RefIsolator;
+
+    impl PairReference for RefIsolator {
+        fn pairs(&mut self, net: &DualGraph, broadcasting: &[bool], out: &mut Vec<(usize, usize)>) {
+            if broadcasting.iter().filter(|&&b| b).count() < 2 {
+                return;
+            }
+            for v in 0..net.n() {
+                if broadcasting[v] {
+                    continue;
+                }
+                let mut reach = net
+                    .g_csr()
+                    .neighbors(v)
+                    .iter()
+                    .filter(|&&u| broadcasting[u as usize])
+                    .count();
+                if reach >= 2 {
+                    continue;
+                }
+                for &u in net.unreliable_csr().neighbors(v) {
+                    if reach >= 2 {
+                        break;
+                    }
+                    if broadcasting[u as usize] {
+                        out.push((u as usize, v));
+                        reach += 1;
+                    }
+                }
+            }
+        }
+    }
+
+    /// Broadcast flags for round `r`, cycling through no broadcaster, one,
+    /// a fixed few, every node, and a random few.
+    fn broadcast_flags(n: usize, r: u64, rng: &mut StdRng) -> Vec<bool> {
+        match r % 5 {
+            0 => vec![false; n],
+            1 => (0..n).map(|v| v == n / 2).collect(),
+            2 => (0..n).map(|v| v % 7 == 3).collect(),
+            3 => vec![true; n],
+            _ => (0..n).map(|_| rng.gen_bool(0.1)).collect(),
+        }
+    }
+
+    /// Steps a fresh port and a fresh reference side by side for
+    /// `STREAM_ROUNDS` rounds on each `STREAM_CHORDS` net and the RGG net,
+    /// and asserts that each round's mask names exactly the reference's
+    /// pairs (with no bit past the last edge).
+    fn assert_port_matches(
+        what: &str,
+        port: impl Fn() -> Box<dyn Adversary>,
+        reference: impl Fn() -> Box<dyn PairReference>,
+    ) {
+        let nets = STREAM_CHORDS.map(path_with_chords).into_iter();
+        for net in nets.chain([rgg_net()]) {
+            let (mut adv, mut refr) = (port(), reference());
+            let mut flags_rng = StdRng::seed_from_u64(3);
+            let mut want = Vec::new();
+            for r in 0..STREAM_ROUNDS {
+                let broadcasting = broadcast_flags(net.n(), r, &mut flags_rng);
+                let got = round_mask(&mut adv, r, &net, &broadcasting);
+                want.clear();
+                refr.pairs(&net, &broadcasting, &mut want);
+                let m = net.unreliable_edge_count();
+                assert_eq!(got, pairs_mask(&net, &want), "{what}, {m} edges, round {r}");
+            }
+        }
+    }
+
+    #[test]
+    fn random_ports_match_the_pair_references() {
+        // Both extremes, the geometric skip, the word-per-64 half and the
+        // dense coin loop.
+        for p in [0.0, 0.1, 0.5, 0.7, 1.0] {
+            assert_port_matches(
+                &format!("random {p}"),
+                || Box::new(RandomUnreliable::new(p, 21)),
+                || {
+                    Box::new(RefRandom {
+                        p,
+                        rng: StdRng::seed_from_u64(21),
+                    })
+                },
+            );
+        }
+    }
+
+    #[test]
+    fn bursty_port_matches_the_pair_reference() {
+        for (p_gb, p_bg) in [(0.05, 0.05), (0.3, 0.6)] {
+            assert_port_matches(
+                &format!("bursty {p_gb}/{p_bg}"),
+                || Box::new(BurstyUnreliable::new(p_gb, p_bg, 8)),
+                || {
+                    Box::new(RefBursty {
+                        t_gb: coin_threshold(p_gb),
+                        t_bg: coin_threshold(p_bg),
+                        rate: p_bg / (p_gb + p_bg),
+                        rng: StdRng::seed_from_u64(8),
+                        states: None,
+                    })
+                },
+            );
+        }
+    }
+
+    #[test]
+    fn adaptive_and_fixed_ports_match_the_pair_references() {
+        assert_port_matches("all", || Box::new(AllUnreliable), || Box::new(RefAll));
+        assert_port_matches("collider", || Box::new(Collider), || Box::new(RefCollider));
+        assert_port_matches(
+            "isolator",
+            || Box::new(CliqueIsolator),
+            || Box::new(RefIsolator),
+        );
     }
 }

@@ -34,9 +34,9 @@
 //!    broadcaster's bitmask row ([`crate::BitRows`], `⌈n/64⌉` words per
 //!    node) into carry-save seen/collide accumulators
 //!    (`collide |= seen & row; seen |= row`), then overlays the
-//!    adversary's activated unreliable edges bit by bit — `O(B·⌈n/64⌉)`
-//!    word operations per round, a ~64× narrower inner loop than the
-//!    scalar scatter on dense graphs.
+//!    broadcasters' activated unreliable edges bit by bit —
+//!    `O(B·⌈n/64⌉)` word operations per round, a ~64× narrower inner loop
+//!    than the scalar scatter on dense graphs.
 //!
 //! **One decide phase.** The two production tiers share phase 1
 //! (`Engine::decide_phase`): advance the round, then let every due
@@ -46,18 +46,23 @@
 //! reach state differently.
 //!
 //! **One adversary phase.** The production tiers also share phase 2
-//! (`Engine::adversary_phase`). Only an activated edge with exactly one
-//! broadcasting endpoint can change a reception, so the helper first
-//! drops every other pair of the proposal (out of range, self-loops,
-//! both or neither endpoint broadcasting), then normalizes, sorts,
-//! dedupes and validates the short remainder against `E' \ E` with an
-//! `O(1)`-amortized [`crate::NeighborStamps`] row test. A round with a
-//! few broadcasters thus validates a few dozen pairs, not the hundreds a
-//! random adversary proposes. Only a tracing engine validates the whole
-//! proposal first, because its trace records how many distinct valid
-//! edges the adversary proposed (`RoundRecord::extra_edges`, counted the
-//! way `step_legacy` counts them). The delivery phases then add each
-//! remaining edge at its listening endpoint with no further checks.
+//! (`Engine::adversary_phase`). The adversary marks the round's activated
+//! edges in a bitmask over `E' \ E` (see [`Adversary`]), cleared before
+//! each call and sized at spawn: bit `i` is edge `i` of
+//! [`DualGraph::unreliable_edge_list`]. Only an activated edge with
+//! exactly one broadcasting endpoint can change a reception, so the phase
+//! reads the mask only along the broadcasters' unreliable rows: the
+//! network freezes the edge index of each unreliable CSR slot
+//! ([`DualGraph::unreliable_edge_ids`]), and slot `(b, v)` of broadcaster
+//! `b`'s row enters `extra` iff its bit is set and `v` does not broadcast.
+//! That costs `O(⌈m'/64⌉ + Σ_{b∈B} deg_U(b))` for `m'` unreliable edges,
+//! whatever the adversary activates. A mask cannot name an out-of-range
+//! pair, a self-loop, a reliable edge or a duplicate, so nothing is
+//! normalized or validated. The trace's `RoundRecord::extra_edges` is the
+//! popcount of the mask's first `m'` bits, the count `step_legacy` records
+//! after expanding the mask into pairs; bits past the last edge never
+//! deliver and never count. The delivery phases then add each `extra`
+//! pair at its listener with no further checks.
 //!
 //! **Tier selection.** The run loops ([`Engine::run`] and friends) pick
 //! between the scalar and bitset tiers once at spawn via
@@ -142,9 +147,10 @@
 //!   are overwritten (not reallocated) every round; only the round's
 //!   broadcasters have their `broadcasting` flag set, and the next round
 //!   clears those through the broadcaster list;
-//! * `extra` holds the adversary's proposal, filtered in place by phase 2;
-//!   its capacity high-water-marks after the first few rounds, after
-//!   which `clear()` frees nothing;
+//! * `mask` is `⌈m'/64⌉` words from spawn and cleared before every
+//!   adversary call; `extra` holds the round's (broadcaster, listener)
+//!   pairs, at most one per unreliable edge, so its spawn capacity of `m'`
+//!   never grows;
 //! * `reach_stamp` equality with the current round epoch marks a listener
 //!   as reached this round — stale entries are never cleared, just
 //!   outdated, so no `O(n)` zeroing happens between rounds. The epoch
@@ -163,7 +169,7 @@
 use crate::adversary::{Adversary, ReliableOnly};
 use crate::detector::{DetectorSet, LinkDetectorAssignment};
 use crate::dynamic::DetectorProvider;
-use crate::graph::NeighborStamps;
+use crate::graph::low_bits;
 use crate::ids::{IdAssignment, NodeId, ProcessId};
 use crate::network::DualGraph;
 use crate::process::{Action, Context, MessageSize, Process, ProcessRng};
@@ -439,10 +445,6 @@ impl EngineBuilder {
         if bit_rows && bytes > MAX_BIT_ROWS_BYTES {
             return Err(EngineError::BitRowsTooLarge { n, bytes });
         }
-        // Size the adversary-proposal buffer for the built-in adversaries'
-        // worst cases (full unreliable layer, or ≤ 2 edges per listener) so
-        // steady state never grows it.
-        let extra_capacity = self.net.unreliable_edge_count().max(2 * n);
         // Per-process seeds come from the master StdRng (pinned stream);
         // the per-process generators themselves are the cheap SmallRng —
         // process coins dominate RNG volume at steady state.
@@ -465,6 +467,7 @@ impl EngineBuilder {
         // its sets so the per-node, per-round lookup is a plain index
         // instead of a virtual call.
         let static_det = detectors.static_assignment();
+        let unreliable_edges = self.net.unreliable_edge_count();
         if bit_rows {
             // Build (and cache on the network) the bitmask rows up front,
             // so the hot loop never pays the one-time cost mid-run.
@@ -493,7 +496,7 @@ impl EngineBuilder {
             scan_outputs: true,
             static_det,
             mode,
-            scratch: RoundScratch::new(n, extra_capacity, P::IDLES),
+            scratch: RoundScratch::new(n, unreliable_edges, P::IDLES),
         })
     }
 }
@@ -512,11 +515,14 @@ struct RoundScratch<M> {
     broadcasting: Vec<bool>,
     /// The nodes that broadcast this round, in node order.
     broadcasters: Vec<u32>,
-    /// The adversary's proposed unreliable edges, normalized/filtered in
-    /// place each round.
-    extra: Vec<(usize, usize)>,
-    /// Row tester validating proposals against `E' \ E` in `O(1)` amortized.
-    unreliable_rows: NeighborStamps,
+    /// The adversary's activated unreliable edges, one bit per edge of
+    /// `net.unreliable_edge_list()` (`⌈m'/64⌉` words), cleared before
+    /// every adversary call.
+    mask: Vec<u64>,
+    /// The activated edges that can change a reception, as (broadcaster,
+    /// listener) pairs. Each edge has at most one broadcasting endpoint
+    /// here, so `m'` slots always suffice.
+    extra: Vec<(u32, u32)>,
     /// Monotone round epoch for the reach counters below; stale entries are
     /// outdated by the bump, never cleared.
     epoch: u64,
@@ -544,13 +550,13 @@ struct RoundScratch<M> {
 // lint: end-no-alloc
 
 impl<M> RoundScratch<M> {
-    fn new(n: usize, extra_capacity: usize, idles: bool) -> Self {
+    fn new(n: usize, unreliable_edges: usize, idles: bool) -> Self {
         RoundScratch {
             msgs: (0..n).map(|_| None).collect(),
             broadcasting: vec![false; n],
             broadcasters: Vec::with_capacity(n),
-            extra: Vec::with_capacity(extra_capacity),
-            unreliable_rows: NeighborStamps::new(n),
+            mask: vec![0; unreliable_edges.div_ceil(64)],
+            extra: Vec::with_capacity(unreliable_edges),
             epoch: 0,
             reach_stamp: vec![0; n],
             reach_count: vec![0; n],
@@ -625,16 +631,6 @@ pub struct Engine<P: Process> {
     scratch: RoundScratch<P::Msg>,
 }
 
-/// The bits of word `w` that name nodes of an `n`-node network: all 64
-/// except in a partial last word.
-#[inline]
-fn node_bits(n: usize, w: usize) -> u64 {
-    match n - (w << 6) {
-        rest @ 0..=63 => (1 << rest) - 1,
-        _ => !0,
-    }
-}
-
 /// The detector set of node `v` at round `r` — an `O(1)` view on the shared
 /// sets for static detectors, the provider call otherwise. A free function
 /// over the two fields so callers keep disjoint borrows of the rest of the
@@ -658,12 +654,13 @@ impl<P: Process> Engine<P> {
     /// Allocation-free in steady state: all per-round buffers live in the
     /// engine's scratch (see the module docs). Deliveries are computed by
     /// scattering each broadcaster's CSR neighborhood into epoch-stamped
-    /// reach counters. Cost per round, for `B` broadcasters:
-    /// `O(⌈n/64⌉ + |due| + Σ deg(B) + extra edges + |visited|)`, where the
-    /// due deciders and visited listeners are every awake node for a process
-    /// that keeps the default promise, and only the ones the module docs'
-    /// *Sparse rounds* name for one that idles (plus `O(n)` on the rounds a
-    /// promise lapses).
+    /// reach counters. Cost per round, for `B` broadcasters and `m'`
+    /// unreliable edges, besides the adversary's own work:
+    /// `O(⌈n/64⌉ + ⌈m'/64⌉ + |due| + Σ_{b∈B} (deg(b) + deg_U(b)) +
+    /// |visited|)`, where the due deciders and visited listeners are every
+    /// awake node for a process that keeps the default promise, and only
+    /// the ones the module docs' *Sparse rounds* name for one that idles
+    /// (plus `O(n)` on the rounds a promise lapses).
     // lint: begin-no-alloc
     pub fn step(&mut self) {
         // Phase 1: every due process decides (see `decide_phase`).
@@ -671,13 +668,13 @@ impl<P: Process> Engine<P> {
         let n = self.net.n();
         let r = self.round;
 
-        // Phase 2: the adversary picks the round's unreliable reach edges;
-        // `extra` keeps the validated ones that can change a reception.
+        // Phase 2: the adversary marks the round's unreliable reach edges;
+        // `extra` receives the ones that can change a reception.
         let extra_count = self.adversary_phase();
 
         // Phase 3: reach. Each broadcaster scatters its CSR row into the
         // stamped counters, then each activated unreliable edge bumps its
-        // listening endpoint. The epoch advances every round — including
+        // listener. The epoch advances every round — including
         // broadcaster-less ones, where stale reach state from earlier
         // rounds must not deliver. A promising process also marks each
         // listener's first stamp in `bit_seen`, cleared under the same rule.
@@ -690,7 +687,6 @@ impl<P: Process> Engine<P> {
             let csr_g = self.net.g_csr();
             let RoundScratch {
                 broadcasters,
-                broadcasting,
                 extra,
                 reach_stamp,
                 reach_count,
@@ -715,9 +711,8 @@ impl<P: Process> Engine<P> {
                     bump(u, v as usize);
                 }
             }
-            for &(a, b) in extra.iter() {
-                let (from, to) = if broadcasting[a] { (a, b) } else { (b, a) };
-                bump(from as u32, to);
+            for &(from, to) in extra.iter() {
+                bump(from, to as usize);
             }
         }
 
@@ -733,7 +728,7 @@ impl<P: Process> Engine<P> {
             let mut pending = if P::IDLES {
                 self.scratch.bit_seen[w] | self.scratch.bit_listen[w]
             } else {
-                node_bits(n, w)
+                low_bits(n, w)
             };
             while pending != 0 {
                 let v = (w << 6) | pending.trailing_zeros() as usize;
@@ -835,29 +830,44 @@ impl<P: Process> Engine<P> {
         }
         // lint: end-rng-order(decide)
 
-        // Phase 2: the adversary picks the round's unreliable reach edges.
-        self.scratch.extra.clear();
+        // Phase 2: the adversary marks the round's unreliable reach edges
+        // in a fresh mask; every set bit below m' names one edge.
+        // lint:allow(no-alloc-region) seed tier allocates its per-round buffers by design
+        let mut broadcasters = Vec::new();
+        for v in 0..n {
+            if broadcasting[v] {
+                broadcasters.push(v as u32);
+            }
+        }
+        let edges = self.net.unreliable_edge_list();
+        // lint:allow(no-alloc-region) seed tier allocates its per-round buffers by design
+        let mut mask = vec![0u64; edges.len().div_ceil(64)];
         self.adversary
-            .extra_edges(r, &self.net, &broadcasting, &mut self.scratch.extra);
+            .extra_edges(r, &self.net, &broadcasting, &broadcasters, &mut mask);
+        // lint:allow(no-alloc-region) seed tier allocates its per-round buffers by design
+        let mut extra: Vec<(usize, usize)> = Vec::new();
+        for (i, &e) in edges.iter().enumerate() {
+            if mask[i >> 6] >> (i & 63) & 1 == 1 {
+                extra.push(e);
+            }
+        }
         // Defensive filtering: keep only genuine unreliable edges, dedupe.
         let net = &self.net;
-        self.scratch
-            .extra
-            .retain(|&(u, v)| u < n && v < n && net.is_unreliable_edge(u, v));
-        for e in &mut self.scratch.extra {
+        extra.retain(|&(u, v)| u < n && v < n && net.is_unreliable_edge(u, v));
+        for e in &mut extra {
             if e.0 > e.1 {
                 *e = (e.1, e.0);
             }
         }
-        self.scratch.extra.sort_unstable();
-        self.scratch.extra.dedup();
-        let extra_count = self.scratch.extra.len() as u32;
+        extra.sort_unstable();
+        extra.dedup();
+        let extra_count = extra.len() as u32;
 
         // Per-listener extra reach: broadcasters connected by an activated
         // unreliable edge.
         // lint:allow(no-alloc-region) seed tier allocates its per-round buffers by design
         let mut extra_from: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for &(u, v) in &self.scratch.extra {
+        for &(u, v) in &extra {
             if broadcasting[u] && !broadcasting[v] {
                 extra_from[v].push(u);
             }
@@ -920,23 +930,24 @@ impl<P: Process> Engine<P> {
     /// Produces executions identical to [`Engine::step`] — same decide and
     /// receive call order (hence the same per-process RNG streams), same
     /// traces, transcripts, metrics, and outputs — for every adversary,
-    /// including malformed proposals; the golden-trace differential tests
-    /// pin the equivalence exactly the way `step` is pinned to
-    /// [`Engine::step_legacy`].
+    /// including ones that set bits past the last edge; the golden-trace
+    /// differential tests pin the equivalence exactly the way `step` is
+    /// pinned to [`Engine::step_legacy`].
     ///
     /// Reach is computed as a carry-save bit pair over `⌈n/64⌉`-word
     /// bitmask rows: for each broadcaster row,
     /// `collide |= seen & row; seen |= row` — one-bit saturating counters
     /// distinguishing "reached once" (clean delivery) from "reached twice
     /// or more" (collision), which is all the model's delivery rule needs.
-    /// The adversary's activated unreliable edges overlay single bits, and
-    /// a second row pass records each cleanly reached listener's unique
-    /// source. Cost: `O(⌈n/64⌉·(B+1) + extra + |due| + |visited|)` word
-    /// operations per round for `B` broadcasters, where the due deciders and
-    /// visited listeners are every awake node for a process that keeps the
-    /// default promise, and only the ones the module docs' *Sparse rounds*
-    /// name for one that idles (plus `O(n)` on the rounds a promise
-    /// lapses).
+    /// The broadcasters' activated unreliable edges overlay single bits,
+    /// and a second row pass records each cleanly reached listener's unique
+    /// source. Cost: `O(⌈n/64⌉·(B+1) + ⌈m'/64⌉ + Σ_{b∈B} deg_U(b) + |due| +
+    /// |visited|)` word operations per round for `B` broadcasters and `m'`
+    /// unreliable edges, besides the adversary's own work, where the due
+    /// deciders and visited listeners are every awake node for a process
+    /// that keeps the default promise, and only the ones the module docs'
+    /// *Sparse rounds* name for one that idles (plus `O(n)` on the rounds a
+    /// promise lapses).
     ///
     /// Allocation-free in steady state. The bitmask rows are built (and
     /// cached on the network) at spawn for engines resolved to
@@ -948,8 +959,8 @@ impl<P: Process> Engine<P> {
         let n = self.net.n();
         let r = self.round;
 
-        // Phase 2: the adversary picks the round's unreliable reach edges;
-        // `extra` keeps the validated ones that can change a reception.
+        // Phase 2: the adversary marks the round's unreliable reach edges;
+        // `extra` receives the ones that can change a reception.
         let extra_count = self.adversary_phase();
 
         // Phase 3: carry-save reach. seen/collide are cleared every round
@@ -963,7 +974,6 @@ impl<P: Process> Engine<P> {
             let rows = self.net.g_bit_rows();
             let RoundScratch {
                 broadcasters,
-                broadcasting,
                 extra,
                 bit_seen,
                 bit_collide,
@@ -978,17 +988,15 @@ impl<P: Process> Engine<P> {
                 }
             }
             // Unreliable overlay: each activated edge adds a single bit at
-            // its listening endpoint. E' \ E is disjoint from E, so an
-            // extra edge never double-counts a row delivery from the same
-            // broadcaster.
-            for &(a, b) in extra.iter() {
-                let (from, to) = if broadcasting[a] { (a, b) } else { (b, a) };
-                let (w, bit) = (to >> 6, 1u64 << (to & 63));
+            // its listener. E' \ E is disjoint from E, so an extra edge
+            // never double-counts a row delivery from the same broadcaster.
+            for &(from, to) in extra.iter() {
+                let (w, bit) = (to as usize >> 6, 1u64 << (to & 63));
                 if bit_seen[w] & bit != 0 {
                     bit_collide[w] |= bit;
                 } else {
                     bit_seen[w] |= bit;
-                    reach_first[to] = from as u32;
+                    reach_first[to as usize] = from;
                 }
             }
             // Second row pass: record the delivering source of every
@@ -1019,7 +1027,7 @@ impl<P: Process> Engine<P> {
             let mut pending = if P::IDLES {
                 self.scratch.bit_seen[w] | self.scratch.bit_listen[w]
             } else {
-                node_bits(n, w)
+                low_bits(n, w)
             };
             while pending != 0 {
                 let bit = pending & pending.wrapping_neg();
@@ -1096,7 +1104,7 @@ impl<P: Process> Engine<P> {
             let mut pending = if P::IDLES {
                 self.due[w]
             } else {
-                node_bits(n, w)
+                low_bits(n, w)
             };
             let mut listen = 0;
             while pending != 0 {
@@ -1191,69 +1199,49 @@ impl<P: Process> Engine<P> {
     }
     // lint: end-no-alloc
 
-    /// Phase 2 of every production tier: collects the adversary's
-    /// proposal for the current round into `scratch.extra` and leaves
-    /// there exactly the distinct edges of `E' \ E` with one broadcasting
-    /// endpoint, normalized `(u < v)` and sorted — the only activated
-    /// edges that can change a reception.
+    /// Phase 2 of every production tier: the adversary marks the round's
+    /// activated unreliable edges in the cleared `scratch.mask`, and
+    /// `scratch.extra` receives every marked edge `(b, v)` from a
+    /// broadcaster `b` to a listener `v` — the only activated edges that
+    /// can change a reception — by a walk of each broadcaster's unreliable
+    /// row. An edge with two broadcasting endpoints is skipped from both
+    /// sides, so each edge enters at most once.
     ///
-    /// Untraced engines drop every other pair first (out of range, both
-    /// or neither endpoint broadcasting) and then sort, dedupe and
-    /// validate the short remainder. A tracing engine validates the whole
-    /// proposal before that filter, because its trace records how many
-    /// distinct valid edges the adversary proposed — the count this
-    /// returns (what `step_legacy` records). Untraced engines return the
-    /// filtered count, which nothing reads.
+    /// Returns how many edges the mask activates, its popcount below `m'`:
+    /// the count `step_legacy` records. A round that activates nothing
+    /// skips the walk. Cost `O(⌈m'/64⌉ + Σ_{b∈B} deg_U(b))` besides the
+    /// adversary's own work.
     // lint: begin-no-alloc
     fn adversary_phase(&mut self) -> u32 {
-        let n = self.net.n();
-        self.scratch.extra.clear();
-        self.adversary.extra_edges(
-            self.round,
-            &self.net,
-            &self.scratch.broadcasting,
-            &mut self.scratch.extra,
-        );
-        let unreliable = self.net.unreliable_csr();
         let RoundScratch {
-            extra,
             broadcasting,
-            unreliable_rows,
+            broadcasters,
+            mask,
+            extra,
             ..
         } = &mut self.scratch;
-        let mut validate = |extra: &mut Vec<(usize, usize)>| {
-            for e in extra.iter_mut() {
-                if e.0 > e.1 {
-                    *e = (e.1, e.0);
+        mask.fill(0);
+        self.adversary
+            .extra_edges(self.round, &self.net, broadcasting, broadcasters, mask);
+        // Bits past the last edge of the final word name no edge.
+        let m = self.net.unreliable_edge_count();
+        let mut activated = 0;
+        for (w, word) in mask.iter().enumerate() {
+            activated += (word & low_bits(m, w)).count_ones();
+        }
+        extra.clear();
+        if activated > 0 {
+            let unreliable = self.net.unreliable_csr();
+            for &b in broadcasters.iter() {
+                let row = unreliable.neighbors(b as usize);
+                for (&v, &e) in row.iter().zip(self.net.unreliable_edge_ids(b as usize)) {
+                    if mask[e as usize >> 6] >> (e & 63) & 1 == 1 && !broadcasting[v as usize] {
+                        extra.push((b, v));
+                    }
                 }
             }
-            extra.sort_unstable();
-            extra.dedup();
-            // One stamped row load per distinct lower endpoint instead of
-            // a binary search per edge.
-            let mut loaded = usize::MAX;
-            extra.retain(|&(u, v)| {
-                u < n && v < n && {
-                    if loaded != u {
-                        unreliable_rows.load_row(unreliable, u);
-                        loaded = u;
-                    }
-                    unreliable_rows.contains(v)
-                }
-            });
-        };
-        // Also drops self-loops: both sides carry the same flag.
-        let incident =
-            |&(a, b): &(usize, usize)| a < n && b < n && broadcasting[a] != broadcasting[b];
-        if self.trace.is_none() {
-            extra.retain(incident);
-            validate(extra);
-            return extra.len() as u32;
         }
-        validate(extra);
-        let proposed = extra.len() as u32;
-        extra.retain(incident);
-        proposed
+        activated
     }
     // lint: end-no-alloc
 

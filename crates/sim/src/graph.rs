@@ -18,11 +18,6 @@
 //! at construction for both layers and for the unreliable difference
 //! `E' \ E`.
 //!
-//! Membership tests against a CSR row use [`NeighborStamps`]: load a row
-//! once (`O(deg)`), then each query is an `O(1)` epoch-stamp comparison —
-//! amortized constant when queries are grouped by row, which is how the
-//! engine filters the adversary's proposed unreliable edges.
-//!
 //! Node ids and row offsets are stored as `u32` throughout the frozen
 //! forms — half the memory (and twice the cache reach) of `usize` on
 //! 64-bit targets; construction debug-asserts `n ≤ u32::MAX`.
@@ -388,7 +383,14 @@ impl CsrGraph {
     /// Panics if `u >= n`.
     #[inline]
     pub fn neighbors(&self, u: usize) -> &[u32] {
-        &self.neighbors[self.offsets[u] as usize..self.offsets[u + 1] as usize]
+        &self.neighbors[self.row_slots(u)]
+    }
+
+    /// The positions of `u`'s row in the concatenated neighbor array, for
+    /// arrays kept parallel to it.
+    #[inline]
+    pub(crate) fn row_slots(&self, u: usize) -> std::ops::Range<usize> {
+        self.offsets[u] as usize..self.offsets[u + 1] as usize
     }
 
     /// Degree of `u`.
@@ -407,9 +409,8 @@ impl CsrGraph {
         self.neighbors.len()
     }
 
-    /// Whether `{u, v}` is an edge (`O(log deg)`; for repeated queries
-    /// against one row use [`NeighborStamps`]). Out-of-range queries return
-    /// `false`.
+    /// Whether `{u, v}` is an edge (`O(log deg)`). Out-of-range queries
+    /// return `false`.
     #[inline]
     pub fn has_edge(&self, u: usize, v: usize) -> bool {
         u < self.n() && v < self.n() && self.neighbors(u).binary_search(&(v as u32)).is_ok()
@@ -470,49 +471,13 @@ impl BitRows {
     }
 }
 
-/// Epoch-stamped row membership tester over a [`CsrGraph`].
-///
-/// `load_row(csr, u)` marks `u`'s neighbors in `O(deg(u))`; `contains(v)`
-/// then answers in `O(1)`. Loading a new row invalidates the previous one
-/// by bumping the epoch — the stamp array is never cleared, so a tester
-/// allocates once and is free thereafter. This is the structure the engine
-/// uses to filter adversary-proposed unreliable edges without the seed
-/// implementation's per-edge binary search.
-#[derive(Debug, Clone)]
-pub struct NeighborStamps {
-    stamps: Vec<u64>,
-    epoch: u64,
-}
-
-impl NeighborStamps {
-    /// A tester for graphs on `n` vertices.
-    pub fn new(n: usize) -> Self {
-        NeighborStamps {
-            stamps: vec![0; n],
-            epoch: 0,
-        }
-    }
-
-    /// Loads the neighbor row of `u`, invalidating any previous row.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `csr` covers more vertices than this tester.
-    pub fn load_row(&mut self, csr: &CsrGraph, u: usize) {
-        self.epoch += 1;
-        for &v in csr.neighbors(u) {
-            self.stamps[v as usize] = self.epoch;
-        }
-    }
-
-    /// Whether `v` is in the currently loaded row.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v` is out of range.
-    #[inline]
-    pub fn contains(&self, v: usize) -> bool {
-        self.stamps[v] == self.epoch
+/// The bits of word `w` of a bitmask over `len` items (nodes, or unreliable
+/// edges) that name an item: all 64, except in a partial last word.
+#[inline]
+pub(crate) fn low_bits(len: usize, w: usize) -> u64 {
+    match len - (w << 6) {
+        rest @ 0..=63 => (1 << rest) - 1,
+        _ => !0,
     }
 }
 
@@ -660,23 +625,5 @@ mod tests {
         // Exact multiples of 64 use no padding word.
         let k = Graph::complete(64).to_csr();
         assert_eq!(BitRows::from_csr(&k).words(), 1);
-    }
-
-    #[test]
-    fn stamps_answer_row_membership() {
-        let g = Graph::from_edges(4, [(0, 1), (0, 2), (2, 3)]).unwrap();
-        let csr = g.to_csr();
-        let mut stamps = NeighborStamps::new(4);
-        stamps.load_row(&csr, 0);
-        assert!(stamps.contains(1));
-        assert!(stamps.contains(2));
-        assert!(!stamps.contains(3));
-        stamps.load_row(&csr, 3);
-        assert!(stamps.contains(2));
-        assert!(!stamps.contains(1), "old row must be invalidated");
-        // An empty row invalidates everything.
-        let lonely = Graph::new(4).to_csr();
-        stamps.load_row(&lonely, 0);
-        assert!(!stamps.contains(2));
     }
 }

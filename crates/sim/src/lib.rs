@@ -80,7 +80,7 @@ pub use adversary::Adversary;
 pub use detector::{DetectorSet, LinkDetectorAssignment, SpuriousSource};
 pub use dynamic::{DetectorProvider, DynamicDetector, DynamicDetectorError};
 pub use engine::{Engine, EngineBuilder, EngineError, RunOutcome, SpawnInfo, StepMode, StopReason};
-pub use graph::{BitRows, CsrGraph, Graph, GraphError, NeighborStamps};
+pub use graph::{BitRows, CsrGraph, Graph, GraphError};
 pub use ids::{IdAssignment, NodeId, ProcessId};
 pub use network::{DualGraph, NetworkError};
 pub use process::{Action, Context, MessageSize, Process, ProcessRng};

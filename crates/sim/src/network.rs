@@ -97,10 +97,10 @@ impl std::error::Error for NetworkError {}
 ///
 /// Construction freezes both layers into flat CSR adjacency
 /// ([`CsrGraph`]) and precomputes the unreliable difference `E' \ E` as
-/// both a CSR layer and a flat edge list — the forms the engine's
-/// per-round hot path consumes without further allocation or `O(log deg)`
-/// membership searches. A classic network (`G = G'`) stores the reliable
-/// layer once.
+/// both a CSR layer and a flat edge list, plus the list index of the edge
+/// at each slot of that layer — the forms the engine's per-round hot path
+/// consumes without further allocation or `O(log deg)` membership
+/// searches. A classic network (`G = G'`) stores the reliable layer once.
 ///
 /// A `DualGraph` is a handle on that frozen state: the network is
 /// immutable once built, so [`Clone`] only bumps a reference count, and
@@ -140,10 +140,14 @@ struct FrozenNet {
     csr_g_prime: Option<CsrGraph>,
     csr_unreliable: CsrGraph,
     unreliable_list: Vec<(usize, usize)>,
+    /// The index in `unreliable_list` of the edge at each slot of
+    /// `csr_unreliable`'s neighbor array.
+    unreliable_ids: Vec<u32>,
     /// Word-packed reliable-layer adjacency for the bit-parallel delivery
     /// engine. Built on first use (rows cost `n·⌈n/64⌉` words, which
     /// scalar-only runs should never pay); one layer suffices because the
-    /// adversary's unreliable picks arrive as an edge list each round.
+    /// engine reads the adversary's unreliable picks along the
+    /// broadcasters' unreliable rows.
     bit_g: OnceLock<BitRows>,
 }
 
@@ -179,6 +183,7 @@ impl DualGraph {
                 (Some(gp.to_csr()), unreliable.to_csr(), list)
             }
         };
+        let unreliable_ids = slot_edge_ids(&csr_unreliable, &unreliable_list);
         DualGraph {
             frozen: Arc::new(FrozenNet {
                 g,
@@ -189,6 +194,7 @@ impl DualGraph {
                 csr_g_prime,
                 csr_unreliable,
                 unreliable_list,
+                unreliable_ids,
                 bit_g: OnceLock::new(),
             }),
         }
@@ -320,10 +326,24 @@ impl DualGraph {
             .get_or_init(|| BitRows::from_csr(&self.frozen.csr_g))
     }
 
-    /// The unreliable edges as a precomputed flat list of pairs `u < v`.
+    /// The unreliable edges as a precomputed flat list of pairs `u < v`,
+    /// sorted. An edge's position here is its index: bit `i` of an
+    /// adversary's mask names edge `i` (see [`crate::Adversary`]).
     #[inline]
     pub fn unreliable_edge_list(&self) -> &[(usize, usize)] {
         &self.frozen.unreliable_list
+    }
+
+    /// The index in [`DualGraph::unreliable_edge_list`] of each edge of
+    /// `u`'s unreliable row, parallel to `unreliable_csr().neighbors(u)`.
+    /// Frozen once with the network and shared by every clone.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `u >= n`.
+    #[inline]
+    pub fn unreliable_edge_ids(&self, u: usize) -> &[u32] {
+        &self.frozen.unreliable_ids[self.frozen.csr_unreliable.row_slots(u)]
     }
 
     /// Maximum degree `Δ` in the reliable graph.
@@ -373,6 +393,22 @@ impl DualGraph {
     }
 }
 
+/// The index in `list` of the edge at each slot of `csr`'s neighbor array.
+/// `list` is sorted, so the edges at node `w` come up in ascending order of
+/// their other endpoint, which is the order of `w`'s row: a cursor per row
+/// places each index.
+fn slot_edge_ids(csr: &CsrGraph, list: &[(usize, usize)]) -> Vec<u32> {
+    let mut next: Vec<usize> = (0..csr.n()).map(|u| csr.row_slots(u).start).collect();
+    let mut ids = vec![0; csr.edge_slots()];
+    for (i, &(u, v)) in list.iter().enumerate() {
+        for w in [u, v] {
+            ids[next[w]] = i as u32;
+            next[w] += 1;
+        }
+    }
+    ids
+}
+
 // Serialization carries only the defining data (layers, embedding, gray
 // zone); the CSR caches are rebuilt — and the model constraints revalidated
 // — on deserialization.
@@ -414,6 +450,7 @@ impl Deserialize for DualGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::SeedableRng;
 
     fn path(n: usize) -> Graph {
         Graph::from_edges(n, (0..n - 1).map(|i| (i, i + 1))).unwrap()
@@ -502,6 +539,45 @@ mod tests {
         let net = DualGraph::classic(path(5)).unwrap();
         assert!(net.is_classic());
         assert_eq!(net.unreliable_edge_count(), 0);
+        assert!((0..5).all(|u| net.unreliable_edge_ids(u).is_empty()));
+    }
+
+    #[test]
+    fn unreliable_edge_ids_name_each_slots_edge() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(5);
+        let rgg = crate::topology::random_geometric(
+            &crate::topology::RandomGeometricConfig::dense(128),
+            &mut rng,
+        )
+        .unwrap();
+        let mut chords = path(70);
+        for i in 0..68 {
+            chords.add_edge(i, i + 2);
+        }
+        chords.add_edge(0, 69);
+        let chords = DualGraph::new(path(70), chords).unwrap();
+        for net in [rgg, chords] {
+            let list = net.unreliable_edge_list();
+            assert!(list.len() > 64);
+            let mut seen = vec![0; list.len()];
+            for u in 0..net.n() {
+                let row = net.unreliable_csr().neighbors(u);
+                let ids = net.unreliable_edge_ids(u);
+                assert_eq!(row.len(), ids.len());
+                for (&v, &i) in row.iter().zip(ids) {
+                    let v = v as usize;
+                    assert_eq!(list[i as usize], (u.min(v), u.max(v)), "slot ({u}, {v})");
+                    seen[i as usize] += 1;
+                }
+            }
+            // Each edge sits in both of its endpoints' rows.
+            assert!(seen.iter().all(|&c| c == 2));
+            // Clones read the one frozen array.
+            assert!(std::ptr::eq(
+                net.unreliable_edge_ids(0),
+                net.clone().unreliable_edge_ids(0)
+            ));
+        }
     }
 
     #[test]

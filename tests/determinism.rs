@@ -193,10 +193,8 @@ fn golden_trace_bitset_matches_scratch() {
 
 #[test]
 fn tracing_off_does_not_change_behavior() {
-    // Every tier's phase 2 validates the whole proposal only when a trace
-    // records (for the trace's activated-edge count); untraced engines
-    // drop non-incident pairs before validating. Either way the
-    // observable execution must not depend on whether a trace records.
+    // A trace records each round's activated-edge count beside the
+    // execution; whether it records must not change anything else.
     for tier in [Tier::Scalar, Tier::Bitset] {
         for (net_name, net) in nets() {
             for (adv_name, make) in adversaries() {
@@ -219,8 +217,10 @@ fn tracing_off_does_not_change_behavior() {
     }
 }
 
-/// An adversary emitting unsorted, duplicated, reversed, and invalid
-/// pairs — exercising the phase-2 normalization every tier shares.
+/// A random adversary that also sets garbage bits past the last edge of
+/// the mask's final word and sets every chosen bit a second time — inputs
+/// the mask contract says never deliver and never count twice. It checks
+/// that every tier hands it a cleared mask of `⌈m'/64⌉` words.
 struct MessyAdversary {
     inner: RandomUnreliable,
 }
@@ -231,17 +231,24 @@ impl Adversary for MessyAdversary {
         round: u64,
         net: &DualGraph,
         broadcasting: &[bool],
-        out: &mut Vec<(usize, usize)>,
+        broadcasters: &[u32],
+        mask: &mut [u64],
     ) {
-        self.inner.extra_edges(round, net, broadcasting, out);
-        // Duplicate everything reversed, append garbage, and scramble.
-        let picked: Vec<(usize, usize)> = out.clone();
-        for &(u, v) in &picked {
-            out.push((v, u));
+        let m = net.unreliable_edge_count();
+        assert_eq!(mask.len(), m.div_ceil(64), "mask sized for {m} edges");
+        assert!(mask.iter().all(|&w| w == 0), "mask arrived dirty");
+        self.inner
+            .extra_edges(round, net, broadcasting, broadcasters, mask);
+        for i in 0..m {
+            if mask[i / 64] >> (i % 64) & 1 == 1 {
+                mask[i / 64] |= 1 << (i % 64);
+            }
         }
-        out.push((net.n() + 5, 0));
-        out.push((3, 3));
-        out.reverse();
+        if let Some(last) = mask.last_mut() {
+            if !m.is_multiple_of(64) {
+                *last |= !0 << (m % 64);
+            }
+        }
     }
 
     fn name(&self) -> &'static str {
@@ -256,7 +263,13 @@ fn disorderly_adversaries_are_normalized_identically() {
             inner: RandomUnreliable::new(0.4, 9),
         })
     };
-    for (net_name, net) in nets() {
+    // Some net leaves room for garbage past its last edge, and the classic
+    // clique gets an empty mask.
+    let nets = nets();
+    let edges = |net: &DualGraph| net.unreliable_edge_count();
+    assert!(nets.iter().any(|(_, net)| !edges(net).is_multiple_of(64)));
+    assert!(nets.iter().any(|(_, net)| edges(net) == 0));
+    for (net_name, net) in nets {
         let old = capture(&net, messy(), 3, 60, Tier::Legacy, true);
         for tier in [Tier::Scalar, Tier::Bitset] {
             let new = capture(&net, messy(), 3, 60, tier, true);

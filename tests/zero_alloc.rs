@@ -7,10 +7,13 @@
 //! the cached bitmask rows), stepping the engine must not touch the heap
 //! at all — on any canonical workload, in either zero-alloc tier, for a
 //! process that never idles and for one that promises naps, long enough
-//! that the engine rebuilds its due set inside the counted rounds.
+//! that the engine rebuilds its due set inside the counted rounds — and
+//! under every built-in adversary on the workloads with unreliable edges.
 
-use radio_bench::enginebench::{workload_builder, workload_engine_mode, CHATTER_P, WORKLOADS};
-use radio_sim::{Action, Context, Engine, Process, StepMode};
+use radio_bench::enginebench::{
+    workload_builder, workload_engine_mode, workload_net, Chatter, CHATTER_P, WORKLOADS,
+};
+use radio_sim::{Action, AdversaryKind, Context, Engine, EngineBuilder, Process, StepMode};
 use rand::Rng;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -118,6 +121,36 @@ fn step_is_allocation_free_in_steady_state() {
             let n = napping.net().n() as u64;
             let decides: u64 = napping.procs().iter().map(|p| p.decides).sum();
             assert!(decides < 640 * n, "{name}: no process napped");
+        }
+        // Every built-in adversary, on the workloads with unreliable
+        // edges: the sparse and dense random branches, the bursty chains
+        // (their state vector is built in the warmup), and the adaptive
+        // adversaries that walk rows.
+        let adversaries = [
+            AdversaryKind::AllUnreliable,
+            AdversaryKind::Bursty {
+                p_gb: 0.05,
+                p_bg: 0.05,
+            },
+            AdversaryKind::Random { p: 0.1 },
+            AdversaryKind::Random { p: 0.7 },
+            AdversaryKind::Collider,
+            AdversaryKind::CliqueIsolator,
+        ];
+        for name in ["rgg-256", "sparse-256"] {
+            for kind in adversaries {
+                let mut engine = EngineBuilder::new(workload_net(name))
+                    .seed(7)
+                    .step_mode(mode)
+                    .adversary(kind.build(3))
+                    .spawn(|_| Chatter::new(CHATTER_P))
+                    .expect("workload engines assemble");
+                assert_eq!(
+                    steady_state_allocs(&mut engine),
+                    0,
+                    "{name}/{kind:?}: the {mode:?} tier allocated in steady state"
+                );
+            }
         }
     }
 }
