@@ -5,120 +5,24 @@
 //! how many connectors does a CDS really need, how close do the paper's
 //! algorithms get.
 
-use radio_sim::Graph;
+use radio_sim::CsrGraph;
 
-/// Greedy maximal independent set in id order: scan vertices, take any not
-/// adjacent to an already-taken vertex.
+/// The offline greedy MIS, kept in `radio_structures::analysis` beside the
+/// backbone measures that compare against it.
 ///
 /// # Examples
 ///
 /// ```
 /// use radio_sim::Graph;
 /// use radio_baselines::centralized::greedy_mis;
-/// let g = Graph::from_edges(4, [(0, 1), (1, 2), (2, 3)])?;
+/// let g = Graph::from_edges(4, [(0, 1), (1, 2), (2, 3)])?.to_csr();
 /// assert_eq!(greedy_mis(&g), vec![true, false, true, false]);
 /// # Ok::<(), radio_sim::GraphError>(())
 /// ```
-pub fn greedy_mis(g: &Graph) -> Vec<bool> {
-    let mut in_set = vec![false; g.n()];
-    let mut blocked = vec![false; g.n()];
-    for v in 0..g.n() {
-        if !blocked[v] {
-            in_set[v] = true;
-            for &u in g.neighbors(v) {
-                blocked[u] = true;
-            }
-        }
-    }
-    in_set
-}
+pub use radio_structures::analysis::greedy_mis;
 
-/// Greedy connected dominating set: a greedy MIS plus shortest connector
-/// paths merged until the set is connected.
-///
-/// Returns the membership vector. For a connected input the result is a
-/// valid CDS: dominating (the MIS dominates) and connected (by
-/// construction). Runs in `O(n · (n + m))`.
-///
-/// # Panics
-///
-/// Panics if `g` is disconnected (a CDS does not exist).
-pub fn greedy_cds(g: &Graph) -> Vec<bool> {
-    assert!(g.is_connected(), "CDS requires a connected graph");
-    let mut member = greedy_mis(g);
-    if g.n() == 0 {
-        return member;
-    }
-    // Repeatedly find the closest pair of member-components and merge them
-    // along a shortest path.
-    loop {
-        let comp = components(g, &member);
-        let Some(max_comp) = comp.iter().filter_map(|c| *c).max() else {
-            return member;
-        };
-        if max_comp == 0 {
-            return member; // single component (labels are 0-based)
-        }
-        // BFS from all of component 0 to the nearest node of any other
-        // component, tracking parents through non-member vertices.
-        let mut dist = vec![u32::MAX; g.n()];
-        let mut parent = vec![usize::MAX; g.n()];
-        let mut queue = std::collections::VecDeque::new();
-        for v in 0..g.n() {
-            if comp[v] == Some(0) {
-                dist[v] = 0;
-                queue.push_back(v);
-            }
-        }
-        let mut join = None;
-        'bfs: while let Some(u) = queue.pop_front() {
-            for &v in g.neighbors(u) {
-                if dist[v] == u32::MAX {
-                    dist[v] = dist[u] + 1;
-                    parent[v] = u;
-                    if comp[v].is_some_and(|c| c != 0) {
-                        join = Some(v);
-                        break 'bfs;
-                    }
-                    queue.push_back(v);
-                }
-            }
-        }
-        let Some(mut v) = join else {
-            return member; // should not happen on connected graphs
-        };
-        // Add the interior of the connecting path.
-        while parent[v] != usize::MAX {
-            member[v] = true;
-            v = parent[v];
-        }
-        member[v] = true;
-    }
-}
-
-/// Component labels of the subgraph induced by `member` (`None` for
-/// non-members).
-fn components(g: &Graph, member: &[bool]) -> Vec<Option<usize>> {
-    let mut comp = vec![None; g.n()];
-    let mut next = 0usize;
-    for start in 0..g.n() {
-        if !member[start] || comp[start].is_some() {
-            continue;
-        }
-        let mut queue = std::collections::VecDeque::from([start]);
-        comp[start] = Some(next);
-        while let Some(u) = queue.pop_front() {
-            for &v in g.neighbors(u) {
-                if member[v] && comp[v].is_none() {
-                    comp[v] = Some(next);
-                    queue.push_back(v);
-                }
-            }
-        }
-        next += 1;
-    }
-    comp
-}
+/// The offline greedy CDS, kept beside the greedy MIS.
+pub use radio_structures::analysis::greedy_cds;
 
 /// Size statistics for comparing structures.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -130,11 +34,16 @@ pub struct StructureStats {
 }
 
 /// Computes [`StructureStats`] for a membership vector over `g`.
-pub fn structure_stats(g: &Graph, member: &[bool]) -> StructureStats {
+pub fn structure_stats(g: &CsrGraph, member: &[bool]) -> StructureStats {
     StructureStats {
         size: member.iter().filter(|&&m| m).count(),
         max_member_degree: (0..g.n())
-            .map(|v| g.neighbors(v).iter().filter(|&&u| member[u]).count())
+            .map(|v| {
+                g.neighbors(v)
+                    .iter()
+                    .filter(|&&u| member[u as usize])
+                    .count()
+            })
             .max()
             .unwrap_or(0),
     }
@@ -143,9 +52,12 @@ pub fn structure_stats(g: &Graph, member: &[bool]) -> StructureStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use radio_sim::Graph;
 
-    fn path(n: usize) -> Graph {
-        Graph::from_edges(n, (0..n - 1).map(|i| (i, i + 1))).unwrap()
+    fn path(n: usize) -> CsrGraph {
+        Graph::from_edges(n, (0..n - 1).map(|i| (i, i + 1)))
+            .unwrap()
+            .to_csr()
     }
 
     #[test]
@@ -156,7 +68,7 @@ mod tests {
             assert!(!(mis[u] && mis[v]));
         }
         for v in 0..7 {
-            assert!(mis[v] || g.neighbors(v).iter().any(|&u| mis[u]));
+            assert!(mis[v] || g.neighbors(v).iter().any(|&u| mis[u as usize]));
         }
     }
 
@@ -166,14 +78,14 @@ mod tests {
         let cds = greedy_cds(&g);
         assert!(g.induced_connected(&cds));
         for v in 0..9 {
-            assert!(cds[v] || g.neighbors(v).iter().any(|&u| cds[u]));
+            assert!(cds[v] || g.neighbors(v).iter().any(|&u| cds[u as usize]));
         }
     }
 
     #[test]
     fn greedy_cds_on_star_is_just_the_hub() {
         let g = Graph::from_edges(5, [(0, 1), (0, 2), (0, 3), (0, 4)]).unwrap();
-        let cds = greedy_cds(&g);
+        let cds = greedy_cds(&g.to_csr());
         assert_eq!(cds, vec![true, false, false, false, false]);
     }
 
@@ -192,6 +104,7 @@ mod tests {
                 }
             }
         }
+        let g = g.to_csr();
         let cds = greedy_cds(&g);
         assert!(g.induced_connected(&cds));
         let stats = structure_stats(&g, &cds);
@@ -202,6 +115,6 @@ mod tests {
     #[should_panic(expected = "connected")]
     fn cds_rejects_disconnected() {
         let g = Graph::from_edges(4, [(0, 1), (2, 3)]).unwrap();
-        greedy_cds(&g);
+        greedy_cds(&g.to_csr());
     }
 }

@@ -78,13 +78,12 @@ mod tests {
         let g = Graph::from_edges(10, (0..9).map(|i| (i, i + 1))).unwrap();
         let net = DualGraph::classic(g).unwrap();
         let cfg = NaiveCcdsConfig::new(10, net.max_degree_g());
-        let h = net.g().clone();
         let mut engine = EngineBuilder::new(net.clone())
             .seed(3)
             .spawn(|info| cfg.spawn(info.id))
             .unwrap();
         engine.run(cfg.total_rounds() + 1);
-        let report = check_ccds(&net, &h, &engine.outputs());
+        let report = check_ccds(&net, net.g(), &engine.outputs());
         assert!(report.terminated && report.connected && report.dominating);
     }
 }

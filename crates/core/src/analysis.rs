@@ -5,11 +5,86 @@
 //! quantifies *quality*: backbone size relative to offline greedy
 //! constructions, the routing stretch incurred by forcing interior hops
 //! onto the backbone, and per-node load statistics. Used by tests and the
-//! experiment harness.
+//! experiment harness. The offline greedy MIS and CDS live here, beside the
+//! measure that compares against them; `radio-baselines` re-exports them.
 
-use radio_sim::{DualGraph, Graph};
+use radio_sim::{CsrGraph, DualGraph};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
+
+/// Greedy maximal independent set in id order: scan vertices, take any not
+/// adjacent to an already-taken vertex.
+pub fn greedy_mis(g: &CsrGraph) -> Vec<bool> {
+    let mut in_set = vec![false; g.n()];
+    let mut blocked = vec![false; g.n()];
+    for v in 0..g.n() {
+        if !blocked[v] {
+            in_set[v] = true;
+            for &u in g.neighbors(v) {
+                blocked[u as usize] = true;
+            }
+        }
+    }
+    in_set
+}
+
+/// Greedy connected dominating set: a greedy MIS plus shortest connector
+/// paths merged until the set is connected.
+///
+/// Returns the membership vector. For a connected input the result is a
+/// valid CDS: dominating (the MIS dominates) and connected (by
+/// construction). Runs in `O(n · (n + m))`.
+///
+/// # Panics
+///
+/// Panics if `g` is disconnected (a CDS does not exist).
+pub fn greedy_cds(g: &CsrGraph) -> Vec<bool> {
+    assert!(g.is_connected(), "CDS requires a connected graph");
+    let mut member = greedy_mis(g);
+    // Repeatedly find the closest pair of member-components and merge them
+    // along a shortest path.
+    loop {
+        let comp = g.member_components(&member);
+        if comp.iter().all(|c| c.is_none_or(|c| c == 0)) {
+            return member; // at most one component (labels are 0-based)
+        }
+        // BFS from all of component 0 to the nearest node of any other
+        // component, tracking parents through non-member vertices.
+        let mut dist = vec![u32::MAX; g.n()];
+        let mut parent = vec![usize::MAX; g.n()];
+        let mut queue = VecDeque::new();
+        for v in 0..g.n() {
+            if comp[v] == Some(0) {
+                dist[v] = 0;
+                queue.push_back(v);
+            }
+        }
+        let mut join = None;
+        'bfs: while let Some(u) = queue.pop_front() {
+            for &v in g.neighbors(u) {
+                let v = v as usize;
+                if dist[v] == u32::MAX {
+                    dist[v] = dist[u] + 1;
+                    parent[v] = u;
+                    if comp[v].is_some_and(|c| c != 0) {
+                        join = Some(v);
+                        break 'bfs;
+                    }
+                    queue.push_back(v);
+                }
+            }
+        }
+        let Some(mut v) = join else {
+            return member; // should not happen on connected graphs
+        };
+        // Add the interior of the connecting path.
+        while parent[v] != usize::MAX {
+            member[v] = true;
+            v = parent[v];
+        }
+        member[v] = true;
+    }
+}
 
 /// Shortest path length from `src` to `dst` where every interior hop must
 /// be a member of `backbone` (endpoints are exempt). `None` if no such path
@@ -18,7 +93,7 @@ use std::collections::VecDeque;
 /// # Panics
 ///
 /// Panics if `backbone.len() != g.n()` or an endpoint is out of range.
-pub fn backbone_distance(g: &Graph, backbone: &[bool], src: usize, dst: usize) -> Option<u32> {
+pub fn backbone_distance(g: &CsrGraph, backbone: &[bool], src: usize, dst: usize) -> Option<u32> {
     assert_eq!(backbone.len(), g.n(), "one flag per node");
     assert!(src < g.n() && dst < g.n(), "endpoint out of range");
     if src == dst {
@@ -30,6 +105,7 @@ pub fn backbone_distance(g: &Graph, backbone: &[bool], src: usize, dst: usize) -
     while let Some(u) = queue.pop_front() {
         let du = dist[u].expect("queued vertices have distances");
         for &v in g.neighbors(u) {
+            let v = v as usize;
             if v != dst && !backbone[v] {
                 continue;
             }
@@ -68,7 +144,7 @@ pub struct BackboneQuality {
 pub fn backbone_quality(net: &DualGraph, backbone: &[bool]) -> Option<BackboneQuality> {
     let g = net.g();
     let n = g.n();
-    let greedy = radio_baselines_greedy_size(g);
+    let greedy = greedy_cds(g).iter().filter(|&&m| m).count();
     let sources: Vec<usize> = if n <= 128 {
         (0..n).collect()
     } else {
@@ -99,83 +175,6 @@ pub fn backbone_quality(net: &DualGraph, backbone: &[bool]) -> Option<BackboneQu
     })
 }
 
-/// Greedy CDS size, reimplemented minimally here to avoid a dependency
-/// cycle with `radio-baselines` (which depends on this crate).
-fn radio_baselines_greedy_size(g: &Graph) -> usize {
-    // Greedy MIS...
-    let mut in_set = vec![false; g.n()];
-    let mut blocked = vec![false; g.n()];
-    for v in 0..g.n() {
-        if !blocked[v] {
-            in_set[v] = true;
-            for &u in g.neighbors(v) {
-                blocked[u] = true;
-            }
-        }
-    }
-    // ...plus shortest connectors until connected (same scheme as
-    // radio_baselines::centralized::greedy_cds).
-    loop {
-        let comp = components(g, &in_set);
-        if comp.iter().filter_map(|c| *c).max().unwrap_or(0) == 0 {
-            return in_set.iter().filter(|&&m| m).count();
-        }
-        let mut dist = vec![u32::MAX; g.n()];
-        let mut parent = vec![usize::MAX; g.n()];
-        let mut queue = VecDeque::new();
-        for v in 0..g.n() {
-            if comp[v] == Some(0) {
-                dist[v] = 0;
-                queue.push_back(v);
-            }
-        }
-        let mut join = None;
-        'bfs: while let Some(u) = queue.pop_front() {
-            for &v in g.neighbors(u) {
-                if dist[v] == u32::MAX {
-                    dist[v] = dist[u] + 1;
-                    parent[v] = u;
-                    if comp[v].is_some_and(|c| c != 0) {
-                        join = Some(v);
-                        break 'bfs;
-                    }
-                    queue.push_back(v);
-                }
-            }
-        }
-        let Some(mut v) = join else {
-            return in_set.iter().filter(|&&m| m).count();
-        };
-        while parent[v] != usize::MAX {
-            in_set[v] = true;
-            v = parent[v];
-        }
-        in_set[v] = true;
-    }
-}
-
-fn components(g: &Graph, member: &[bool]) -> Vec<Option<usize>> {
-    let mut comp = vec![None; g.n()];
-    let mut next = 0usize;
-    for start in 0..g.n() {
-        if !member[start] || comp[start].is_some() {
-            continue;
-        }
-        let mut queue = VecDeque::from([start]);
-        comp[start] = Some(next);
-        while let Some(u) = queue.pop_front() {
-            for &v in g.neighbors(u) {
-                if member[v] && comp[v].is_none() {
-                    comp[v] = Some(next);
-                    queue.push_back(v);
-                }
-            }
-        }
-        next += 1;
-    }
-    comp
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -187,7 +186,9 @@ mod tests {
 
     #[test]
     fn backbone_distance_respects_membership() {
-        let g = Graph::from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)]).unwrap();
+        let g = Graph::from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+            .unwrap()
+            .to_csr();
         // Backbone = {1, 2}; route 0 → 3 must go the long way if 3's direct
         // edge neighbor (0) is fine... endpoints exempt, so 0-3 direct works.
         assert_eq!(
@@ -195,7 +196,9 @@ mod tests {
             Some(1)
         );
         // Remove the direct edge: 0-1-2-3 with interior on the backbone.
-        let g2 = Graph::from_edges(4, [(0, 1), (1, 2), (2, 3)]).unwrap();
+        let g2 = Graph::from_edges(4, [(0, 1), (1, 2), (2, 3)])
+            .unwrap()
+            .to_csr();
         assert_eq!(
             backbone_distance(&g2, &[false, true, true, false], 0, 3),
             Some(3)

@@ -214,9 +214,9 @@ impl Process for AsyncMis {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use radio_sim::{DualGraph, EngineBuilder, Graph};
+    use radio_sim::{CsrGraph, DualGraph, EngineBuilder, Graph};
 
-    fn check_valid_mis(g: &Graph, out: &[Option<bool>]) {
+    fn check_valid_mis(g: &CsrGraph, out: &[Option<bool>]) {
         assert!(out.iter().all(Option::is_some), "termination: {out:?}");
         for (u, v) in g.edges() {
             assert!(
@@ -227,7 +227,9 @@ mod tests {
         for v in 0..g.n() {
             if out[v] == Some(false) {
                 assert!(
-                    g.neighbors(v).iter().any(|&u| out[u] == Some(true)),
+                    g.neighbors(v)
+                        .iter()
+                        .any(|&u| out[u as usize] == Some(true)),
                     "maximality violated at {v}"
                 );
             }
@@ -237,20 +239,20 @@ mod tests {
     #[test]
     fn synchronous_start_still_works() {
         let g = Graph::from_edges(10, (0..9).map(|i| (i, i + 1))).unwrap();
-        let net = DualGraph::classic(g.clone()).unwrap();
+        let net = DualGraph::classic(g).unwrap();
         let params = AsyncMisParams::default();
         let mut engine = EngineBuilder::new(net)
             .seed(2)
             .spawn(|info| AsyncMis::new(info.n, info.id, params, AsyncFilter::AcceptAll))
             .unwrap();
         engine.run(40 * params.epoch_len(10));
-        check_valid_mis(&g, &engine.outputs());
+        check_valid_mis(engine.net().g(), &engine.outputs());
     }
 
     #[test]
     fn staggered_wakeups_classic_model() {
         let g = Graph::from_edges(12, (0..11).map(|i| (i, i + 1))).unwrap();
-        let net = DualGraph::classic(g.clone()).unwrap();
+        let net = DualGraph::classic(g).unwrap();
         let params = AsyncMisParams::default();
         // Adversarial-ish staggering: one process wakes every half epoch.
         let half = params.epoch_len(12) / 2;
@@ -261,7 +263,7 @@ mod tests {
             .spawn(|info| AsyncMis::new(info.n, info.id, params, AsyncFilter::AcceptAll))
             .unwrap();
         engine.run(200 * params.epoch_len(12));
-        check_valid_mis(&g, &engine.outputs());
+        check_valid_mis(engine.net().g(), &engine.outputs());
     }
 
     #[test]
@@ -271,7 +273,7 @@ mod tests {
         for i in 0..8 {
             gp.add_edge(i, i + 2);
         }
-        let net = DualGraph::new(g.clone(), gp).unwrap();
+        let net = DualGraph::new(g, gp).unwrap();
         let params = AsyncMisParams::default();
         let wakes: Vec<u64> = (0..10).map(|i| 1 + (i as u64 % 3) * 500).collect();
         let mut engine = EngineBuilder::new(net)
@@ -281,7 +283,7 @@ mod tests {
             .spawn(|info| AsyncMis::new(info.n, info.id, params, AsyncFilter::Detector))
             .unwrap();
         engine.run(400 * params.epoch_len(10));
-        check_valid_mis(&g, &engine.outputs());
+        check_valid_mis(engine.net().g(), &engine.outputs());
     }
 
     #[test]

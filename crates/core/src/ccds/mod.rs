@@ -788,9 +788,8 @@ mod tests {
     fn path_network_builds_valid_ccds() {
         let g = Graph::from_edges(10, (0..9).map(|i| (i, i + 1))).unwrap();
         let net = DualGraph::classic(g).unwrap();
-        let h = net.g().clone();
         let (out, _) = run_ccds(net.clone(), 256, 3);
-        let report = check_ccds(&net, &h, &out);
+        let report = check_ccds(&net, net.g(), &out);
         assert!(report.terminated, "undecided: {}", report.undecided);
         assert!(report.connected, "CCDS not connected: {out:?}");
         assert!(

@@ -14,7 +14,7 @@
 //! processes cannot.
 
 use radio_sim::geometry::DiskOverlay;
-use radio_sim::{DualGraph, Graph};
+use radio_sim::{CsrGraph, DualGraph};
 use serde::{Deserialize, Serialize};
 
 /// Outcome of verifying the MIS conditions.
@@ -55,7 +55,7 @@ impl MisReport {
 /// # Panics
 ///
 /// Panics if `outputs` or `h` disagree with the network size.
-pub fn check_mis(net: &DualGraph, h: &Graph, outputs: &[Option<bool>]) -> MisReport {
+pub fn check_mis(net: &DualGraph, h: &CsrGraph, outputs: &[Option<bool>]) -> MisReport {
     let n = net.n();
     assert_eq!(outputs.len(), n, "one output per node required");
     assert_eq!(h.n(), n, "H must cover the same nodes");
@@ -69,11 +69,12 @@ pub fn check_mis(net: &DualGraph, h: &Graph, outputs: &[Option<bool>]) -> MisRep
             net.g()
                 .neighbors(u)
                 .iter()
-                .filter(|&&v| v > u && in_set(v))
-                .map(|&v| (u, v)),
+                .map(|&v| v as usize)
+                .filter(|&v| v > u && in_set(v))
+                .map(|v| (u, v)),
         );
         for &v in h.neighbors(u) {
-            covered[v] = true;
+            covered[v as usize] = true;
         }
     }
 
@@ -128,7 +129,7 @@ impl CcdsReport {
 /// # Panics
 ///
 /// Panics if `outputs` or `h` disagree with the network size.
-pub fn check_ccds(net: &DualGraph, h: &Graph, outputs: &[Option<bool>]) -> CcdsReport {
+pub fn check_ccds(net: &DualGraph, h: &CsrGraph, outputs: &[Option<bool>]) -> CcdsReport {
     let n = net.n();
     assert_eq!(outputs.len(), n, "one output per node required");
     assert_eq!(h.n(), n, "H must cover the same nodes");
@@ -138,7 +139,7 @@ pub fn check_ccds(net: &DualGraph, h: &Graph, outputs: &[Option<bool>]) -> CcdsR
 
     let domination_violations: Vec<usize> = (0..n)
         .filter(|&v| outputs[v] == Some(false))
-        .filter(|&v| !h.neighbors(v).iter().any(|&u| in_set(u)))
+        .filter(|&v| !h.neighbors(v).iter().any(|&u| in_set(u as usize)))
         .collect();
 
     let max_gprime_neighbors_in_set = (0..n)
@@ -146,7 +147,7 @@ pub fn check_ccds(net: &DualGraph, h: &Graph, outputs: &[Option<bool>]) -> CcdsR
             net.g_prime()
                 .neighbors(v)
                 .iter()
-                .filter(|&&u| in_set(u))
+                .filter(|&&u| in_set(u as usize))
                 .count()
         })
         .max()
@@ -202,7 +203,11 @@ mod tests {
     }
 
     /// The edge-scan checker `check_mis` replaced, kept as its oracle.
-    fn check_mis_by_edge_scan(net: &DualGraph, h: &Graph, outputs: &[Option<bool>]) -> MisReport {
+    fn check_mis_by_edge_scan(
+        net: &DualGraph,
+        h: &CsrGraph,
+        outputs: &[Option<bool>],
+    ) -> MisReport {
         let n = net.n();
         let undecided = outputs.iter().filter(|o| o.is_none()).count();
         let in_set = |v: usize| outputs[v] == Some(true);
@@ -213,7 +218,7 @@ mod tests {
             .collect();
         let maximality_violations: Vec<usize> = (0..n)
             .filter(|&v| outputs[v] == Some(false))
-            .filter(|&v| !h.neighbors(v).iter().any(|&u| in_set(u)))
+            .filter(|&v| !h.neighbors(v).iter().any(|&u| in_set(u as usize)))
             .collect();
         MisReport {
             terminated: undecided == 0,
@@ -254,7 +259,7 @@ mod tests {
                     }
                 }
             }
-            let net = DualGraph::classic(g).unwrap();
+            let (net, h) = (DualGraph::classic(g).unwrap(), h.to_csr());
             let outputs: Vec<Option<bool>> = (0..n)
                 .map(|_| [None, Some(false), Some(true)][rng.gen_range(0..3usize)])
                 .collect();
@@ -268,9 +273,8 @@ mod tests {
     #[test]
     fn valid_mis_on_path() {
         let net = path_net(5);
-        let h = net.g().clone();
         let out = vec![Some(true), Some(false), Some(true), Some(false), Some(true)];
-        let r = check_mis(&net, &h, &out);
+        let r = check_mis(&net, net.g(), &out);
         assert!(r.is_valid());
         assert_eq!(r.mis_size, 3);
     }
@@ -278,9 +282,8 @@ mod tests {
     #[test]
     fn detects_independence_violation() {
         let net = path_net(3);
-        let h = net.g().clone();
         let out = vec![Some(true), Some(true), Some(false)];
-        let r = check_mis(&net, &h, &out);
+        let r = check_mis(&net, net.g(), &out);
         assert!(!r.independent);
         assert_eq!(r.independence_violations, vec![(0, 1)]);
         assert!(!r.is_valid());
@@ -289,9 +292,8 @@ mod tests {
     #[test]
     fn detects_maximality_violation() {
         let net = path_net(4);
-        let h = net.g().clone();
         let out = vec![Some(true), Some(false), Some(false), Some(false)];
-        let r = check_mis(&net, &h, &out);
+        let r = check_mis(&net, net.g(), &out);
         assert!(!r.maximal);
         assert_eq!(r.maximality_violations, vec![2, 3]);
     }
@@ -299,9 +301,8 @@ mod tests {
     #[test]
     fn detects_nontermination() {
         let net = path_net(3);
-        let h = net.g().clone();
         let out = vec![Some(true), None, Some(false)];
-        let r = check_mis(&net, &h, &out);
+        let r = check_mis(&net, net.g(), &out);
         assert!(!r.terminated);
         assert_eq!(r.undecided, 1);
     }
@@ -310,8 +311,9 @@ mod tests {
     fn maximality_uses_h_not_g() {
         // Node 2 has no G-neighbor in the set but an H-neighbor (node 0).
         let net = path_net(3);
-        let mut h = net.g().clone();
-        h.add_edge(0, 2);
+        let h = Graph::from_edges(3, [(0, 1), (1, 2), (0, 2)])
+            .unwrap()
+            .to_csr();
         let out = vec![Some(true), Some(false), Some(false)];
         let r = check_mis(&net, &h, &out);
         assert!(r.maximal);
@@ -320,9 +322,8 @@ mod tests {
     #[test]
     fn valid_ccds_on_path() {
         let net = path_net(5);
-        let h = net.g().clone();
         let out = vec![Some(false), Some(true), Some(true), Some(true), Some(false)];
-        let r = check_ccds(&net, &h, &out);
+        let r = check_ccds(&net, net.g(), &out);
         assert!(r.is_valid(3));
         assert_eq!(r.ccds_size, 3);
         assert_eq!(r.max_gprime_neighbors_in_set, 2);
@@ -331,9 +332,8 @@ mod tests {
     #[test]
     fn detects_disconnected_ccds() {
         let net = path_net(5);
-        let h = net.g().clone();
         let out = vec![Some(true), Some(false), Some(true), Some(false), Some(true)];
-        let r = check_ccds(&net, &h, &out);
+        let r = check_ccds(&net, net.g(), &out);
         assert!(!r.connected);
         assert!(!r.is_valid(5));
     }
@@ -341,7 +341,6 @@ mod tests {
     #[test]
     fn detects_domination_violation() {
         let net = path_net(5);
-        let h = net.g().clone();
         let out = vec![
             Some(true),
             Some(true),
@@ -349,7 +348,7 @@ mod tests {
             Some(false),
             Some(false),
         ];
-        let r = check_ccds(&net, &h, &out);
+        let r = check_ccds(&net, net.g(), &out);
         assert!(!r.dominating);
         assert!(r.domination_violations.contains(&3));
     }
@@ -362,9 +361,8 @@ mod tests {
         gp.add_edge(0, 2);
         gp.add_edge(0, 3);
         let net = DualGraph::new(g, gp).unwrap();
-        let h = net.g().clone();
         let out = vec![Some(false), Some(true), Some(true), Some(true)];
-        let r = check_ccds(&net, &h, &out);
+        let r = check_ccds(&net, net.g(), &out);
         // Node 0 sees 1, 2, 3 in G' — all in the set.
         assert_eq!(r.max_gprime_neighbors_in_set, 3);
         assert!(r.is_valid(3));

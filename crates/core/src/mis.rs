@@ -374,7 +374,11 @@ mod tests {
         }
         for v in 0..10 {
             if out[v] == Some(false) {
-                assert!(net.g().neighbors(v).iter().any(|&u| out[u] == Some(true)));
+                assert!(net
+                    .g()
+                    .neighbors(v)
+                    .iter()
+                    .any(|&u| out[u as usize] == Some(true)));
             }
         }
     }
@@ -408,7 +412,11 @@ mod tests {
             }
             for v in 0..12 {
                 if out[v] == Some(false) {
-                    assert!(net.g().neighbors(v).iter().any(|&u| out[u] == Some(true)));
+                    assert!(net
+                        .g()
+                        .neighbors(v)
+                        .iter()
+                        .any(|&u| out[u as usize] == Some(true)));
                 }
             }
         }

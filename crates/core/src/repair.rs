@@ -184,7 +184,6 @@ mod tests {
     fn bootstrap_then_repairs_stay_valid() {
         let n = 8usize;
         let net = path_net(n);
-        let h = net.g().clone();
         let cfg = CcdsConfig::new(n, net.max_degree_g(), 256);
         let mut engine = EngineBuilder::new(net.clone())
             .seed(3)
@@ -197,7 +196,7 @@ mod tests {
         assert!(engine.outputs().iter().all(Option::is_none));
         // After the boundary: a valid structure.
         engine.run_rounds(2);
-        let report = check_ccds(&net, &h, &engine.outputs());
+        let report = check_ccds(&net, net.g(), &engine.outputs());
         assert!(
             report.terminated && report.connected && report.dominating,
             "{report:?}"
@@ -205,7 +204,7 @@ mod tests {
         // Each subsequent repair cycle republishes a valid structure.
         for cycle in 1..=2u64 {
             engine.run_rounds(repair);
-            let report = check_ccds(&net, &h, &engine.outputs());
+            let report = check_ccds(&net, net.g(), &engine.outputs());
             assert!(
                 report.terminated && report.connected && report.dominating,
                 "repair cycle {cycle}: {report:?}"

@@ -56,7 +56,6 @@ pub fn run_mis_budget(
     let n = net.n();
     let ids = IdAssignment::identity(n);
     let det = LinkDetectorAssignment::zero_complete(net, &ids);
-    let h = det.h_graph(&ids);
     let mut engine = EngineBuilder::new(net.clone())
         .seed(seed)
         .ids(ids)
@@ -67,7 +66,8 @@ pub fn run_mis_budget(
     engine.run(budget);
     let outputs = engine.outputs();
     MisRun {
-        report: check_mis(net, &h, &outputs),
+        // A 0-complete detector's H is G itself.
+        report: check_mis(net, net.g(), &outputs),
         solve_round: engine.all_decided_round(),
         rounds_executed: engine.round(),
         metrics: *engine.metrics(),
@@ -129,7 +129,6 @@ pub fn run_ccds_budget(
     let budget = max_rounds.map_or(schedule.total + 1, |m| (schedule.total + 1).min(m));
     let ids = IdAssignment::identity(net.n());
     let det = LinkDetectorAssignment::zero_complete(net, &ids);
-    let h = det.h_graph(&ids);
     let mut engine = EngineBuilder::new(net.clone())
         .seed(seed)
         .ids(ids)
@@ -149,7 +148,8 @@ pub fn run_ccds_budget(
         .unwrap_or(0);
     let mis_size = engine.procs().iter().filter(|p| p.mis().in_mis()).count();
     Ok(CcdsRun {
-        report: check_ccds(net, &h, &outputs),
+        // A 0-complete detector's H is G itself.
+        report: check_ccds(net, net.g(), &outputs),
         schedule_total: schedule.total,
         solve_round: engine.all_decided_round(),
         rounds_executed: engine.round(),
@@ -668,21 +668,10 @@ pub fn run_algo_batch(
                         .filter_map(|v| engine.decided_latency(NodeId(v)))
                         .max()
                         .unwrap_or(0);
-                    let g = net.g();
-                    let mut valid = out.stop == StopReason::AllDone;
-                    for (u, v) in g.edges() {
-                        if outputs[u] == Some(true) && outputs[v] == Some(true) {
-                            valid = false;
-                        }
-                    }
-                    for v in 0..n {
-                        if outputs[v] == Some(false)
-                            && !g.neighbors(v).iter().any(|&u| outputs[u] == Some(true))
-                        {
-                            valid = false;
-                        }
-                    }
-                    rec.valid = valid;
+                    // `AllDone` means every process output; the MIS is
+                    // checked against G, the 0-complete detector's H.
+                    rec.valid = out.stop == StopReason::AllDone
+                        && check_mis(net, net.g(), &outputs).is_valid();
                     rec.solve_round = engine.all_decided_round();
                     rec.rounds_executed = engine.round();
                     rec.metrics = Some(*engine.metrics());
@@ -738,9 +727,8 @@ fn run_continuous_dynamic(
     };
     let delta = probe.cycle_len();
     let stabilize_at = (delta / 2).max(2);
-    let dyn_det = DynamicDetector::new(vec![(1, sparse), (stabilize_at, good.clone())])
+    let dyn_det = DynamicDetector::new(vec![(1, sparse), (stabilize_at, good)])
         .expect("stabilization schedule is strictly increasing");
-    let h = good.h_graph(&ids);
     let mut engine = EngineBuilder::new(net.clone())
         .seed(seed)
         .detector(dyn_det)
@@ -751,7 +739,8 @@ fn run_continuous_dynamic(
     let total = max_rounds.map_or(deadline + 1, |m| (deadline + 1).min(m));
     engine.run_rounds(total);
     let outputs = engine.outputs();
-    let report = check_ccds(engine.net(), &h, &outputs);
+    // The stabilized detector is 0-complete, so its H is G itself.
+    let report = check_ccds(net, net.g(), &outputs);
     rec.valid = report.terminated && report.connected && report.dominating;
     rec.rounds_executed = engine.round();
     rec.metrics = Some(*engine.metrics());

@@ -682,13 +682,12 @@ mod tests {
         let net = DualGraph::classic(g).unwrap();
         let cfg = TauConfig::new(8, net.max_degree_g(), 0);
         let total = cfg.schedule().total;
-        let h = net.g().clone();
         let mut engine = EngineBuilder::new(net.clone())
             .seed(5)
             .spawn(|info| TauCcds::new(&cfg, info.id))
             .unwrap();
         engine.run(total + 1);
-        let report = check_ccds(&net, &h, &engine.outputs());
+        let report = check_ccds(&net, net.g(), &engine.outputs());
         assert!(report.terminated);
         assert!(report.connected, "outputs: {:?}", engine.outputs());
         assert!(report.dominating);

@@ -255,7 +255,7 @@ impl Adversary for Collider {
         // node order, whose row holds it — iff exactly one of its
         // `G`-neighbours broadcasts. Both counts sum whole rows instead of
         // stopping early: a branch per neighbour costs more than the loads.
-        let (reliable, unreliable) = (net.g_csr(), net.unreliable_csr());
+        let (reliable, unreliable) = (net.g(), net.unreliable_csr());
         // The broadcasters in `row` numbered below `below`.
         let count = |row: &[u32], below: u32| -> u32 {
             let hits = row.iter().map(|&u| (u < below) & broadcasting[u as usize]);
@@ -409,7 +409,7 @@ impl Adversary for CliqueIsolator {
                 continue;
             }
             let mut reach = net
-                .g_csr()
+                .g()
                 .neighbors(v)
                 .iter()
                 .filter(|&&u| broadcasting[u as usize])
@@ -804,7 +804,7 @@ mod tests {
                     continue;
                 }
                 let reliable_hits = net
-                    .g_csr()
+                    .g()
                     .neighbors(v)
                     .iter()
                     .filter(|&&u| broadcasting[u as usize])
@@ -836,7 +836,7 @@ mod tests {
                     continue;
                 }
                 let mut reach = net
-                    .g_csr()
+                    .g()
                     .neighbors(v)
                     .iter()
                     .filter(|&&u| broadcasting[u as usize])

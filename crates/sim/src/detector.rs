@@ -32,7 +32,7 @@
 //! [`DetectorSet`], a `Copy` view holding a reference to the frozen sets
 //! and the node index.
 
-use crate::graph::Graph;
+use crate::graph::CsrGraph;
 use crate::ids::{IdAssignment, NodeId, ProcessId};
 use crate::network::DualGraph;
 use rand::seq::SliceRandom;
@@ -147,8 +147,8 @@ impl LinkDetectorAssignment {
     /// The 0-complete detector: each node sees exactly the ids of its
     /// `G`-neighbors.
     pub fn zero_complete(net: &DualGraph, ids: &IdAssignment) -> Self {
-        let csr = net.g_csr();
-        Self::freeze(FrozenSets::build(net.n(), csr.edge_slots(), |u, set| {
+        let g = net.g();
+        Self::freeze(FrozenSets::build(net.n(), g.edge_slots(), |u, set| {
             set.extend(neighbor_ids(net, ids, u));
         }))
     }
@@ -168,7 +168,7 @@ impl LinkDetectorAssignment {
     ) -> Self {
         Self::freeze(FrozenSets::build(
             net.n(),
-            net.g_csr().edge_slots(),
+            net.g().edge_slots(),
             |u, set| {
                 set.extend(neighbor_ids(net, ids, u));
                 let mut pool: Vec<usize> = match source {
@@ -176,7 +176,7 @@ impl LinkDetectorAssignment {
                         .g_prime()
                         .neighbors(u)
                         .iter()
-                        .copied()
+                        .map(|&v| v as usize)
                         .filter(|&v| !net.g().has_edge(u, v))
                         .collect(),
                     SpuriousSource::AnyNonNeighbor => (0..net.n())
@@ -234,27 +234,22 @@ impl LinkDetectorAssignment {
     /// The graph `H` from the problem definitions: an edge `(u, v)` exists
     /// iff `u` and `v` are in each other's detector sets.
     ///
-    /// For any τ-complete detector, `G ⊆ H`; for `τ = 0`, `H = G`.
-    pub fn h_graph(&self, ids: &IdAssignment) -> Graph {
-        let n = self.n();
-        let mut h = Graph::new(n);
-        for u in 0..n {
+    /// For any τ-complete detector, `G ⊆ H`; for `τ = 0`, `H = G`. `H` is
+    /// frozen straight from the detector sets, so call this once per
+    /// assignment and reuse the result.
+    pub fn h_graph(&self, ids: &IdAssignment) -> CsrGraph {
+        CsrGraph::from_rows(self.n(), |u| {
             let id_u = ids.id_of(NodeId(u)).get();
-            for &pid in self.set(NodeId(u)).iter() {
-                let v = ids.node_of(ProcessId::new_unchecked(pid)).index();
-                if v > u && self.set(NodeId(v)).contains(&id_u) {
-                    h.add_edge(u, v);
-                }
-            }
-        }
-        h
-    }
-
-    /// The graph `H` frozen into CSR form. This rebuilds `H` from the
-    /// detector sets — `O(V + E)` — so call it once per assignment and
-    /// reuse the result; per-round callers should freeze up front.
-    pub fn h_csr(&self, ids: &IdAssignment) -> crate::graph::CsrGraph {
-        self.h_graph(ids).to_csr()
+            let mut row: Vec<u32> = self
+                .set(NodeId(u))
+                .iter()
+                .map(|&pid| ids.node_of(ProcessId::new_unchecked(pid)).index())
+                .filter(|&v| v != u && self.set(NodeId(v)).contains(&id_u))
+                .map(|v| v as u32)
+                .collect();
+            row.sort_unstable();
+            row.into_iter()
+        })
     }
 
     /// Validates τ-completeness against a network: every entry is a
@@ -267,7 +262,7 @@ impl LinkDetectorAssignment {
             && self.sets.ids.iter().all(|&p| p != 0 && p as usize <= n)
             && (0..n).all(|u| {
                 let set = self.set(NodeId(u));
-                let degree = net.g_csr().degree(u);
+                let degree = net.g().degree(u);
                 // Sets hold no repeats, so once every neighbor id is in,
                 // the rest are exactly the extras.
                 neighbor_ids(net, ids, u).all(|p| set.contains(&p))
@@ -298,7 +293,7 @@ fn neighbor_ids<'a>(
     ids: &'a IdAssignment,
     u: usize,
 ) -> impl Iterator<Item = u32> + 'a {
-    net.g_csr()
+    net.g()
         .neighbors(u)
         .iter()
         .map(|&v| ids.id_of(NodeId(v as usize)).get())
@@ -399,6 +394,7 @@ impl fmt::Debug for DetectorSet<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::graph::Graph;
     use rand::SeedableRng;
 
     fn diamond() -> (DualGraph, IdAssignment) {
@@ -415,9 +411,7 @@ mod tests {
         let (net, ids) = diamond();
         let det = LinkDetectorAssignment::zero_complete(&net, &ids);
         assert!(det.is_tau_complete(&net, &ids, 0));
-        let h = det.h_graph(&ids);
-        assert_eq!(&h, net.g());
-        assert_eq!(det.h_csr(&ids), h.to_csr());
+        assert_eq!(&det.h_graph(&ids), net.g());
     }
 
     #[test]
@@ -502,7 +496,7 @@ mod tests {
                     .g()
                     .neighbors(u)
                     .iter()
-                    .map(|&v| ids.id_of(NodeId(v)).get())
+                    .map(|&v| ids.id_of(NodeId(v as usize)).get())
                     .collect();
                 let mut pool: Vec<usize> = (0..net.n())
                     .filter(|&v| v != u && !net.g().has_edge(u, v))

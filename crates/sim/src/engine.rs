@@ -80,7 +80,7 @@
 //!
 //! **Shared frozen topology.** Per-topology state is immutable and
 //! shared, never copied per engine: a [`DualGraph`] clone is a handle on
-//! one frozen network (layers, CSR forms, unreliable list, bitmask rows),
+//! one frozen network (CSR layers, unreliable list, bitmask rows),
 //! a [`LinkDetectorAssignment`] clone shares its frozen sets (flat sorted
 //! ids plus, on dense assignments, membership bitmask rows), and an
 //! engine over a static detector keeps a handle on those sets. Spawning a
@@ -280,7 +280,7 @@ fn auto_step_mode(net: &DualGraph) -> StepMode {
     let n = net.n();
     let dense = n > 0
         && n <= MAX_AUTO_BITSET_N
-        && bitset_break_even(n).is_some_and(|t| net.g_csr().edge_slots() >= t);
+        && bitset_break_even(n).is_some_and(|t| net.g().edge_slots() >= t);
     if dense {
         StepMode::Bitset
     } else {
@@ -684,7 +684,7 @@ impl<P: Process> Engine<P> {
         }
         if broadcaster_count > 0 {
             let epoch = self.scratch.epoch;
-            let csr_g = self.net.g_csr();
+            let csr_g = self.net.g();
             let RoundScratch {
                 broadcasters,
                 extra,
@@ -888,6 +888,7 @@ impl<P: Process> Engine<P> {
             let mut reach = extra_from[v].len();
             let mut the_one = extra_from[v].first().copied();
             for &u in self.net.g().neighbors(v) {
+                let u = u as usize;
                 if broadcasting[u] {
                     reach += 1;
                     if the_one.is_none() {
@@ -1691,10 +1692,10 @@ mod tests {
             DualGraph::classic(Graph::from_edges(64, edges).unwrap()).unwrap()
         };
         let at = graph_with_edges(33); // 63 + 33 = 96 edges
-        assert_eq!(at.g_csr().edge_slots(), 192);
+        assert_eq!(at.g().edge_slots(), 192);
         assert_eq!(auto_step_mode(&at), StepMode::Bitset);
         let below = graph_with_edges(32); // 95 edges
-        assert_eq!(below.g_csr().edge_slots(), 190);
+        assert_eq!(below.g().edge_slots(), 190);
         assert_eq!(auto_step_mode(&below), StepMode::Scalar);
     }
 

@@ -10,11 +10,14 @@
 //! constant `d ≥ 1` such that `dist(u, v) ≤ 1 ⇒ (u, v) ∈ E` and `(u, v) ∈ E'
 //! ⇒ dist(u, v) ≤ d` — a generalization of unit disk graphs with a gray zone
 //! of unpredictable connectivity.
+//!
+//! Callers build each layer with the [`Graph`] builder and hand it over.
+//! The network freezes it into a [`CsrGraph`], the one form of every built
+//! graph, and drops the builder; [`DualGraph::g`], [`DualGraph::g_prime`]
+//! and [`DualGraph::unreliable_csr`] return the frozen layers.
 
 use crate::geometry::Point;
 use crate::graph::{BitRows, CsrGraph, Graph};
-use serde::value::{field, DeError, Value};
-use serde::{Deserialize, Serialize};
 use std::sync::{Arc, OnceLock};
 
 /// Errors from constructing or validating a [`DualGraph`].
@@ -95,17 +98,18 @@ impl std::error::Error for NetworkError {}
 
 /// A dual graph radio network `(G, G')`, optionally embedded in the plane.
 ///
-/// Construction freezes both layers into flat CSR adjacency
-/// ([`CsrGraph`]) and precomputes the unreliable difference `E' \ E` as
-/// both a CSR layer and a flat edge list, plus the list index of the edge
-/// at each slot of that layer — the forms the engine's per-round hot path
+/// Construction freezes each layer into flat CSR adjacency ([`CsrGraph`])
+/// and drops its builder, validates the model constraints on the frozen
+/// layers, and precomputes the unreliable difference `E' \ E` as both a
+/// CSR layer and a flat edge list, plus the list index of the edge at each
+/// slot of that layer — the forms the engine's per-round hot path
 /// consumes without further allocation or `O(log deg)` membership
 /// searches. A classic network (`G = G'`) stores the reliable layer once.
 ///
 /// A `DualGraph` is a handle on that frozen state: the network is
 /// immutable once built, so [`Clone`] only bumps a reference count, and
 /// every clone — one per engine of a trial batch, say — reads the same
-/// layers, CSR forms and lazily built [`BitRows`].
+/// layers and lazily built [`BitRows`].
 ///
 /// # Examples
 ///
@@ -129,19 +133,16 @@ pub struct DualGraph {
 /// The immutable per-topology state every [`DualGraph`] clone shares.
 #[derive(Debug)]
 struct FrozenNet {
-    g: Graph,
+    g: CsrGraph,
     /// `None` for classic networks (`G' = G`), avoiding a full duplicate
     /// adjacency; [`DualGraph::g_prime`] falls back to `g`.
-    g_prime: Option<Graph>,
+    g_prime: Option<CsrGraph>,
     positions: Option<Vec<Point>>,
     d: f64,
-    // Frozen hot-path forms, built once at construction.
-    csr_g: CsrGraph,
-    csr_g_prime: Option<CsrGraph>,
-    csr_unreliable: CsrGraph,
+    unreliable: CsrGraph,
     unreliable_list: Vec<(usize, usize)>,
     /// The index in `unreliable_list` of the edge at each slot of
-    /// `csr_unreliable`'s neighbor array.
+    /// `unreliable`'s neighbor array.
     unreliable_ids: Vec<u32>,
     /// Word-packed reliable-layer adjacency for the bit-parallel delivery
     /// engine. Built on first use (rows cost `n·⌈n/64⌉` words, which
@@ -149,6 +150,11 @@ struct FrozenNet {
     /// engine reads the adversary's unreliable picks along the
     /// broadcasters' unreliable rows.
     bit_g: OnceLock<BitRows>,
+}
+
+/// Freezes a builder into its CSR form and drops the builder.
+fn freeze(g: Graph) -> CsrGraph {
+    g.to_csr()
 }
 
 impl DualGraph {
@@ -159,40 +165,41 @@ impl DualGraph {
     /// Returns [`NetworkError`] if the layers have different vertex counts,
     /// `E ⊄ E'`, or `G` is disconnected.
     pub fn new(g: Graph, g_prime: Graph) -> Result<Self, NetworkError> {
+        let (g, g_prime) = (freeze(g), freeze(g_prime));
         Self::validate_layers(&g, &g_prime)?;
         Ok(Self::assemble(g, Some(g_prime), None, 1.0))
     }
 
-    /// Freezes the CSR forms and the unreliable edge list (layers already
-    /// validated).
-    fn assemble(g: Graph, g_prime: Option<Graph>, positions: Option<Vec<Point>>, d: f64) -> Self {
+    /// Builds the unreliable difference and its edge list from validated
+    /// layers.
+    fn assemble(
+        g: CsrGraph,
+        g_prime: Option<CsrGraph>,
+        positions: Option<Vec<Point>>,
+        d: f64,
+    ) -> Self {
         let n = g.n();
-        let csr_g = g.to_csr();
         // Normalize G' = G to the classic representation.
-        let g_prime = g_prime.filter(|gp| gp.edge_count() != g.edge_count());
-        let (csr_g_prime, csr_unreliable, unreliable_list) = match &g_prime {
-            None => (None, Graph::new(n).to_csr(), Vec::new()),
+        let g_prime = g_prime.filter(|gp| gp.edge_slots() != g.edge_slots());
+        let unreliable = match &g_prime {
+            None => CsrGraph::from_rows(n, |_| std::iter::empty()),
             Some(gp) => {
-                let mut unreliable = Graph::new(n);
-                for (u, v) in gp.edges() {
-                    if !g.has_edge(u, v) {
-                        unreliable.add_edge(u, v);
-                    }
-                }
-                let list = unreliable.edges().collect();
-                (Some(gp.to_csr()), unreliable.to_csr(), list)
+                let reliable = &g;
+                CsrGraph::from_rows(n, |u| {
+                    let row = gp.neighbors(u).iter().copied();
+                    row.filter(move |&v| !reliable.has_edge(u, v as usize))
+                })
             }
         };
-        let unreliable_ids = slot_edge_ids(&csr_unreliable, &unreliable_list);
+        let unreliable_list: Vec<(usize, usize)> = unreliable.edges().collect();
+        let unreliable_ids = slot_edge_ids(&unreliable, &unreliable_list);
         DualGraph {
             frozen: Arc::new(FrozenNet {
                 g,
                 g_prime,
                 positions,
                 d,
-                csr_g,
-                csr_g_prime,
-                csr_unreliable,
+                unreliable,
                 unreliable_list,
                 unreliable_ids,
                 bit_g: OnceLock::new(),
@@ -216,15 +223,17 @@ impl DualGraph {
         if !(d.is_finite() && d >= 1.0) {
             return Err(NetworkError::InvalidGrayZone { d });
         }
+        let (g, g_prime) = (freeze(g), freeze(g_prime));
         Self::validate_layers(&g, &g_prime)?;
-        if positions.len() != g.n() {
+        let n = g.n();
+        if positions.len() != n {
             return Err(NetworkError::PositionCountMismatch {
                 positions: positions.len(),
-                n: g.n(),
+                n,
             });
         }
-        for u in 0..g.n() {
-            for v in (u + 1)..g.n() {
+        for u in 0..n {
+            for v in (u + 1)..n {
                 let dist = positions[u].dist(positions[v]);
                 if dist <= 1.0 && !g.has_edge(u, v) {
                     return Err(NetworkError::MissingShortEdge { pair: (u, v), dist });
@@ -252,13 +261,14 @@ impl DualGraph {
     ///
     /// Returns [`NetworkError::ReliableDisconnected`] if `g` is disconnected.
     pub fn classic(g: Graph) -> Result<Self, NetworkError> {
+        let g = freeze(g);
         if !g.is_connected() {
             return Err(NetworkError::ReliableDisconnected);
         }
         Ok(Self::assemble(g, None, None, 1.0))
     }
 
-    fn validate_layers(g: &Graph, g_prime: &Graph) -> Result<(), NetworkError> {
+    fn validate_layers(g: &CsrGraph, g_prime: &CsrGraph) -> Result<(), NetworkError> {
         if g.n() != g_prime.n() {
             return Err(NetworkError::LayerSizeMismatch {
                 g: g.n(),
@@ -282,38 +292,22 @@ impl DualGraph {
 
     /// The reliable layer `G`.
     #[inline]
-    pub fn g(&self) -> &Graph {
+    pub fn g(&self) -> &CsrGraph {
         &self.frozen.g
     }
 
     /// The full layer `G'` (reliable plus unreliable links). For a classic
     /// network this is the reliable layer itself.
     #[inline]
-    pub fn g_prime(&self) -> &Graph {
+    pub fn g_prime(&self) -> &CsrGraph {
         self.frozen.g_prime.as_ref().unwrap_or(&self.frozen.g)
     }
 
-    /// The reliable layer as frozen CSR adjacency (the engine's hot-path
-    /// form).
-    #[inline]
-    pub fn g_csr(&self) -> &CsrGraph {
-        &self.frozen.csr_g
-    }
-
-    /// The full layer `G'` as frozen CSR adjacency.
-    #[inline]
-    pub fn g_prime_csr(&self) -> &CsrGraph {
-        self.frozen
-            .csr_g_prime
-            .as_ref()
-            .unwrap_or(&self.frozen.csr_g)
-    }
-
-    /// The unreliable difference `E' \ E` as frozen CSR adjacency (empty
-    /// rows for a classic network).
+    /// The unreliable difference `E' \ E` (empty rows for a classic
+    /// network).
     #[inline]
     pub fn unreliable_csr(&self) -> &CsrGraph {
-        &self.frozen.csr_unreliable
+        &self.frozen.unreliable
     }
 
     /// The reliable layer as word-packed bitmask rows ([`BitRows`]), the
@@ -323,7 +317,7 @@ impl DualGraph {
     pub fn g_bit_rows(&self) -> &BitRows {
         self.frozen
             .bit_g
-            .get_or_init(|| BitRows::from_csr(&self.frozen.csr_g))
+            .get_or_init(|| BitRows::from_csr(&self.frozen.g))
     }
 
     /// The unreliable edges as a precomputed flat list of pairs `u < v`,
@@ -343,7 +337,7 @@ impl DualGraph {
     /// Panics if `u >= n`.
     #[inline]
     pub fn unreliable_edge_ids(&self, u: usize) -> &[u32] {
-        &self.frozen.unreliable_ids[self.frozen.csr_unreliable.row_slots(u)]
+        &self.frozen.unreliable_ids[self.frozen.unreliable.row_slots(u)]
     }
 
     /// Maximum degree `Δ` in the reliable graph.
@@ -361,7 +355,7 @@ impl DualGraph {
     /// Whether `{u, v}` is an unreliable link (in `E' \ E`).
     #[inline]
     pub fn is_unreliable_edge(&self, u: usize, v: usize) -> bool {
-        self.frozen.csr_unreliable.has_edge(u, v)
+        self.frozen.unreliable.has_edge(u, v)
     }
 
     /// Iterates the unreliable edges `E' \ E` as pairs with `u < v`.
@@ -407,44 +401,6 @@ fn slot_edge_ids(csr: &CsrGraph, list: &[(usize, usize)]) -> Vec<u32> {
         }
     }
     ids
-}
-
-// Serialization carries only the defining data (layers, embedding, gray
-// zone); the CSR caches are rebuilt — and the model constraints revalidated
-// — on deserialization.
-impl Serialize for DualGraph {
-    fn to_value(&self) -> Value {
-        let net = &*self.frozen;
-        Value::Object(vec![
-            ("g".to_string(), net.g.to_value()),
-            ("g_prime".to_string(), net.g_prime.to_value()),
-            ("positions".to_string(), net.positions.to_value()),
-            ("d".to_string(), net.d.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for DualGraph {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        let fields = v
-            .as_object()
-            .ok_or_else(|| DeError::expected("object", v))?;
-        let g: Graph = Deserialize::from_value(field(fields, "g"))?;
-        let g_prime: Option<Graph> = Deserialize::from_value(field(fields, "g_prime"))?;
-        let positions: Option<Vec<Point>> = Deserialize::from_value(field(fields, "positions"))?;
-        let d: f64 = Deserialize::from_value(field(fields, "d"))?;
-        let net = match (g_prime, positions) {
-            (None, None) => DualGraph::classic(g),
-            (None, Some(pos)) => {
-                let gp = g.clone();
-                DualGraph::with_embedding(g, gp, pos, d)
-            }
-            (Some(gp), None) => DualGraph::new(g, gp),
-            (Some(gp), Some(pos)) => DualGraph::with_embedding(g, gp, pos, d),
-        }
-        .map_err(|e| DeError::msg(format!("invalid dual graph: {e}")))?;
-        Ok(net)
-    }
 }
 
 #[cfg(test)]
@@ -525,7 +481,7 @@ mod tests {
         gp.add_edge(0, 4);
         let net = DualGraph::new(g, gp).unwrap();
         let twin = net.clone();
-        assert!(std::ptr::eq(net.g_csr(), twin.g_csr()));
+        assert!(std::ptr::eq(net.g(), twin.g()));
         assert!(std::ptr::eq(
             net.unreliable_edge_list(),
             twin.unreliable_edge_list()

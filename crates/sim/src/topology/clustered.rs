@@ -5,7 +5,7 @@
 //! common shape of real sensor deployments (rooms, buildings, road
 //! segments).
 
-use super::dual_graph_from_points;
+use super::first_connected;
 use super::random_geometric::TopologyError;
 use crate::geometry::Point;
 use crate::network::DualGraph;
@@ -94,7 +94,7 @@ pub fn clustered<R: Rng>(
         })
         .collect();
 
-    for _ in 0..config.max_attempts.max(1) {
+    let draw = |rng: &mut R| {
         let mut points = Vec::new();
         for c in &centers {
             for _ in 0..config.nodes_per_cluster {
@@ -117,13 +117,15 @@ pub fn clustered<R: Rng>(
                 }
             }
         }
-        if let Some(net) = dual_graph_from_points(points, config.d, config.gray_prob, rng) {
-            return Ok(net);
-        }
-    }
-    Err(TopologyError::Disconnected {
-        attempts: config.max_attempts.max(1),
-    })
+        points
+    };
+    first_connected(
+        config.max_attempts,
+        config.d,
+        |_| config.gray_prob,
+        rng,
+        draw,
+    )
 }
 
 #[cfg(test)]

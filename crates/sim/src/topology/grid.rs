@@ -77,7 +77,7 @@ pub fn grid<R: Rng>(config: &GridConfig, rng: &mut R) -> Result<DualGraph, Topol
         }
     }
     Ok(
-        dual_graph_from_points(points, config.d, config.gray_prob, rng)
+        dual_graph_from_points(points, config.d, |_| config.gray_prob, rng)
             .expect("lattice with spacing <= 1 is connected"),
     )
 }

@@ -48,7 +48,7 @@ pub fn line<R: Rng>(
     let points = (0..n)
         .map(|i| Point::new(i as f64 * spacing, 0.0))
         .collect();
-    Ok(dual_graph_from_points(points, d, gray_prob, rng)
+    Ok(dual_graph_from_points(points, d, |_| gray_prob, rng)
         .expect("a chain with spacing <= 1 is connected"))
 }
 
@@ -66,7 +66,7 @@ mod tests {
         // spacing 0.8: nodes i, i+1 adjacent (0.8 <= 1); i, i+2 not (1.6 > 1).
         assert!(net.g().has_edge(0, 1));
         assert!(!net.g().has_edge(0, 2));
-        assert_eq!(net.g().hop_distance(0, 9), Some(9));
+        assert_eq!(net.g().bfs_distances(0)[9], Some(9));
     }
 
     #[test]

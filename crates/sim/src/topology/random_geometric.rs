@@ -6,7 +6,7 @@
 //! This realizes the paper's generalized unit disk model with its
 //! "potentially large gray zone of unpredictable connectivity".
 
-use super::dual_graph_from_points;
+use super::first_connected;
 use crate::geometry::Point;
 use crate::network::DualGraph;
 use rand::Rng;
@@ -97,42 +97,13 @@ pub fn random_geometric<R: Rng>(
     config: &RandomGeometricConfig,
     rng: &mut R,
 ) -> Result<DualGraph, TopologyError> {
-    if config.n == 0 {
-        return Err(TopologyError::BadConfig {
-            what: "n must be positive",
-        });
-    }
-    if !(config.side.is_finite() && config.side > 0.0) {
-        return Err(TopologyError::BadConfig {
-            what: "side must be positive",
-        });
-    }
-    if !(config.d.is_finite() && config.d >= 1.0) {
-        return Err(TopologyError::BadConfig {
-            what: "d must be >= 1",
-        });
-    }
+    check_square(config)?;
     if !(0.0..=1.0).contains(&config.gray_prob) {
         return Err(TopologyError::BadConfig {
             what: "gray_prob must be in [0, 1]",
         });
     }
-    for _ in 0..config.max_attempts.max(1) {
-        let points: Vec<Point> = (0..config.n)
-            .map(|_| {
-                Point::new(
-                    rng.gen_range(0.0..config.side),
-                    rng.gen_range(0.0..config.side),
-                )
-            })
-            .collect();
-        if let Some(net) = dual_graph_from_points(points, config.d, config.gray_prob, rng) {
-            return Ok(net);
-        }
-    }
-    Err(TopologyError::Disconnected {
-        attempts: config.max_attempts.max(1),
-    })
+    place_in_square(config, |_| config.gray_prob, rng)
 }
 
 /// Like [`random_geometric`], but with a **distance-decaying** gray zone:
@@ -151,7 +122,28 @@ pub fn random_geometric_decay<R: Rng>(
     p_near: f64,
     p_far: f64,
     rng: &mut R,
-) -> Result<crate::network::DualGraph, TopologyError> {
+) -> Result<DualGraph, TopologyError> {
+    check_square(config)?;
+    if !(0.0..=1.0).contains(&p_near) || !(0.0..=1.0).contains(&p_far) {
+        return Err(TopologyError::BadConfig {
+            what: "probabilities must be in [0, 1]",
+        });
+    }
+    let d = config.d;
+    let decay = |dist: f64| {
+        let t = if d > 1.0 {
+            (dist - 1.0) / (d - 1.0)
+        } else {
+            0.0
+        };
+        (p_near + t * (p_far - p_near)).clamp(0.0, 1.0)
+    };
+    place_in_square(config, decay, rng)
+}
+
+/// The placement checks both generators make before their own
+/// probability checks.
+fn check_square(config: &RandomGeometricConfig) -> Result<(), TopologyError> {
     if config.n == 0 {
         return Err(TopologyError::BadConfig {
             what: "n must be positive",
@@ -167,52 +159,21 @@ pub fn random_geometric_decay<R: Rng>(
             what: "d must be >= 1",
         });
     }
-    if !(0.0..=1.0).contains(&p_near) || !(0.0..=1.0).contains(&p_far) {
-        return Err(TopologyError::BadConfig {
-            what: "probabilities must be in [0, 1]",
-        });
-    }
-    for _ in 0..config.max_attempts.max(1) {
-        let points: Vec<Point> = (0..config.n)
-            .map(|_| {
-                Point::new(
-                    rng.gen_range(0.0..config.side),
-                    rng.gen_range(0.0..config.side),
-                )
-            })
-            .collect();
-        let n = config.n;
-        let mut g = crate::graph::Graph::new(n);
-        let mut gp = crate::graph::Graph::new(n);
-        for u in 0..n {
-            for v in (u + 1)..n {
-                let dist = points[u].dist(points[v]);
-                if dist <= 1.0 {
-                    g.add_edge(u, v);
-                    gp.add_edge(u, v);
-                } else if dist <= config.d {
-                    let t = if config.d > 1.0 {
-                        (dist - 1.0) / (config.d - 1.0)
-                    } else {
-                        0.0
-                    };
-                    let prob = p_near + t * (p_far - p_near);
-                    if rng.gen_bool(prob.clamp(0.0, 1.0)) {
-                        gp.add_edge(u, v);
-                    }
-                }
-            }
-        }
-        if !g.is_connected() {
-            continue;
-        }
-        return Ok(
-            crate::network::DualGraph::with_embedding(g, gp, points, config.d)
-                .expect("construction satisfies the geometric constraints"),
-        );
-    }
-    Err(TopologyError::Disconnected {
-        attempts: config.max_attempts.max(1),
+    Ok(())
+}
+
+/// Places `config.n` points uniformly in the square until the reliable
+/// graph connects, with gray-zone pairs linked per `gray_prob(dist)`.
+fn place_in_square<R: Rng>(
+    config: &RandomGeometricConfig,
+    gray_prob: impl Fn(f64) -> f64,
+    rng: &mut R,
+) -> Result<DualGraph, TopologyError> {
+    let (n, side) = (config.n, config.side);
+    first_connected(config.max_attempts, config.d, gray_prob, rng, |rng| {
+        (0..n)
+            .map(|_| Point::new(rng.gen_range(0.0..side), rng.gen_range(0.0..side)))
+            .collect()
     })
 }
 

@@ -11,31 +11,10 @@
 //! ```
 
 use radio_sim::topology::{clustered, ClusteredConfig};
-use radio_sim::Graph;
+use radio_structures::analysis::backbone_distance;
 use radio_structures::runner::{run_ccds, AdversaryKind};
 use radio_structures::CcdsConfig;
 use rand::SeedableRng;
-
-/// Shortest path length where interior hops must be CCDS members.
-fn backbone_distance(g: &Graph, ccds: &[bool], src: usize, dst: usize) -> Option<u32> {
-    let mut dist = vec![None; g.n()];
-    dist[src] = Some(0u32);
-    let mut queue = std::collections::VecDeque::from([src]);
-    while let Some(u) = queue.pop_front() {
-        let du = dist[u].expect("queued implies distance");
-        for &v in g.neighbors(u) {
-            // Interior nodes must be on the backbone; the sink is exempt.
-            if v != dst && !ccds[v] {
-                continue;
-            }
-            if dist[v].is_none() {
-                dist[v] = Some(du + 1);
-                queue.push_back(v);
-            }
-        }
-    }
-    dist[dst]
-}
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut rng = rand::rngs::StdRng::seed_from_u64(7);
@@ -75,7 +54,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             }
         }
     }
-    let direct = g.hop_distance(src, dst).expect("connected");
+    let direct = best;
     let via = backbone_distance(g, &ccds, src, dst).expect("backbone routes everyone");
     println!("routing v{src} → v{dst}: shortest = {direct} hops, via backbone = {via} hops");
     assert!(via <= 4 * direct + 4, "backbone stretch should be constant");

@@ -493,7 +493,10 @@ fn e7_async_mis(quick: bool) -> Table {
         }
         for v in 0..n {
             if outputs[v] == Some(false)
-                && !g.neighbors(v).iter().any(|&u| outputs[u] == Some(true))
+                && !g
+                    .neighbors(v)
+                    .iter()
+                    .any(|&u| outputs[u as usize] == Some(true))
             {
                 valid = false;
             }

@@ -3,19 +3,19 @@
 
 use radio_sim::topology::{random_geometric, RandomGeometricConfig};
 use radio_sim::{
-    DualGraph, DynamicDetector, EngineBuilder, Graph, IdAssignment, LinkDetectorAssignment, NodeId,
-    StopReason,
+    CsrGraph, DualGraph, DynamicDetector, EngineBuilder, Graph, IdAssignment,
+    LinkDetectorAssignment, NodeId, StopReason,
 };
 use radio_structures::checker::check_ccds;
 use radio_structures::{AsyncFilter, AsyncMis, AsyncMisParams, CcdsConfig, ContinuousCcds};
 use rand::SeedableRng;
 
-fn valid_mis(g: &Graph, out: &[Option<bool>]) -> bool {
+fn valid_mis(g: &CsrGraph, out: &[Option<bool>]) -> bool {
+    let member = |u: u32| out[u as usize] == Some(true);
     out.iter().all(Option::is_some)
         && g.edges()
             .all(|(u, v)| !(out[u] == Some(true) && out[v] == Some(true)))
-        && (0..g.n())
-            .all(|v| out[v] != Some(false) || g.neighbors(v).iter().any(|&u| out[u] == Some(true)))
+        && (0..g.n()).all(|v| out[v] != Some(false) || g.neighbors(v).iter().any(|&u| member(u)))
 }
 
 #[test]

@@ -36,10 +36,11 @@ proptest! {
 
     #[test]
     fn graph_edges_are_symmetric_and_counted(n in 2usize..40, seed in 0u64..500, extra in 0usize..30) {
-        let g = connected_graph(n, seed, extra);
+        let g = connected_graph(n, seed, extra).to_csr();
         let mut count = 0usize;
         for u in 0..n {
             for &v in g.neighbors(u) {
+                let v = v as usize;
                 prop_assert!(g.has_edge(v, u), "symmetry broken");
                 if u < v { count += 1; }
             }
@@ -50,7 +51,7 @@ proptest! {
 
     #[test]
     fn bfs_distances_satisfy_triangle_steps(n in 2usize..30, seed in 0u64..200) {
-        let g = connected_graph(n, seed, n / 2);
+        let g = connected_graph(n, seed, n / 2).to_csr();
         let d = g.bfs_distances(0);
         for (u, v) in g.edges() {
             let du = d[u].unwrap();
@@ -71,7 +72,7 @@ proptest! {
             let v = rng.gen_range(0..n);
             if u != v { gp.add_edge(u, v); }
         }
-        let net = DualGraph::new(g.clone(), gp).unwrap();
+        let net = DualGraph::new(g, gp).unwrap();
         prop_assert!(net.g().is_subgraph_of(net.g_prime()));
         prop_assert_eq!(
             net.unreliable_edge_count(),
@@ -131,14 +132,14 @@ proptest! {
     fn checkers_accept_ground_truth_structures(n in 2usize..24, seed in 0u64..200) {
         // A greedily built MIS/CDS must satisfy the checkers — the checkers
         // and the constructions are implemented independently.
-        let g = connected_graph(n, seed, n / 3);
-        let net = DualGraph::classic(g.clone()).unwrap();
-        let mis = radio_baselines::centralized::greedy_mis(&g);
+        let net = DualGraph::classic(connected_graph(n, seed, n / 3)).unwrap();
+        let g = net.g();
+        let mis = radio_baselines::centralized::greedy_mis(g);
         let mis_out: Vec<Option<bool>> = mis.iter().map(|&b| Some(b)).collect();
-        prop_assert!(check_mis(&net, &g, &mis_out).is_valid());
-        let cds = radio_baselines::centralized::greedy_cds(&g);
+        prop_assert!(check_mis(&net, g, &mis_out).is_valid());
+        let cds = radio_baselines::centralized::greedy_cds(g);
         let cds_out: Vec<Option<bool>> = cds.iter().map(|&b| Some(b)).collect();
-        let report = check_ccds(&net, &g, &cds_out);
+        let report = check_ccds(&net, g, &cds_out);
         prop_assert!(report.terminated && report.connected && report.dominating);
     }
 

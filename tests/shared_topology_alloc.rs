@@ -6,8 +6,10 @@
 //! clones must be handles on the frozen per-topology state, so a further
 //! engine pays only for its own per-node state (processes, RNGs, scratch),
 //! never for another copy of the adjacency, the bitmask rows or the
-//! detector sets. The detector build itself is bounded too: its frozen
-//! sets are one flat id array plus membership rows, not a tree per node.
+//! detector sets. The builds themselves are bounded too: a network keeps
+//! only its frozen CSR layers, not the builder's rows beside them, and a
+//! detector's frozen sets are one flat id array plus membership rows, not
+//! a tree per node.
 //! And a multi-trial `run_algo_batch` call keeps one engine alive at a
 //! time: its peak of live bytes does not grow with the trial count.
 
@@ -72,6 +74,14 @@ fn bytes_of<T>(f: impl FnOnce() -> T) -> (u64, T) {
     (BYTES.load(Ordering::Relaxed) - before, out)
 }
 
+/// Live bytes that `f`'s result still holds once `f` returns, and the
+/// result.
+fn retained_of<T>(f: impl FnOnce() -> T) -> (u64, T) {
+    let before = LIVE.load(Ordering::Relaxed);
+    let out = f();
+    (LIVE.load(Ordering::Relaxed).saturating_sub(before), out)
+}
+
 /// Peak live bytes above the starting level while `f` runs.
 fn peak_of(f: impl FnOnce()) -> u64 {
     let start = LIVE.load(Ordering::Relaxed);
@@ -84,9 +94,16 @@ fn peak_of(f: impl FnOnce()) -> u64 {
 fn engines_spawned_from_shared_clones_copy_no_topology() {
     const N: usize = 1024;
     const BUDGET_PER_NODE: u64 = 1024;
+    // The one CSR layer of a classic clique: 4·N·(N − 1) B of neighbors
+    // and the offsets.
+    const NET_BUDGET: u64 = 4_500_000;
     // 4·N·(N − 1) B of ids, 8·N·⌈(N + 1)/64⌉ B of rows, and the offsets.
     const DETECTOR_BUDGET: u64 = 4_500_000;
-    let net = DualGraph::classic(Graph::complete(N)).unwrap();
+    let (net_bytes, net) = retained_of(|| DualGraph::classic(Graph::complete(N)).unwrap());
+    assert!(
+        net_bytes <= NET_BUDGET,
+        "a clique-{N} network retains {net_bytes} B"
+    );
     let ids = IdAssignment::identity(N);
     let (detector_bytes, det) = bytes_of(|| LinkDetectorAssignment::zero_complete(&net, &ids));
     // The budget is tight enough to catch a deep copy: building the
