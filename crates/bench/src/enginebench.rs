@@ -31,6 +31,7 @@
 //! [`Engine::step_bitset`]: radio_sim::Engine::step_bitset
 
 use radio_sim::adversary::{Collider, RandomUnreliable};
+use radio_sim::spec::TopologyKind;
 use radio_sim::topology::{random_geometric, RandomGeometricConfig};
 use radio_sim::{Action, Context, DualGraph, Engine, EngineBuilder, Graph, Process, StepMode};
 use rand::SeedableRng;
@@ -105,10 +106,15 @@ pub const CHATTER_P: f64 = 0.05;
 ///
 /// Panics on an unknown name (callers pick from [`WORKLOADS`]).
 pub fn workload_net(name: &str) -> DualGraph {
+    let clique = |n| {
+        TopologyKind::Clique { n }
+            .build(0)
+            .expect("clique is connected")
+    };
     match name {
-        "clique-64" => DualGraph::classic(Graph::complete(64)).expect("clique is connected"),
-        "clique-256" => DualGraph::classic(Graph::complete(256)).expect("clique is connected"),
-        "clique-1024" => DualGraph::classic(Graph::complete(1024)).expect("clique is connected"),
+        "clique-64" => clique(64),
+        "clique-256" => clique(256),
+        "clique-1024" => clique(1024),
         "rgg-256" => {
             let mut rng = rand::rngs::StdRng::seed_from_u64(2026);
             random_geometric(&RandomGeometricConfig::dense(256), &mut rng)

@@ -130,13 +130,15 @@ fn parse_args(
 /// Resolves inputs to specs for both the main lab path and `serve`:
 /// registry ids expand to built-ins, anything else reads as a
 /// ScenarioSpec JSON file whose adversary probabilities must pass
-/// [`radio_sim::spec::AdversaryKind::validate`]. Everything resolves
+/// [`radio_sim::spec::AdversaryKind::validate`] and whose topologies must
+/// pass [`radio_sim::spec::TopologyKind::validate`]. Everything resolves
 /// before anything runs.
 ///
 /// # Errors
 ///
-/// A message naming the input: unreadable, not a ScenarioSpec, or an
-/// out-of-range adversary probability.
+/// A message naming the input: unreadable, not a ScenarioSpec, an
+/// out-of-range adversary probability, or a topology too large for the
+/// `u32` CSR.
 pub fn resolve_specs(inputs: &[String], quick: bool) -> Result<Vec<ScenarioSpec>, String> {
     let mut specs = Vec::new();
     for input in inputs {
@@ -151,6 +153,12 @@ pub fn resolve_specs(inputs: &[String], quick: bool) -> Result<Vec<ScenarioSpec>
             .map_err(|e| format!("{input}: invalid ScenarioSpec JSON: {e}"))?;
         for adversary in &spec.adversaries {
             adversary.validate().map_err(|e| format!("{input}: {e}"))?;
+        }
+        for topology in &spec.topologies {
+            topology
+                .kind
+                .validate()
+                .map_err(|e| format!("{input}: {e}"))?;
         }
         specs.push(spec);
     }

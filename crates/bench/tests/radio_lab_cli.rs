@@ -510,6 +510,39 @@ fn shard_flag_rejects_malformed_and_out_of_range_refs() {
 }
 
 #[test]
+fn topologies_past_the_u32_csr_exit_2_before_any_build() {
+    // Refused from its counts alone: a clique of 65 537 nodes needs
+    // 65 537 · 65 536 edge slots, one past what `u32` offsets hold.
+    let dir = scratch("bigclique");
+    let spec = SPEC.replace(
+        r#"{ "Clique": { "n": 16 } }"#,
+        r#"{ "Clique": { "n": 65537 } }"#,
+    );
+    assert_ne!(spec, SPEC, "the clique entry was replaced");
+    std::fs::write(dir.join("big.json"), spec).expect("spec writes");
+    let out = lab(
+        &[
+            "big.json",
+            "--stream",
+            "--no-records",
+            "--out",
+            "big.out.json",
+        ],
+        &dir,
+    );
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(
+        stderr.contains("big.json") && stderr.contains("n = 65537"),
+        "the refusal must name the spec and the field: {stderr}"
+    );
+    assert!(out.stdout.is_empty(), "no unit may run");
+    assert!(!dir.join("big.out.json").exists(), "no report");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn out_of_range_adversary_probabilities_exit_2_without_a_panic() {
     let dir = scratch("badprob");
     for (adversary, named) in [

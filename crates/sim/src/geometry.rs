@@ -59,6 +59,106 @@ impl fmt::Display for Point {
     }
 }
 
+/// Points bucketed into square cells at least `reach` wide, so that any two
+/// points at distance at most `reach` lie in the same or adjacent cells.
+///
+/// The side is `max(reach·(1 + 1e-6), extent/⌈√n⌉)`. The margin absorbs
+/// rounding: two points whose computed distance is at most `reach` never
+/// land two cells apart. The second term caps the grid at about `n` cells
+/// however sparse the points are. A point with a non-finite coordinate is
+/// at a non-finite (or NaN) distance from every point, so it is left out.
+/// Each cell lists its members in ascending order.
+#[derive(Debug)]
+pub(crate) struct CellGrid {
+    cols: usize,
+    rows: usize,
+    /// Each point's cell as `(col, row)`; `None` if left out.
+    place: Vec<Option<(u32, u32)>>,
+    /// `cols · rows + 1` boundaries into `members`, row by row.
+    start: Vec<u32>,
+    /// Point indices grouped by cell.
+    members: Vec<u32>,
+}
+
+impl CellGrid {
+    /// Buckets `points` into cells at least `reach` wide.
+    ///
+    /// # Panics
+    ///
+    /// Panics if there are more than `u32::MAX` points.
+    pub(crate) fn new(points: &[Point], reach: f64) -> Self {
+        assert!(
+            u32::try_from(points.len()).is_ok(),
+            "cell grid point ids are u32; {} points",
+            points.len()
+        );
+        let finite = |p: &Point| p.x.is_finite() && p.y.is_finite();
+        let (mut x0, mut y0) = (f64::INFINITY, f64::INFINITY);
+        let (mut x1, mut y1) = (f64::NEG_INFINITY, f64::NEG_INFINITY);
+        for p in points.iter().filter(|p| finite(p)) {
+            (x0, x1) = (x0.min(p.x), x1.max(p.x));
+            (y0, y1) = (y0.min(p.y), y1.max(p.y));
+        }
+        // At most `k + 1` cells a side, so `(col, row)` fits in `u32`.
+        let k = (points.len() as f64).sqrt().ceil().max(1.0);
+        let side = (reach * (1.0 + 1e-6)).max((x1 - x0).max(y1 - y0) / k);
+        // `as usize` saturates, and maps NaN (an overflowed extent over an
+        // infinite side) to 0: one cell then holds every point.
+        let span = |extent: f64| ((extent / side) as usize).min(k as usize) + 1;
+        let (cols, rows) = (span(x1 - x0), span(y1 - y0));
+        let place: Vec<Option<(u32, u32)>> = points
+            .iter()
+            .map(|p| {
+                finite(p).then(|| {
+                    let col = (((p.x - x0) / side) as usize).min(cols - 1);
+                    let row = (((p.y - y0) / side) as usize).min(rows - 1);
+                    (col as u32, row as u32)
+                })
+            })
+            .collect();
+        let cell = |(col, row): (u32, u32)| row as usize * cols + col as usize;
+        let mut start = vec![0u32; cols * rows + 1];
+        for &at in place.iter().flatten() {
+            start[cell(at) + 1] += 1;
+        }
+        for c in 1..start.len() {
+            start[c] += start[c - 1];
+        }
+        let mut next = start.clone();
+        let mut members = vec![0u32; start[cols * rows] as usize];
+        for (v, &at) in place.iter().enumerate() {
+            if let Some(at) = at {
+                members[next[cell(at)] as usize] = v as u32;
+                next[cell(at)] += 1;
+            }
+        }
+        CellGrid {
+            cols,
+            rows,
+            place,
+            start,
+            members,
+        }
+    }
+
+    /// Calls `f` with the members of each cell of the 3×3 block around
+    /// point `v`'s cell (never, if `v` was left out), one ascending list
+    /// per cell. Every point within `reach` of `v` is among them, and the
+    /// members below `v` are a prefix of each list.
+    pub(crate) fn for_each_block_cell(&self, v: usize, mut f: impl FnMut(&[u32])) {
+        let Some((col, row)) = self.place[v] else {
+            return;
+        };
+        let (col, row) = (col as usize, row as usize);
+        for y in row.saturating_sub(1)..=(row + 1).min(self.rows - 1) {
+            for x in col.saturating_sub(1)..=(col + 1).min(self.cols - 1) {
+                let c = y * self.cols + x;
+                f(&self.members[self.start[c] as usize..self.start[c + 1] as usize]);
+            }
+        }
+    }
+}
+
 /// Identifier of a cell (disk) of the hexagonal overlay.
 ///
 /// Cells are indexed by axial lattice coordinates; two points share a cell id

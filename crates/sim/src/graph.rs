@@ -18,7 +18,8 @@
 //! `n + 1` entries and the neighbors of `u` are the slice
 //! `neighbors[offsets[u]..offsets[u + 1]]`, sorted ascending and stored as
 //! `u32`. `DualGraph` freezes each layer once at construction and drops
-//! its builder.
+//! its builder. The point-set generators and the clique skip the builder
+//! and write their rows straight into the frozen form.
 //!
 //! Node ids and row offsets are stored as `u32` throughout the frozen
 //! forms — half the memory (and twice the cache reach) of `usize` on
@@ -248,6 +249,26 @@ impl CsrGraph {
         CsrGraph { offsets, neighbors }
     }
 
+    /// The complete graph on `n` vertices, each row written straight into
+    /// the frozen form.
+    ///
+    /// # Panics
+    ///
+    /// Panics, before allocating anything, if the `n(n − 1)` edge slots do
+    /// not fit in `u32`.
+    pub(crate) fn complete(n: usize) -> Self {
+        let slots = n
+            .checked_mul(n.saturating_sub(1))
+            .filter(|&s| u32::try_from(s).is_ok())
+            .expect("graph exceeds u32 edge-slot capacity");
+        let offsets = (0..=n).map(|u| (u * n.saturating_sub(1)) as u32).collect();
+        let mut neighbors = Vec::with_capacity(slots);
+        for u in 0..n as u32 {
+            neighbors.extend((0..u).chain(u + 1..n as u32));
+        }
+        CsrGraph { offsets, neighbors }
+    }
+
     /// Number of vertices.
     #[inline]
     pub fn n(&self) -> usize {
@@ -394,6 +415,66 @@ impl CsrGraph {
     }
 }
 
+/// Writes a [`CsrGraph`] whose row lengths are known up front: each row
+/// fills in the order its entries are pushed, so rows come out sorted when
+/// every row's entries are pushed in ascending order.
+pub(crate) struct CsrFill {
+    offsets: Vec<u32>,
+    neighbors: Vec<u32>,
+    /// The next free slot of each row.
+    next: Vec<u32>,
+}
+
+impl CsrFill {
+    /// Room for rows of the given lengths.
+    ///
+    /// # Panics
+    ///
+    /// Panics if there are more than `u32::MAX` rows or slots.
+    pub(crate) fn new(degrees: &[u32]) -> Self {
+        assert!(
+            u32::try_from(degrees.len()).is_ok(),
+            "CSR node ids are u32; graph has {} vertices",
+            degrees.len()
+        );
+        let mut offsets = Vec::with_capacity(degrees.len() + 1);
+        offsets.push(0u32);
+        let mut total = 0u32;
+        for &deg in degrees {
+            total = total
+                .checked_add(deg)
+                .expect("graph exceeds u32 edge-slot capacity");
+            offsets.push(total);
+        }
+        CsrFill {
+            next: offsets[..degrees.len()].to_vec(),
+            neighbors: vec![0; total as usize],
+            offsets,
+        }
+    }
+
+    /// Appends `v` to row `u` and returns the slot it took.
+    #[inline]
+    pub(crate) fn push(&mut self, u: u32, v: u32) -> usize {
+        let slot = self.next[u as usize] as usize;
+        self.neighbors[slot] = v;
+        self.next[u as usize] += 1;
+        slot
+    }
+
+    /// The filled graph.
+    pub(crate) fn finish(self) -> CsrGraph {
+        debug_assert!(
+            self.next.iter().eq(&self.offsets[1..]),
+            "every row is filled"
+        );
+        CsrGraph {
+            offsets: self.offsets,
+            neighbors: self.neighbors,
+        }
+    }
+}
+
 /// Word-packed adjacency: each node's neighborhood as a row of
 /// `⌈n/64⌉` `u64` words, bit `v` of row `u` set iff `{u, v}` is an edge.
 ///
@@ -531,6 +612,7 @@ mod tests {
 
     #[test]
     fn complete_matches_the_add_edge_build() {
+        // Both the builder's rows and the rows written straight into CSR.
         for n in 0..=70 {
             let mut g = Graph::new(n);
             for u in 0..n {
@@ -538,6 +620,7 @@ mod tests {
                     g.add_edge(u, v);
                 }
             }
+            assert_eq!(CsrGraph::complete(n), g.to_csr(), "n = {n}");
             assert_eq!(Graph::complete(n), g, "n = {n}");
         }
         assert_eq!(Graph::complete(4).to_csr().edge_count(), 6);

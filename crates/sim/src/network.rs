@@ -14,10 +14,17 @@
 //! Callers build each layer with the [`Graph`] builder and hand it over.
 //! The network freezes it into a [`CsrGraph`], the one form of every built
 //! graph, and drops the builder; [`DualGraph::g`], [`DualGraph::g_prime`]
-//! and [`DualGraph::unreliable_csr`] return the frozen layers.
+//! and [`DualGraph::unreliable_csr`] return the frozen layers. The point-set
+//! generators skip the builders: they hand over their edges as one sorted
+//! list, and the network writes all of its frozen forms from it in one
+//! counting pass.
+//!
+//! The geometric constraints are checked in near-linear time: only pairs in
+//! the same or adjacent cells of a unit [`crate::geometry`] cell grid can be
+//! within distance 1, and each `E'` edge's length is read once.
 
-use crate::geometry::Point;
-use crate::graph::{BitRows, CsrGraph, Graph};
+use crate::geometry::{CellGrid, Point};
+use crate::graph::{BitRows, CsrFill, CsrGraph, Graph};
 use std::sync::{Arc, OnceLock};
 
 /// Errors from constructing or validating a [`DualGraph`].
@@ -232,25 +239,80 @@ impl DualGraph {
                 n,
             });
         }
-        for u in 0..n {
-            for v in (u + 1)..n {
-                let dist = positions[u].dist(positions[v]);
-                if dist <= 1.0 && !g.has_edge(u, v) {
-                    return Err(NetworkError::MissingShortEdge { pair: (u, v), dist });
-                }
-            }
-        }
-        for (u, v) in g_prime.edges() {
-            let dist = positions[u].dist(positions[v]);
-            if dist > d + 1e-9 {
-                return Err(NetworkError::EdgeTooLong {
-                    edge: (u, v),
-                    dist,
-                    d,
-                });
-            }
-        }
+        check_embedding(&g, &g_prime, &positions, d)?;
         Ok(Self::assemble(g, Some(g_prime), Some(positions), d))
+    }
+
+    /// Builds an embedded network from its `E'` edges, each listed once as
+    /// `(u, v, reliable)` with `u < v`, in lexicographic order. One counting
+    /// pass writes `G`, `G'`, `E' \ E`, the unreliable edge list and the
+    /// edge index of each unreliable slot: every row receives its
+    /// neighbours in ascending order, because the edges `(w, u)` with
+    /// `w < u` all come before the edges `(u, v)`. The checks are those of
+    /// [`DualGraph::with_embedding`] that the list does not settle by its
+    /// form, in the same order: the gray zone, `G`'s connectivity (once),
+    /// then the geometric constraints. The network is classic when no edge
+    /// is unreliable.
+    pub(crate) fn from_sorted_edges(
+        edges: &[(u32, u32, bool)],
+        positions: Vec<Point>,
+        d: f64,
+    ) -> Result<Self, NetworkError> {
+        if !(d.is_finite() && d >= 1.0) {
+            return Err(NetworkError::InvalidGrayZone { d });
+        }
+        debug_assert!(edges.iter().all(|&(u, v, _)| u < v));
+        debug_assert!(edges
+            .windows(2)
+            .all(|p| (p[0].0, p[0].1) < (p[1].0, p[1].1)));
+        let n = positions.len();
+        let (mut deg_g, mut deg_u) = (vec![0u32; n], vec![0u32; n]);
+        for &(u, v, reliable) in edges {
+            let deg = if reliable { &mut deg_g } else { &mut deg_u };
+            deg[u as usize] += 1;
+            deg[v as usize] += 1;
+        }
+        let unreliable_count = edges.iter().filter(|e| !e.2).count();
+        let mut g_prime = (unreliable_count > 0).then(|| {
+            let deg: Vec<u32> = deg_g.iter().zip(&deg_u).map(|(a, b)| a + b).collect();
+            CsrFill::new(&deg)
+        });
+        let (mut g, mut unreliable) = (CsrFill::new(&deg_g), CsrFill::new(&deg_u));
+        let mut unreliable_list = Vec::with_capacity(unreliable_count);
+        let mut unreliable_ids = vec![0; 2 * unreliable_count];
+        for &(u, v, reliable) in edges {
+            if let Some(gp) = &mut g_prime {
+                gp.push(u, v);
+                gp.push(v, u);
+            }
+            if reliable {
+                g.push(u, v);
+                g.push(v, u);
+            } else {
+                let id = unreliable_list.len() as u32;
+                unreliable_ids[unreliable.push(u, v)] = id;
+                unreliable_ids[unreliable.push(v, u)] = id;
+                unreliable_list.push((u as usize, v as usize));
+            }
+        }
+        let g = g.finish();
+        if !g.is_connected() {
+            return Err(NetworkError::ReliableDisconnected);
+        }
+        let g_prime = g_prime.map(CsrFill::finish);
+        check_embedding(&g, g_prime.as_ref().unwrap_or(&g), &positions, d)?;
+        Ok(DualGraph {
+            frozen: Arc::new(FrozenNet {
+                g,
+                g_prime,
+                positions: Some(positions),
+                d,
+                unreliable: unreliable.finish(),
+                unreliable_list,
+                unreliable_ids,
+                bit_g: OnceLock::new(),
+            }),
+        })
     }
 
     /// The classic radio network model: `G = G'` (no unreliable links).
@@ -261,7 +323,11 @@ impl DualGraph {
     ///
     /// Returns [`NetworkError::ReliableDisconnected`] if `g` is disconnected.
     pub fn classic(g: Graph) -> Result<Self, NetworkError> {
-        let g = freeze(g);
+        Self::classic_frozen(freeze(g))
+    }
+
+    /// [`DualGraph::classic`] over a layer that is already frozen.
+    pub(crate) fn classic_frozen(g: CsrGraph) -> Result<Self, NetworkError> {
         if !g.is_connected() {
             return Err(NetworkError::ReliableDisconnected);
         }
@@ -387,6 +453,56 @@ impl DualGraph {
     }
 }
 
+/// The geometric constraints of an embedded network: every pair within
+/// distance 1 is `E`-adjacent, then every `E'` edge is at most `d` long.
+/// Only pairs in the same or adjacent cells of a unit [`CellGrid`] can be
+/// within distance 1, so the first check walks those pairs (against a mark
+/// on each `E`-neighbour) and keeps the least violation in `(u, v)` order;
+/// the second reads each edge once, in order. Either reports the witness
+/// an all-pairs scan would.
+fn check_embedding(
+    g: &CsrGraph,
+    g_prime: &CsrGraph,
+    positions: &[Point],
+    d: f64,
+) -> Result<(), NetworkError> {
+    let grid = CellGrid::new(positions, 1.0);
+    // While `v` is walked, `mark[w] == v` iff `w < v` is an `E`-neighbour.
+    let mut mark = vec![u32::MAX; positions.len()];
+    let mut first: Option<((usize, usize), f64)> = None;
+    for (v, &p) in positions.iter().enumerate() {
+        for &w in g.neighbors(v).iter().take_while(|&&w| (w as usize) < v) {
+            mark[w as usize] = v as u32;
+        }
+        grid.for_each_block_cell(v, |list| {
+            for &w in list.iter().take_while(|&&w| (w as usize) < v) {
+                let dist = positions[w as usize].dist(p);
+                // `&`, not `&&`: one rarely taken branch per candidate.
+                if (dist <= 1.0) & (mark[w as usize] != v as u32) {
+                    let pair = (w as usize, v);
+                    if first.is_none_or(|(least, _)| pair < least) {
+                        first = Some((pair, dist));
+                    }
+                }
+            }
+        });
+    }
+    if let Some((pair, dist)) = first {
+        return Err(NetworkError::MissingShortEdge { pair, dist });
+    }
+    for (u, v) in g_prime.edges() {
+        let dist = positions[u].dist(positions[v]);
+        if dist > d + 1e-9 {
+            return Err(NetworkError::EdgeTooLong {
+                edge: (u, v),
+                dist,
+                d,
+            });
+        }
+    }
+    Ok(())
+}
+
 /// The index in `list` of the edge at each slot of `csr`'s neighbor array.
 /// `list` is sorted, so the edges at node `w` come up in ascending order of
 /// their other endpoint, which is the order of `w`'s row: a cursor per row
@@ -406,7 +522,7 @@ fn slot_edge_ids(csr: &CsrGraph, list: &[(usize, usize)]) -> Vec<u32> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     fn path(n: usize) -> Graph {
         Graph::from_edges(n, (0..n - 1).map(|i| (i, i + 1))).unwrap()
@@ -566,6 +682,124 @@ mod tests {
         ];
         let err = DualGraph::with_embedding(g, gp, pos, 2.0).unwrap_err();
         assert!(matches!(err, NetworkError::MissingShortEdge { .. }));
+    }
+
+    /// The all-pairs loops the grid check replaced, kept as the reference
+    /// for its witness.
+    fn all_pairs_check(
+        g: &Graph,
+        g_prime: &Graph,
+        positions: &[Point],
+        d: f64,
+    ) -> Result<(), NetworkError> {
+        let n = positions.len();
+        for u in 0..n {
+            for v in (u + 1)..n {
+                let dist = positions[u].dist(positions[v]);
+                if dist <= 1.0 && !g.has_edge(u, v) {
+                    return Err(NetworkError::MissingShortEdge { pair: (u, v), dist });
+                }
+            }
+        }
+        for (u, v) in g_prime.to_csr().edges() {
+            let dist = positions[u].dist(positions[v]);
+            if dist > d + 1e-9 {
+                return Err(NetworkError::EdgeTooLong {
+                    edge: (u, v),
+                    dist,
+                    d,
+                });
+            }
+        }
+        Ok(())
+    }
+
+    /// Random nets over `positions` whose `G` is a path plus each pair
+    /// within distance 1 with probability `keep_short`, and whose `G'` adds
+    /// each other pair with probability `extra`: several missing short
+    /// edges when `keep_short < 1`, and several too-long edges wherever the
+    /// path or the extra pairs span more than `d`.
+    fn witness_case(
+        rng: &mut rand::rngs::StdRng,
+        positions: &[Point],
+        keep_short: f64,
+        extra: f64,
+    ) -> (Graph, Graph) {
+        let n = positions.len();
+        let (mut g, mut gp) = (path(n), path(n));
+        for u in 0..n {
+            for v in (u + 1)..n {
+                if positions[u].dist(positions[v]) <= 1.0 {
+                    if rng.gen_bool(keep_short) {
+                        g.add_edge(u, v);
+                        gp.add_edge(u, v);
+                    }
+                } else if rng.gen_bool(extra) {
+                    gp.add_edge(u, v);
+                }
+            }
+        }
+        (g, gp)
+    }
+
+    #[test]
+    fn grid_check_reports_the_all_pairs_witness() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(11);
+        let (mut short, mut long) = (0, 0);
+        for case in 0..240 {
+            let n = rng.gen_range(2..70usize);
+            let side = rng.gen_range(0.5..8.0);
+            let d = rng.gen_range(1.0..3.0);
+            let positions: Vec<Point> = (0..n)
+                .map(|_| Point::new(rng.gen_range(-side..side), rng.gen_range(0.0..side)))
+                .collect();
+            // Every other case keeps all short pairs, so the too-long
+            // edges get reported too.
+            let keep_short = if case % 2 == 0 { 0.6 } else { 1.0 };
+            let (g, gp) = witness_case(&mut rng, &positions, keep_short, 0.05);
+            let want = all_pairs_check(&g, &gp, &positions, d);
+            let got = DualGraph::with_embedding(g, gp, positions, d).map(|_| ());
+            assert_eq!(got, want, "case {case}");
+            match want {
+                Err(NetworkError::MissingShortEdge { .. }) => short += 1,
+                Err(NetworkError::EdgeTooLong { .. }) => long += 1,
+                _ => {}
+            }
+        }
+        assert!(short > 40 && long > 40, "{short} short, {long} long");
+    }
+
+    #[test]
+    fn non_finite_positions_match_the_all_pairs_check() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(12);
+        let odd = [
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            1e308,
+            -1e308,
+            f64::MAX,
+        ];
+        for case in 0..120 {
+            let n = rng.gen_range(2..30usize);
+            let mut positions: Vec<Point> = (0..n)
+                .map(|_| Point::new(rng.gen_range(0.0..3.0), rng.gen_range(0.0..3.0)))
+                .collect();
+            for _ in 0..rng.gen_range(1..4usize) {
+                let p = &mut positions[rng.gen_range(0..n)];
+                let value = odd[rng.gen_range(0..odd.len())];
+                if rng.gen_bool(0.5) {
+                    p.x = value;
+                } else {
+                    p.y = value;
+                }
+            }
+            let keep_short = if case % 2 == 0 { 0.7 } else { 1.0 };
+            let (g, gp) = witness_case(&mut rng, &positions, keep_short, 0.1);
+            let want = all_pairs_check(&g, &gp, &positions, 2.0);
+            let got = DualGraph::with_embedding(g, gp, positions, 2.0).map(|_| ());
+            assert_eq!(got, want, "case {case}");
+        }
     }
 
     #[test]

@@ -17,7 +17,7 @@ use crate::adversary::{
     Adversary, AllUnreliable, BurstyUnreliable, CliqueIsolator, Collider, RandomUnreliable,
     ReliableOnly,
 };
-use crate::graph::Graph;
+use crate::graph::{CsrGraph, Graph};
 use crate::network::DualGraph;
 use crate::topology::{
     clustered, grid, line, random_geometric, ClusteredConfig, GridConfig, RandomGeometricConfig,
@@ -208,16 +208,22 @@ impl TopologyKind {
     ///
     /// # Errors
     ///
-    /// Returns [`TopologyError`] for out-of-range parameters or when no
-    /// connected placement exists within the attempt budget.
+    /// Returns [`TopologyError`] for out-of-range parameters (including a
+    /// kind that fails [`TopologyKind::validate`], refused before anything
+    /// is allocated) or when no connected placement exists within the
+    /// attempt budget.
     pub fn build_with<R: Rng>(&self, rng: &mut R) -> Result<DualGraph, TopologyError> {
         let bad = |what: &'static str| TopologyError::BadConfig { what };
+        if self.validate().is_err() {
+            return Err(bad("topology exceeds the u32 CSR capacity"));
+        }
         match *self {
             TopologyKind::Clique { n } => {
                 if n == 0 {
                     return Err(bad("n must be positive"));
                 }
-                DualGraph::classic(Graph::complete(n)).map_err(|_| bad("clique must connect"))
+                DualGraph::classic_frozen(CsrGraph::complete(n))
+                    .map_err(|_| bad("clique must connect"))
             }
             TopologyKind::Path { n } => {
                 if n == 0 {
@@ -316,8 +322,15 @@ impl TopologyKind {
     }
 
     /// The number of nodes this kind will produce (grid/clustered kinds
-    /// compute it from their shape parameters).
+    /// compute it from their shape parameters). A count past `usize::MAX`
+    /// saturates instead of wrapping; [`TopologyKind::validate`] refuses
+    /// any count past `u32::MAX`.
     pub fn n(&self) -> usize {
+        usize::try_from(self.node_count().1).unwrap_or(usize::MAX)
+    }
+
+    /// The fields the node count comes from, and the exact count.
+    fn node_count(&self) -> (&'static str, u128) {
         match *self {
             TopologyKind::Clique { n }
             | TopologyKind::Path { n }
@@ -326,14 +339,53 @@ impl TopologyKind {
             | TopologyKind::GeometricDense { n }
             | TopologyKind::GeometricClassic { n }
             | TopologyKind::GeometricDegree { n, .. }
-            | TopologyKind::Geometric { n, .. } => n,
-            TopologyKind::Grid { cols, rows, .. } => cols * rows,
+            | TopologyKind::Geometric { n, .. } => ("n", n as u128),
+            TopologyKind::Grid { cols, rows, .. } => ("cols * rows", cols as u128 * rows as u128),
             // Relay chains add nodes beyond the clusters; report the floor.
             TopologyKind::Clustered {
                 clusters,
                 nodes_per_cluster,
-            } => clusters * nodes_per_cluster,
-            TopologyKind::TwoCliqueBridge { beta, .. } => 2 * beta,
+            } => (
+                "clusters * nodes_per_cluster",
+                clusters as u128 * nodes_per_cluster as u128,
+            ),
+            TopologyKind::TwoCliqueBridge { beta, .. } => ("2 * beta", 2 * beta as u128),
+        }
+    }
+
+    /// Checks, without building anything, that the network fits the
+    /// simulator's `u32` CSR layers: the node count must fit in `u32`, and
+    /// so must the exact edge-slot count of the largest layer of a
+    /// deterministic kind (`n(n − 1)` for a clique, `2β(2β − 1)` for the
+    /// two-clique's complete `G'`, `2(n − 1)` for a path and `4n − 6` for
+    /// the chorded path's `G'`). A spec that fails is refused where it
+    /// enters instead of allocating until the process runs out of memory.
+    ///
+    /// # Errors
+    ///
+    /// Names the topology, the field and the count that does not fit.
+    pub fn validate(&self) -> Result<(), String> {
+        let cap = u128::from(u32::MAX);
+        let (field, n) = self.node_count();
+        let slots = match *self {
+            TopologyKind::Clique { .. } | TopologyKind::TwoCliqueBridge { .. } => {
+                n * n.saturating_sub(1)
+            }
+            TopologyKind::Path { .. } => 2 * n.saturating_sub(1),
+            TopologyKind::PathChords { .. } => 2 * n.saturating_sub(1) + 2 * n.saturating_sub(2),
+            _ => 0,
+        };
+        if n > cap {
+            Err(format!(
+                "topology {self:?}: {field} = {n} nodes; the u32 CSR holds at most {cap}"
+            ))
+        } else if slots > cap {
+            Err(format!(
+                "topology {self:?}: {field} = {n} nodes need {slots} edge slots; \
+                 the u32 CSR holds at most {cap}"
+            ))
+        } else {
+            Ok(())
         }
     }
 
@@ -487,6 +539,77 @@ mod tests {
         }
         .build(1)
         .is_err());
+    }
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn validate_refuses_what_the_u32_csr_cannot_hold() {
+        // Only counts: nothing here is built.
+        let cap = u32::MAX as usize;
+        for (fits, refused, named) in [
+            // 65 536 · 65 535 slots fit; 65 537 · 65 536 do not.
+            (
+                TopologyKind::Clique { n: 65_536 },
+                TopologyKind::Clique { n: 65_537 },
+                "n = 65537 nodes need 4295032832 edge slots",
+            ),
+            (
+                TopologyKind::TwoCliqueBridge {
+                    beta: 32_768,
+                    bridge_a: 0,
+                    bridge_b: 0,
+                },
+                TopologyKind::TwoCliqueBridge {
+                    beta: 32_769,
+                    bridge_a: 0,
+                    bridge_b: 0,
+                },
+                "2 * beta = 65538 nodes need 4295163906 edge slots",
+            ),
+            (
+                TopologyKind::Path { n: 1 << 31 },
+                TopologyKind::Path { n: (1 << 31) + 1 },
+                "edge slots",
+            ),
+            (
+                TopologyKind::GeometricDense { n: cap },
+                TopologyKind::GeometricDense { n: cap + 1 },
+                "n = 4294967296 nodes",
+            ),
+            (
+                TopologyKind::Grid {
+                    cols: 65_536,
+                    rows: 65_535,
+                    spacing: 0.5,
+                },
+                TopologyKind::Grid {
+                    cols: 65_536,
+                    rows: 65_536,
+                    spacing: 0.5,
+                },
+                "cols * rows = 4294967296 nodes",
+            ),
+        ] {
+            assert_eq!(fits.validate(), Ok(()), "{fits:?}");
+            let err = refused.validate().unwrap_err();
+            assert!(err.contains(named), "{err}");
+        }
+        // Products that overflow `usize` are refused, and `n()` saturates
+        // instead of wrapping.
+        for kind in [
+            TopologyKind::Grid {
+                cols: usize::MAX,
+                rows: 3,
+                spacing: 0.5,
+            },
+            TopologyKind::Clustered {
+                clusters: usize::MAX,
+                nodes_per_cluster: usize::MAX,
+            },
+        ] {
+            assert!(kind.validate().unwrap_err().contains(" * "), "{kind:?}");
+            assert_eq!(kind.n(), usize::MAX, "{kind:?}");
+        }
     }
 
     #[test]

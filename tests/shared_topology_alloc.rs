@@ -6,15 +6,15 @@
 //! clones must be handles on the frozen per-topology state, so a further
 //! engine pays only for its own per-node state (processes, RNGs, scratch),
 //! never for another copy of the adjacency, the bitmask rows or the
-//! detector sets. The builds themselves are bounded too: a network keeps
-//! only its frozen CSR layers, not the builder's rows beside them, and a
-//! detector's frozen sets are one flat id array plus membership rows, not
-//! a tree per node.
+//! detector sets. The builds themselves are bounded too: a clique's rows
+//! are written straight into its one frozen CSR layer, with no builder
+//! rows beside them even while it builds, and a detector's frozen sets are
+//! one flat id array plus membership rows, not a tree per node.
 //! And a multi-trial `run_algo_batch` call keeps one engine alive at a
 //! time: its peak of live bytes does not grow with the trial count.
 
-use radio_sim::spec::AdversaryKind;
-use radio_sim::{DualGraph, EngineBuilder, Graph, IdAssignment, LinkDetectorAssignment};
+use radio_sim::spec::{AdversaryKind, TopologyKind};
+use radio_sim::{EngineBuilder, IdAssignment, LinkDetectorAssignment};
 use radio_structures::params::MisParams;
 use radio_structures::runner::{run_algo_batch, AlgoKind};
 use radio_structures::Mis;
@@ -95,11 +95,21 @@ fn engines_spawned_from_shared_clones_copy_no_topology() {
     const N: usize = 1024;
     const BUDGET_PER_NODE: u64 = 1024;
     // The one CSR layer of a classic clique: 4·N·(N − 1) B of neighbors
-    // and the offsets.
+    // and the offsets, both while it builds and once built.
     const NET_BUDGET: u64 = 4_500_000;
     // 4·N·(N − 1) B of ids, 8·N·⌈(N + 1)/64⌉ B of rows, and the offsets.
     const DETECTOR_BUDGET: u64 = 4_500_000;
-    let (net_bytes, net) = retained_of(|| DualGraph::classic(Graph::complete(N)).unwrap());
+    let mut built = None;
+    let build_peak = peak_of(|| {
+        built = Some(retained_of(|| {
+            TopologyKind::Clique { n: N }.build(0).unwrap()
+        }))
+    });
+    let (net_bytes, net) = built.expect("the build ran");
+    assert!(
+        build_peak <= NET_BUDGET,
+        "a clique-{N} build peaks at {build_peak} B"
+    );
     assert!(
         net_bytes <= NET_BUDGET,
         "a clique-{N} network retains {net_bytes} B"
