@@ -1,8 +1,9 @@
 //! Engine micro-benchmark: `Engine::step()` on the canonical topologies
-//! (clique / random-geometric / sparse-with-chords), plus the seed
-//! implementation (`step_legacy`) for a same-binary baseline, the
-//! word-packed `step_bitset` tier (dense rows are where it shines; the
-//! sparse workloads document its break-even). The machine-readable
+//! (clique / random-geometric / sparse-with-chords) with each reach kernel
+//! pinned at spawn — the CSR scatter (`scratch`) and the bitmask rows
+//! (`bitset`; dense rows are where it shines, the sparse workloads
+//! document its break-even) — plus the seed implementation
+//! (`step_legacy`) for a same-binary baseline. The machine-readable
 //! counterpart is the `bench_engine` binary, which writes
 //! `BENCH_engine.json`.
 
@@ -39,7 +40,7 @@ fn bench_step(c: &mut Criterion) {
         engine.run_rounds(64);
         group.bench_with_input(BenchmarkId::new("bitset", name), &name, |b, _| {
             b.iter(|| {
-                engine.step_bitset();
+                engine.step();
                 engine.round()
             });
         });

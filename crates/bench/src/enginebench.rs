@@ -6,12 +6,10 @@
 //!
 //! * **clique-64 / clique-256 / clique-1024** — dense reliable layer,
 //!   every broadcast reaches everyone (scatter cost is maximal per
-//!   broadcaster). Word-packed delivery shines here, and the advantage
-//!   grows with `n`: the scalar scatter is `O(B·n)` per round while the
-//!   bitset passes are `O(B·n/64)`, against shared per-node decide/receive
-//!   costs that are identical across tiers. The 1024 clique carries the
-//!   ≥3× bitset/scratch acceptance ratio; the smaller cliques document
-//!   where the crossover sits;
+//!   broadcaster). The row kernel shines here, and the advantage grows
+//!   with `n`: the CSR scatter is `O(B·n)` per round while the row passes
+//!   are `O(B·n/64)`, against per-node decide/receive costs that both
+//!   kernels share. The smaller cliques document where the crossover sits;
 //! * **rgg** — the random-geometric dual graph the paper's experiments
 //!   use, with a gray zone of unreliable links and a randomized adversary
 //!   (the acceptance workload at `n = 256`);
@@ -19,16 +17,17 @@
 //!   [`Collider`], the cheap-per-round /
 //!   adversary-heavy regime.
 //!
-//! Each workload runs on **all three engine tiers** — the scratch-buffer
-//! engine ([`Engine::step`]), the seed implementation kept as
-//! [`Engine::step_legacy`], and the word-packed [`Engine::step_bitset`] —
-//! so every generated `BENCH_engine.json` (schema `bench-engine/v4`)
-//! records the baseline, the scratch/legacy speedup, and the
-//! bitset/scratch speedup in the same artifact.
+//! Each workload runs three engines: the seed implementation kept as
+//! [`Engine::step_legacy`], and the production [`Engine::step`] with each
+//! of its two reach kernels pinned at spawn — `"scratch"`
+//! ([`StepMode::Scalar`], the CSR scatter) and `"bitset"`
+//! ([`StepMode::Bitset`], the bitmask rows). Every generated
+//! `BENCH_engine.json` (schema `bench-engine/v4`) records the baseline,
+//! the scratch/legacy speedup, and the bitset/scratch speedup in the same
+//! artifact; their product is the row kernel's speedup over the oracle.
 //!
 //! [`Engine::step`]: radio_sim::Engine::step
 //! [`Engine::step_legacy`]: radio_sim::Engine::step_legacy
-//! [`Engine::step_bitset`]: radio_sim::Engine::step_bitset
 
 use radio_sim::adversary::{Collider, RandomUnreliable};
 use radio_sim::spec::TopologyKind;
@@ -134,15 +133,11 @@ pub fn workload_net(name: &str) -> DualGraph {
 }
 
 /// Spawns the workload's engine (Chatter processes + the workload's
-/// adversary), same construction for every engine implementation.
-pub fn workload_engine(name: &str) -> Engine<Chatter> {
-    workload_engine_mode(name, StepMode::Auto)
-}
-
-/// [`workload_engine`] with a pinned delivery tier — the bitset
-/// measurements force [`StepMode::Bitset`] so the bitmask rows are built
-/// at spawn (outside the measured steady state) on every workload,
-/// including the sparse ones Auto would route to the scalar tier.
+/// adversary) with the `mode` reach kernel, same construction for every
+/// engine. The bitset measurements force [`StepMode::Bitset`] so the
+/// bitmask rows are built at spawn (outside the measured steady state) on
+/// every workload, including the sparse ones Auto would route to the
+/// scatter kernel.
 pub fn workload_engine_mode(name: &str, mode: StepMode) -> Engine<Chatter> {
     workload_builder(name, mode)
         .spawn(|_| Chatter::new(CHATTER_P))
@@ -150,7 +145,7 @@ pub fn workload_engine_mode(name: &str, mode: StepMode) -> Engine<Chatter> {
 }
 
 /// The workload's engine builder (network, adversary, seed and pinned
-/// tier), ready to spawn any process.
+/// kernel), ready to spawn any process.
 pub fn workload_builder(name: &str, mode: StepMode) -> EngineBuilder {
     let builder = EngineBuilder::new(workload_net(name))
         .seed(7)
@@ -164,9 +159,10 @@ pub fn workload_builder(name: &str, mode: StepMode) -> EngineBuilder {
 /// One measured engine configuration within a workload.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct EngineMeasurement {
-    /// `"scratch"` (`step()`), `"legacy"` (seed implementation), or
-    /// `"bitset"` (word-packed `step_bitset()`). Schema-v3 documents also
-    /// carry a `"batched"` entry, which parses like any other.
+    /// `"scratch"` (`step()` on the CSR scatter kernel), `"legacy"` (seed
+    /// implementation), or `"bitset"` (`step()` on the row kernel).
+    /// Schema-v3 documents also carry a `"batched"` entry, which parses
+    /// like any other.
     pub engine: String,
     /// Rounds executed during measurement.
     pub rounds: u64,
@@ -181,7 +177,7 @@ pub struct EngineMeasurement {
     pub bytes_per_round: Option<f64>,
 }
 
-/// Benchmark results of one workload: every engine tier plus the ratios.
+/// Benchmark results of one workload: every engine plus the ratios.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct WorkloadReport {
     /// Workload name from [`WORKLOADS`].
@@ -193,7 +189,7 @@ pub struct WorkloadReport {
     /// `rounds_per_sec(scratch) / rounds_per_sec(legacy)`.
     pub speedup: f64,
     /// `rounds_per_sec(bitset) / rounds_per_sec(scratch)`. `None` in
-    /// schema-v1 documents (they predate the bitset tier and parse
+    /// schema-v1 documents (they predate the row kernel and parse
     /// unchanged).
     pub bitset_speedup: Option<f64>,
 }
@@ -216,14 +212,15 @@ pub struct AllocDelta {
     pub bytes: u64,
 }
 
-/// Measures every engine tier on one workload, **interleaved**: after a
-/// warmup on each, scratch, legacy, and bitset execute alternating
-/// batches of rounds, so machine-load drift during the measurement hits
-/// every tier equally and cancels out of the speedup ratios.
-/// `alloc_probe` (when provided) samples a monotone `(allocs, bytes)`
-/// counter around each batch; the summed deltas give exact steady-state
-/// allocations. The bitset engine is spawned with its rows pre-built,
-/// outside the probes.
+/// Measures every engine on one workload, **interleaved**: after a warmup
+/// on each, scratch, legacy, and bitset execute alternating batches of
+/// rounds, so machine-load drift during the measurement hits every engine
+/// equally and cancels out of the speedup ratios. `alloc_probe` (when
+/// provided) samples a monotone `(allocs, bytes)` counter around each
+/// batch; the summed deltas give exact steady-state allocations. The
+/// scratch and bitset engines pin their kernel at spawn, so each column
+/// measures its kernel on every workload; the bitset engine's rows are
+/// built at spawn, outside the probes.
 pub fn measure_workload(
     name: &str,
     rounds: u64,
@@ -234,14 +231,13 @@ pub fn measure_workload(
     let batches = 16u64;
     let batch = (rounds / batches).max(1);
     let mut engines_rt = [
-        workload_engine(name),
-        workload_engine(name),
+        workload_engine_mode(name, StepMode::Scalar),
+        workload_engine_mode(name, StepMode::Scalar),
         workload_engine_mode(name, StepMode::Bitset),
     ];
     let step_one = |engine: &mut Engine<Chatter>, which: usize| match which {
-        0 => engine.step(),
         1 => engine.step_legacy(),
-        _ => engine.step_bitset(),
+        _ => engine.step(),
     };
     for _ in 0..warmup {
         for (which, engine) in engines_rt.iter_mut().enumerate() {
@@ -299,7 +295,7 @@ pub fn measure_workload(
     }
 }
 
-/// Runs every workload on every engine tier and assembles the report.
+/// Runs every workload on every engine and assembles the report.
 pub fn run_engine_bench(
     rounds: u64,
     alloc_probe: Option<&dyn Fn() -> (u64, u64)>,
@@ -321,7 +317,7 @@ mod tests {
     #[test]
     fn workloads_assemble_and_step() {
         for name in WORKLOADS {
-            let mut e = workload_engine(name);
+            let mut e = workload_engine_mode(name, StepMode::Auto);
             e.run_rounds(8);
             assert_eq!(e.round(), 8, "{name}");
             assert!(e.metrics().broadcasts > 0, "{name}: chatters must chat");
@@ -337,7 +333,7 @@ mod tests {
         let back: EngineBenchReport = serde_json::from_str(&json).expect("roundtrip");
         assert_eq!(back.workloads.len(), report.workloads.len());
         assert!(back.workloads.iter().all(|w| w.speedup > 0.0));
-        // v4: every workload measures all three tiers and both ratios.
+        // v4: every workload measures all three engines and both ratios.
         for w in &back.workloads {
             assert_eq!(w.engines.len(), 3, "{}", w.name);
             assert_eq!(w.engines[2].engine, "bitset");

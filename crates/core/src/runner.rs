@@ -910,7 +910,7 @@ mod tests {
 
     #[test]
     fn run_algo_batch_matches_per_trial_runs() {
-        // Dense clique (bitset tier) and a sparse path (scalar tier): a
+        // Dense clique (row kernel) and a sparse path (scatter kernel): a
         // 3-trial batch shares the ids and detectors across its trials,
         // and must still reproduce the per-trial `run_algo` records and
         // detector streams exactly.

@@ -99,9 +99,9 @@ fn workspace_is_clean() {
 }
 
 /// The engine carries the full marker set: a decide block for the oracle
-/// (`step_legacy`) and for the shared `decide_phase`, a receive block for
-/// each of the three tiers, and a no-alloc fence around `RoundScratch`,
-/// the three step tiers, the three shared phase helpers and the two
+/// (`step_legacy`) and for `decide_phase`, a receive block for the oracle
+/// and for the production `step`, and a no-alloc fence around
+/// `RoundScratch`, the two steps, the three phase helpers and the two
 /// sparse-round helpers.
 #[test]
 fn engine_marker_coverage() {
@@ -113,8 +113,8 @@ fn engine_marker_coverage() {
     );
     assert_eq!(
         src.matches("// lint: rng-order(receive)").count(),
-        3,
-        "each of the three tiers must tag its receive phase"
+        2,
+        "step_legacy and step must tag their receive loops"
     );
     assert_eq!(
         src.matches("// lint: begin-no-alloc").count(),
@@ -123,15 +123,15 @@ fn engine_marker_coverage() {
     );
     assert_eq!(
         src.matches("// lint: begin-no-alloc").count(),
-        9,
-        "RoundScratch, step, step_legacy, step_bitset, decide_phase, \
-         refresh_due, after_call, adversary_phase and finish_round are fenced"
+        8,
+        "RoundScratch, step, step_legacy, decide_phase, refresh_due, \
+         after_call, adversary_phase and finish_round are fenced"
     );
 }
 
 /// Seeding a real divergence into the engine's receive phase is caught:
-/// change the reference block's receive call and the other two tiers no
-/// longer match it.
+/// change the reference block's receive call and the other receive loop
+/// no longer matches it.
 #[test]
 fn seeded_rng_divergence_in_real_engine_is_caught() {
     let src = engine_src().replacen(
@@ -146,8 +146,8 @@ fn seeded_rng_divergence_in_real_engine_is_caught() {
         .collect();
     assert_eq!(
         hits.len(),
-        2,
-        "two receive blocks should diverge from the tampered reference, got {findings:?}"
+        1,
+        "one receive block should diverge from the tampered reference, got {findings:?}"
     );
 }
 
@@ -155,8 +155,8 @@ fn seeded_rng_divergence_in_real_engine_is_caught() {
 #[test]
 fn seeded_allocation_in_real_engine_is_caught() {
     let src = engine_src().replacen(
-        "let epoch = self.scratch.epoch;",
-        "let boom = vec![0u8; 1];\n        let epoch = self.scratch.epoch;",
+        "let extra_count = self.adversary_phase();",
+        "let boom = vec![0u8; 1];\n        let extra_count = self.adversary_phase();",
         1,
     );
     let findings = lint_source("crates/sim/src/engine.rs", &src);

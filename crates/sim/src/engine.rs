@@ -13,40 +13,54 @@
 //!
 //! # Performance architecture
 //!
-//! Stepping is the hot path of every experiment, and it comes in **three
-//! tiers**, each differentially pinned to the one below it by golden-trace
-//! tests (identical traces, transcripts, metrics, and outputs for the same
-//! seed):
+//! Stepping is the hot path of every experiment. It comes as **the oracle
+//! and one production step**, pinned to each other by golden-trace tests
+//! (identical traces, transcripts, metrics, and outputs for the same seed):
 //!
 //! 1. [`Engine::step_legacy`] — the seed implementation, kept verbatim.
 //!    Allocates per-round buffers and scans every listener's full
 //!    neighborhood; the reference everything else is measured and tested
 //!    against.
-//! 2. [`Engine::step`] — the scalar scratch tier. **Steady-state zero heap
-//!    allocation**: every per-round buffer lives in [`RoundScratch`],
-//!    sized once at spawn and overwritten (never freed) each round.
-//!    Delivery is *broadcaster-centric*: each broadcaster scatters into
-//!    epoch-stamped reach counters over the frozen CSR adjacency
-//!    ([`crate::CsrGraph`]), costing `O(Σ deg(broadcasters))` — on sparse
-//!    broadcast schedules (MIS-style contention reduction) far below the
-//!    seed's `O(Σ deg(listeners))` scan.
-//! 3. [`Engine::step_bitset`] — the word-packed tier. Delivery ORs each
-//!    broadcaster's bitmask row ([`crate::BitRows`], `⌈n/64⌉` words per
-//!    node) into carry-save seen/collide accumulators
-//!    (`collide |= seen & row; seen |= row`), then overlays the
-//!    broadcasters' activated unreliable edges bit by bit —
-//!    `O(B·⌈n/64⌉)` word operations per round, a ~64× narrower inner loop
-//!    than the scalar scatter on dense graphs.
+//! 2. [`Engine::step`] — the production step. **Steady-state zero heap
+//!    allocation**: every per-round buffer lives in `RoundScratch`, sized
+//!    once at spawn and overwritten (never freed) each round. Reach is a
+//!    carry-save pair of bit planes of `⌈n/64⌉` words: `bit_seen` marks the
+//!    listeners reached at least once, `bit_collide` those reached at least
+//!    twice, and `reach_first` holds the source of each listener reached
+//!    exactly once. Delivery is *broadcaster-centric*: one of two **reach
+//!    kernels**, fixed at spawn, fills the planes from the broadcasters'
+//!    rows, then the broadcasters' activated unreliable edges overlay single
+//!    bits, and one receive loop reads the planes.
 //!
-//! **One decide phase.** The two production tiers share phase 1
-//! (`Engine::decide_phase`): advance the round, then let every due
-//! process decide in node order (every awake one, less the promised naps
-//! below). `step_legacy` keeps its own copy of the
-//! loop as the oracle; the receive loops stay per tier, because they read
-//! reach state differently.
+//! The two reach kernels, for `B` broadcasters:
 //!
-//! **One adversary phase.** The production tiers also share phase 2
-//! (`Engine::adversary_phase`). The adversary marks the round's activated
+//! * *Scatter kernel* ([`StepMode::Scalar`]). Each broadcaster walks its
+//!   CSR row ([`crate::CsrGraph`], sorted ascending), ORs the neighbors
+//!   that share a word into a register and folds each word into the planes
+//!   once (`collide |= seen & acc; seen |= acc`). It writes `reach_first`
+//!   for every neighbor; a listener reached once has exactly one writer.
+//!   Cost `O(Σ_{b∈B} deg(b))` — on sparse broadcast schedules (MIS-style
+//!   contention reduction) far below the seed's `O(Σ deg(listeners))`
+//!   scan.
+//! * *Row kernel* ([`StepMode::Bitset`]). Each broadcaster's bitmask row
+//!   ([`crate::BitRows`], `⌈n/64⌉` words per node) ORs into the planes word
+//!   by word, then a second row pass records the source of every bit that
+//!   was reached once (`row & seen & !collide`): `O(B·⌈n/64⌉)` word
+//!   operations, a ~64× narrower inner loop than the scatter on dense
+//!   graphs.
+//!
+//! Both kernels start from planes cleared at the top of phase 3 **every
+//! round, including broadcaster-less ones**, where stale bits from an
+//! earlier round must not deliver. The clear costs `O(⌈n/64⌉)`, which the
+//! receive loop's walk over the plane words pays anyway.
+//!
+//! **One decide phase.** Phase 1 of `step` is `Engine::decide_phase`:
+//! advance the round, then let every due process decide in node order
+//! (every awake one, less the promised naps below). `step_legacy` keeps
+//! its own copy of the loop, and of the receive loop, as the oracle.
+//!
+//! **One adversary phase.** Phase 2 of `step` is
+//! `Engine::adversary_phase`. The adversary marks the round's activated
 //! edges in a bitmask over `E' \ E` (see [`Adversary`]), cleared before
 //! each call and sized at spawn: bit `i` is edge `i` of
 //! [`DualGraph::unreliable_edge_list`]. Only an activated edge with
@@ -61,21 +75,20 @@
 //! normalized or validated. The trace's `RoundRecord::extra_edges` is the
 //! popcount of the mask's first `m'` bits, the count `step_legacy` records
 //! after expanding the mask into pairs; bits past the last edge never
-//! deliver and never count. The delivery phases then add each `extra`
-//! pair at its listener with no further checks.
+//! deliver and never count. Phase 3 then adds each `extra` pair at its
+//! listener with no further checks.
 //!
-//! **Tier selection.** The run loops ([`Engine::run`] and friends) pick
-//! between the scalar and bitset tiers once at spawn via
+//! **Kernel selection.** The reach kernel is picked once at spawn via
 //! [`EngineBuilder::step_mode`]. The default, [`StepMode::Auto`], chooses
-//! bitset when the reliable layer's average degree exceeds three row
-//! widths (`edge_slots ≥ 3·n·⌈n/64⌉` — the break-even point of the
-//! three row passes a bitset round makes against the scalar scatter,
-//! computed with checked arithmetic so a pathological `n` can never wrap
-//! the product and mis-select a tier) and `n` is small enough that the
-//! rows' `n·⌈n/64⌉` words stay cache-friendly (`n ≤ 16384`); otherwise
-//! the scalar tier runs. Dense workloads (cliques, dense RGGs) land on
-//! bitset, sparse ones (paths, bounded degree) on scalar. `step_legacy`
-//! is never auto-selected — it exists as the differential reference and
+//! the row kernel when the reliable layer's average degree exceeds three
+//! row widths (`edge_slots ≥ 3·n·⌈n/64⌉` — the break-even point of the
+//! row passes a round makes against the CSR scatter, computed with checked
+//! arithmetic so a pathological `n` can never wrap the product and
+//! mis-select a kernel) and `n` is small enough that the rows'
+//! `n·⌈n/64⌉` words stay cache-friendly (`n ≤ 16384`); otherwise the
+//! scatter kernel runs. Dense workloads (cliques, dense RGGs) land on
+//! rows, sparse ones (paths, bounded degree) on the scatter. `step_legacy`
+//! is never selected — it exists as the differential reference and
 //! benchmark baseline.
 //!
 //! **Shared frozen topology.** Per-topology state is immutable and
@@ -95,16 +108,16 @@
 //! in which its `decide` must run again. When `P::IDLES` is set, the engine
 //! keeps one `skip_until` entry per node, the promise as a global round
 //! (`local + wake − 1`, saturating), and re-reads it after every `decide`
-//! and `receive` call. While `r < skip_until[v]`, the shared decide phase
-//! skips node `v`, and both receive loops skip it when it hears `⊥` — after
+//! and `receive` call. While `r < skip_until[v]`, the decide phase skips
+//! node `v`, and the receive loop skips it when it hears `⊥` — after
 //! the delivery and collision counters are updated, so a message always
 //! reaches its listener. The Section 4 MIS promises for knocked-out and
 //! covered nodes, which on a clique are nearly all of them. Every promise
 //! line sits behind `if P::IDLES`, so it compiles out for processes that
 //! keep the default. `step_legacy` ignores promises and stays the oracle;
 //! it and `procs_mut` reset every entry to 0, so the next production round
-//! calls every awake `decide` again and mixing tiers on one engine stays
-//! exact.
+//! calls every awake `decide` again and mixing `step` and `step_legacy` on
+//! one engine stays exact.
 //!
 //! **Sparse rounds.** With promises, a production round costs what happens
 //! in it: a quiet round is `O(⌈n/64⌉)` word operations, not three `O(n)`
@@ -123,10 +136,9 @@
 //!   for the MIS, at each epoch start and each distinct wake round.
 //! * *Visit set.* A listener is visited iff it was reached this round, or
 //!   it decided this round and its promise still lets it hear `⊥` (the
-//!   decide phase records that in `bit_listen`). The bitset tier walks
-//!   `bit_seen | bit_listen`; the scalar tier sets a listener's `bit_seen`
-//!   bit when it first stamps its counter and walks the same union. Both
-//!   count deliveries and collisions over the same listeners as before.
+//!   decide phase records that in `bit_listen`). The receive loop walks
+//!   `bit_seen | bit_listen` and counts deliveries and collisions over the
+//!   same listeners as before.
 //! * *First outputs.* Outputs change only inside a process's own calls or
 //!   through `procs_mut` (see [`Process`]), so the engine records
 //!   `decided_round` right after each call, and `finish_round` scans every
@@ -143,27 +155,23 @@
 //!
 //! The scratch invariants:
 //!
-//! * `msgs`, `broadcasting`, `reach_*` are exactly `n` long from spawn and
-//!   are overwritten (not reallocated) every round; only the round's
+//! * `msgs`, `broadcasting` and `reach_first` are exactly `n` long from
+//!   spawn and are overwritten (not reallocated) every round; only the round's
 //!   broadcasters have their `broadcasting` flag set, and the next round
 //!   clears those through the broadcaster list;
 //! * `mask` is `⌈m'/64⌉` words from spawn and cleared before every
 //!   adversary call; `extra` holds the round's (broadcaster, listener)
 //!   pairs, at most one per unreliable edge, so its spawn capacity of `m'`
 //!   never grows;
-//! * `reach_stamp` equality with the current round epoch marks a listener
-//!   as reached this round — stale entries are never cleared, just
-//!   outdated, so no `O(n)` zeroing happens between rounds. The epoch
-//!   advances **every round**, including broadcaster-less ones, where
-//!   stale reach state from earlier rounds must not deliver;
-//! * the bitset tier's `bit_seen`/`bit_collide` words are `⌈n/64⌉` long
-//!   and cleared (not reallocated) every round — the same
-//!   every-round-including-empty rule, enforced by a regression test that
-//!   alternates empty and dense broadcast rounds. The scalar tier clears
-//!   `bit_seen` under the same rule when the process makes promises, and
-//!   every decide phase rewrites `bit_listen` word by word.
+//! * `bit_seen`/`bit_collide` are `⌈n/64⌉` words and cleared (not
+//!   reallocated) **every round**, including broadcaster-less ones, under
+//!   either kernel — enforced by a regression test that alternates empty
+//!   and dense broadcast rounds. `reach_first` is read only for a listener
+//!   whose `bit_seen` bit is set and `bit_collide` bit clear, and this
+//!   round's kernel or overlay wrote it then, so it is never cleared; every
+//!   decide phase rewrites `bit_listen` word by word.
 //!
-//! `BENCH_engine.json` tracks every tier's relative throughput
+//! `BENCH_engine.json` tracks each kernel's throughput against the oracle
 //! PR-over-PR.
 
 use crate::adversary::{Adversary, ReliableOnly};
@@ -221,7 +229,7 @@ impl std::fmt::Display for EngineError {
             EngineError::BitRowsTooLarge { n, bytes } => write!(
                 f,
                 "bitmask rows for {n} nodes need {bytes} bytes, over the \
-                 {MAX_BIT_ROWS_BYTES}-byte cap of the bitset tier"
+                 {MAX_BIT_ROWS_BYTES}-byte cap of the row kernel"
             ),
         }
     }
@@ -229,22 +237,22 @@ impl std::fmt::Display for EngineError {
 
 impl std::error::Error for EngineError {}
 
-/// Which delivery tier the run loops step through (see the module docs'
-/// *Performance architecture*). `step_legacy` is not selectable — it is
-/// the differential reference, not a production tier.
+/// Which reach kernel [`Engine::step`] fills its seen/collide planes with
+/// (see the module docs' *Performance architecture*). `step_legacy` is not
+/// selectable — it is the differential reference, not a production step.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum StepMode {
     /// Resolve to [`StepMode::Scalar`] or [`StepMode::Bitset`] at spawn by
     /// the density rule in the module docs.
     #[default]
     Auto,
-    /// Always step through the scalar scratch tier ([`Engine::step`]).
+    /// Always scatter each broadcaster's CSR row.
     Scalar,
-    /// Always step through the word-packed tier ([`Engine::step_bitset`]).
+    /// Always OR each broadcaster's bitmask row (built at spawn).
     Bitset,
 }
 
-/// Largest `n` at which [`StepMode::Auto`] may pick the bitset tier: the
+/// Largest `n` at which [`StepMode::Auto`] may pick the row kernel: the
 /// bitmask rows cost `n·⌈n/64⌉` words (32 MiB at this cap), past which
 /// the CSR scatter's cache behavior wins and the million-node direction
 /// wants implicit topologies anyway.
@@ -264,18 +272,18 @@ fn bit_rows_bytes(n: usize) -> usize {
         .unwrap_or(usize::MAX)
 }
 
-/// The bitset tier's break-even edge-slot threshold, `3·n·⌈n/64⌉`, or
+/// The row kernel's break-even edge-slot threshold, `3·n·⌈n/64⌉`, or
 /// `None` when the product would overflow `usize`. An overflowing
 /// threshold is unreachably large — no graph can have that many edge
 /// slots — so callers must treat `None` as "not dense" rather than let a
-/// wrapped product mis-select the tier for a pathological `n`.
+/// wrapped product mis-select the kernel for a pathological `n`.
 fn bitset_break_even(n: usize) -> Option<usize> {
     n.div_ceil(64).checked_mul(n)?.checked_mul(3)
 }
 
-/// The density rule behind [`StepMode::Auto`]: a bitset round makes three
-/// row passes of `⌈n/64⌉` words per broadcaster, so it pays off once the
-/// average reliable degree exceeds three row widths.
+/// The density rule behind [`StepMode::Auto`]: a row-kernel round makes
+/// three row passes of `⌈n/64⌉` words per broadcaster, so it pays off once
+/// the average reliable degree exceeds three row widths.
 fn auto_step_mode(net: &DualGraph) -> StepMode {
     let n = net.n();
     let dense = n > 0
@@ -396,8 +404,8 @@ impl EngineBuilder {
         self
     }
 
-    /// Sets which delivery tier the run loops step through (default:
-    /// [`StepMode::Auto`] — resolved by density at spawn). All tiers
+    /// Sets which reach kernel [`Engine::step`] runs (default:
+    /// [`StepMode::Auto`] — resolved by density at spawn). Both kernels
     /// produce identical executions; this only selects the implementation.
     pub fn step_mode(mut self, mode: StepMode) -> Self {
         self.step_mode = mode;
@@ -411,7 +419,7 @@ impl EngineBuilder {
     ///
     /// Returns [`EngineError`] when the id assignment, detector provider, or
     /// wake-round vector does not match the network size, or when a pinned
-    /// bitset engine's rows would exceed 1 GiB.
+    /// row-kernel engine's rows would exceed 1 GiB.
     pub fn spawn<P, F>(self, mut factory: F) -> Result<Engine<P>, EngineError>
     where
         P: Process,
@@ -523,24 +531,14 @@ struct RoundScratch<M> {
     /// listener) pairs. Each edge has at most one broadcasting endpoint
     /// here, so `m'` slots always suffice.
     extra: Vec<(u32, u32)>,
-    /// Monotone round epoch for the reach counters below; stale entries are
-    /// outdated by the bump, never cleared.
-    epoch: u64,
-    /// Last epoch in which each listener was reached by any broadcaster.
-    reach_stamp: Vec<u64>,
-    /// Reachable-broadcaster count per listener (valid iff stamp == epoch).
-    reach_count: Vec<u32>,
-    /// First reachable broadcaster per listener (valid iff stamp == epoch).
-    /// The bitset tier reuses it as its delivering-source array: whenever a
-    /// listener's seen bit is set cleanly, the slot holds the sender.
+    /// The delivering broadcaster per listener, valid this round iff the
+    /// listener's `bit_seen` bit is set and its `bit_collide` bit clear.
     reach_first: Vec<u32>,
     /// Listeners reached at least once this round, one bit per node.
-    /// Cleared (never reallocated) every round by the bitset tier, and by
-    /// the scalar tier when the process idles (see the module docs'
-    /// *Sparse rounds*).
+    /// Cleared (never reallocated) every round.
     bit_seen: Vec<u64>,
-    /// Bitset tier: listeners reached at least twice this round (the
-    /// carry-save "seen twice" half of the pair).
+    /// Listeners reached at least twice this round (the carry-save "seen
+    /// twice" half of the pair). Cleared every round.
     bit_collide: Vec<u64>,
     /// The nodes that decided this round and still hear `⊥` (their promise
     /// is at most the round), one bit per node. Rewritten word by word by
@@ -557,9 +555,6 @@ impl<M> RoundScratch<M> {
             broadcasters: Vec::with_capacity(n),
             mask: vec![0; unreliable_edges.div_ceil(64)],
             extra: Vec::with_capacity(unreliable_edges),
-            epoch: 0,
-            reach_stamp: vec![0; n],
-            reach_count: vec![0; n],
             reach_first: vec![0; n],
             bit_seen: vec![0; n.div_ceil(64)],
             bit_collide: vec![0; n.div_ceil(64)],
@@ -625,8 +620,8 @@ pub struct Engine<P: Process> {
     /// [`DetectorProvider::static_assignment`]); `None` for genuinely
     /// dynamic detectors.
     static_det: Option<LinkDetectorAssignment>,
-    /// The resolved delivery tier the run loops step through (never
-    /// [`StepMode::Auto`] after spawn).
+    /// The reach kernel `step` runs, resolved at spawn (never
+    /// [`StepMode::Auto`]).
     mode: StepMode,
     scratch: RoundScratch<P::Msg>,
 }
@@ -652,15 +647,17 @@ impl<P: Process> Engine<P> {
     /// Executes one synchronous round.
     ///
     /// Allocation-free in steady state: all per-round buffers live in the
-    /// engine's scratch (see the module docs). Deliveries are computed by
-    /// scattering each broadcaster's CSR neighborhood into epoch-stamped
-    /// reach counters. Cost per round, for `B` broadcasters and `m'`
-    /// unreliable edges, besides the adversary's own work:
-    /// `O(⌈n/64⌉ + ⌈m'/64⌉ + |due| + Σ_{b∈B} (deg(b) + deg_U(b)) +
-    /// |visited|)`, where the due deciders and visited listeners are every
-    /// awake node for a process that keeps the default promise, and only
-    /// the ones the module docs' *Sparse rounds* name for one that idles
-    /// (plus `O(n)` on the rounds a promise lapses).
+    /// engine's scratch (see the module docs). Reach is a carry-save pair
+    /// of seen/collide bit planes, filled by the reach kernel resolved at
+    /// spawn ([`Engine::step_mode`]) and read by one receive loop. Cost per
+    /// round, for `B` broadcasters and `m'` unreliable edges, besides the
+    /// adversary's own work: `O(⌈n/64⌉ + ⌈m'/64⌉ + |due| + K +
+    /// Σ_{b∈B} deg_U(b) + |visited|)`, where the kernel's `K` is
+    /// `Σ_{b∈B} deg(b)` for the CSR scatter and `B·⌈n/64⌉` for the rows,
+    /// and the due deciders and visited listeners are every awake node for
+    /// a process that keeps the default promise, and only the ones the
+    /// module docs' *Sparse rounds* name for one that idles (plus `O(n)` on
+    /// the rounds a promise lapses).
     // lint: begin-no-alloc
     pub fn step(&mut self) {
         // Phase 1: every due process decides (see `decide_phase`).
@@ -672,82 +669,110 @@ impl<P: Process> Engine<P> {
         // `extra` receives the ones that can change a reception.
         let extra_count = self.adversary_phase();
 
-        // Phase 3: reach. Each broadcaster scatters its CSR row into the
-        // stamped counters, then each activated unreliable edge bumps its
-        // listener. The epoch advances every round — including
-        // broadcaster-less ones, where stale reach state from earlier
-        // rounds must not deliver. A promising process also marks each
-        // listener's first stamp in `bit_seen`, cleared under the same rule.
-        self.scratch.epoch += 1;
-        if P::IDLES {
-            self.scratch.bit_seen.fill(0);
-        }
+        // Phase 3: carry-save reach. The planes are cleared every round —
+        // including broadcaster-less ones, where stale bits from an earlier
+        // round must not deliver.
+        let words = n.div_ceil(64);
+        let RoundScratch {
+            broadcasters,
+            extra,
+            reach_first,
+            bit_seen,
+            bit_collide,
+            ..
+        } = &mut self.scratch;
+        bit_seen.fill(0);
+        bit_collide.fill(0);
         if broadcaster_count > 0 {
-            let epoch = self.scratch.epoch;
-            let csr_g = self.net.g();
-            let RoundScratch {
-                broadcasters,
-                extra,
-                reach_stamp,
-                reach_count,
-                reach_first,
-                bit_seen,
-                ..
-            } = &mut self.scratch;
-            let mut bump = |from: u32, to: usize| {
-                if reach_stamp[to] != epoch {
-                    reach_stamp[to] = epoch;
-                    reach_count[to] = 1;
-                    reach_first[to] = from;
-                    if P::IDLES {
-                        bit_seen[to >> 6] |= 1 << (to & 63);
+            if self.mode == StepMode::Bitset {
+                // Row kernel: OR every broadcaster row into the planes, then
+                // record the source of each bit reached once. A bit that the
+                // overlay below collides keeps a slot nobody reads.
+                let rows = self.net.g_bit_rows();
+                for &u in broadcasters.iter() {
+                    let row = rows.row(u as usize);
+                    for w in 0..words {
+                        bit_collide[w] |= bit_seen[w] & row[w];
+                        bit_seen[w] |= row[w];
                     }
-                } else {
-                    reach_count[to] += 1;
                 }
-            };
-            for &u in broadcasters.iter() {
-                for &v in csr_g.neighbors(u as usize) {
-                    bump(u, v as usize);
+                for &u in broadcasters.iter() {
+                    let row = rows.row(u as usize);
+                    for w in 0..words {
+                        let mut hits = row[w] & bit_seen[w] & !bit_collide[w];
+                        while hits != 0 {
+                            let v = (w << 6) | hits.trailing_zeros() as usize;
+                            reach_first[v] = u;
+                            hits &= hits - 1;
+                        }
+                    }
+                }
+            } else {
+                // Scatter kernel: the sorted CSR row's neighbors that share a
+                // word gather in `acc`, and each word folds into the planes
+                // once. A listener reached once has one writer of its slot.
+                let csr = self.net.g();
+                let mut fold = |w: usize, acc: u64| {
+                    bit_collide[w] |= bit_seen[w] & acc;
+                    bit_seen[w] |= acc;
+                };
+                for &u in broadcasters.iter() {
+                    let (mut w, mut acc) = (0, 0);
+                    for &v in csr.neighbors(u as usize) {
+                        let v = v as usize;
+                        reach_first[v] = u;
+                        if v >> 6 != w {
+                            fold(w, acc);
+                            (w, acc) = (v >> 6, 0);
+                        }
+                        acc |= 1 << (v & 63);
+                    }
+                    fold(w, acc);
                 }
             }
+            // Unreliable overlay: each activated edge adds a single bit at
+            // its listener. E' \ E is disjoint from E, so an extra edge
+            // never double-counts a row delivery from the same broadcaster.
             for &(from, to) in extra.iter() {
-                bump(from, to as usize);
+                let (w, bit) = (to as usize >> 6, 1u64 << (to & 63));
+                if bit_seen[w] & bit != 0 {
+                    bit_collide[w] |= bit;
+                } else {
+                    bit_seen[w] |= bit;
+                    reach_first[to as usize] = from;
+                }
             }
         }
 
-        // Delivery: exactly one reachable broadcaster => message; otherwise
-        // ⊥. Sleeping nodes neither broadcast nor receive. The loop visits
-        // every node of each word, or, for a promising process, only the
-        // reached and ⊥-hearing listeners.
-        let epoch = self.scratch.epoch;
+        // Delivery: read each listener's bit pair — collide => ⊥ with a
+        // collision counted, seen => the recorded source's message, neither
+        // => silence. Sleeping nodes neither broadcast nor receive. The loop
+        // visits every node of each word, or, for a promising process, only
+        // the reached and ⊥-hearing listeners.
         let mut deliveries = 0u32;
         let mut collisions = 0u32;
         // lint: rng-order(receive)
-        for w in 0..n.div_ceil(64) {
+        for w in 0..words {
+            let (seen, collide) = (self.scratch.bit_seen[w], self.scratch.bit_collide[w]);
             let mut pending = if P::IDLES {
-                self.scratch.bit_seen[w] | self.scratch.bit_listen[w]
+                seen | self.scratch.bit_listen[w]
             } else {
                 low_bits(n, w)
             };
             while pending != 0 {
-                let v = (w << 6) | pending.trailing_zeros() as usize;
-                pending &= pending - 1;
+                let bit = pending & pending.wrapping_neg();
+                pending ^= bit;
+                let v = (w << 6) | bit.trailing_zeros() as usize;
                 if self.wake_rounds[v] > r || self.scratch.broadcasting[v] {
                     continue;
                 }
-                let reach = if self.scratch.reach_stamp[v] == epoch {
-                    self.scratch.reach_count[v]
-                } else {
-                    0
-                };
-                let delivered = if reach == 1 {
+                let delivered = if collide & bit != 0 {
+                    collisions += 1;
+                    None
+                } else if seen & bit != 0 {
                     deliveries += 1;
                     Some(self.scratch.reach_first[v] as usize)
                 } else {
-                    if reach >= 2 {
-                        collisions += 1;
-                    }
                     None
                 };
                 if P::IDLES && delivered.is_none() && r < self.skip_until[v] {
@@ -925,152 +950,8 @@ impl<P: Process> Engine<P> {
     }
     // lint: end-no-alloc
 
-    /// Executes one synchronous round through the word-packed delivery
-    /// tier (see the module docs' *Performance architecture*).
-    ///
-    /// Produces executions identical to [`Engine::step`] — same decide and
-    /// receive call order (hence the same per-process RNG streams), same
-    /// traces, transcripts, metrics, and outputs — for every adversary,
-    /// including ones that set bits past the last edge; the golden-trace
-    /// differential tests pin the equivalence exactly the way `step` is
-    /// pinned to [`Engine::step_legacy`].
-    ///
-    /// Reach is computed as a carry-save bit pair over `⌈n/64⌉`-word
-    /// bitmask rows: for each broadcaster row,
-    /// `collide |= seen & row; seen |= row` — one-bit saturating counters
-    /// distinguishing "reached once" (clean delivery) from "reached twice
-    /// or more" (collision), which is all the model's delivery rule needs.
-    /// The broadcasters' activated unreliable edges overlay single bits,
-    /// and a second row pass records each cleanly reached listener's unique
-    /// source. Cost: `O(⌈n/64⌉·(B+1) + ⌈m'/64⌉ + Σ_{b∈B} deg_U(b) + |due| +
-    /// |visited|)` word operations per round for `B` broadcasters and `m'`
-    /// unreliable edges, besides the adversary's own work, where the due
-    /// deciders and visited listeners are every awake node for a process
-    /// that keeps the default promise, and only the ones the module docs'
-    /// *Sparse rounds* name for one that idles (plus `O(n)` on the rounds a
-    /// promise lapses).
-    ///
-    /// Allocation-free in steady state. The bitmask rows are built (and
-    /// cached on the network) at spawn for engines resolved to
-    /// [`StepMode::Bitset`], or on the first call otherwise.
-    // lint: begin-no-alloc
-    pub fn step_bitset(&mut self) {
-        // Phase 1: every due process decides (see `decide_phase`).
-        let broadcaster_count = self.decide_phase();
-        let n = self.net.n();
-        let r = self.round;
-
-        // Phase 2: the adversary marks the round's unreliable reach edges;
-        // `extra` receives the ones that can change a reception.
-        let extra_count = self.adversary_phase();
-
-        // Phase 3: carry-save reach. seen/collide are cleared every round
-        // — including broadcaster-less ones, where stale bits from an
-        // earlier round must not deliver (the phantom-delivery bug class
-        // the scalar path's unconditional epoch bump guards against).
-        let words = n.div_ceil(64);
-        self.scratch.bit_seen[..words].fill(0);
-        self.scratch.bit_collide[..words].fill(0);
-        if broadcaster_count > 0 {
-            let rows = self.net.g_bit_rows();
-            let RoundScratch {
-                broadcasters,
-                extra,
-                bit_seen,
-                bit_collide,
-                reach_first,
-                ..
-            } = &mut self.scratch;
-            for &u in broadcasters.iter() {
-                let row = rows.row(u as usize);
-                for w in 0..words {
-                    bit_collide[w] |= bit_seen[w] & row[w];
-                    bit_seen[w] |= row[w];
-                }
-            }
-            // Unreliable overlay: each activated edge adds a single bit at
-            // its listener. E' \ E is disjoint from E, so an extra edge
-            // never double-counts a row delivery from the same broadcaster.
-            for &(from, to) in extra.iter() {
-                let (w, bit) = (to as usize >> 6, 1u64 << (to & 63));
-                if bit_seen[w] & bit != 0 {
-                    bit_collide[w] |= bit;
-                } else {
-                    bit_seen[w] |= bit;
-                    reach_first[to as usize] = from;
-                }
-            }
-            // Second row pass: record the delivering source of every
-            // cleanly row-reached listener. A clean bit has exactly one
-            // reaching broadcaster (a second row or extra hit would have
-            // set collide), so exactly one row writes each slot.
-            for &u in broadcasters.iter() {
-                let row = rows.row(u as usize);
-                for w in 0..words {
-                    let mut hits = row[w] & bit_seen[w] & !bit_collide[w];
-                    while hits != 0 {
-                        let v = (w << 6) | hits.trailing_zeros() as usize;
-                        reach_first[v] = u;
-                        hits &= hits - 1;
-                    }
-                }
-            }
-        }
-
-        // Delivery: read each listener's bit pair — collide => ⊥ with a
-        // collision counted, seen => the recorded source's message,
-        // neither => silence. Same receive-call order and visit rule as
-        // `step`.
-        let mut deliveries = 0u32;
-        let mut collisions = 0u32;
-        // lint: rng-order(receive)
-        for w in 0..words {
-            let mut pending = if P::IDLES {
-                self.scratch.bit_seen[w] | self.scratch.bit_listen[w]
-            } else {
-                low_bits(n, w)
-            };
-            while pending != 0 {
-                let bit = pending & pending.wrapping_neg();
-                pending ^= bit;
-                let v = (w << 6) | bit.trailing_zeros() as usize;
-                if self.wake_rounds[v] > r || self.scratch.broadcasting[v] {
-                    continue;
-                }
-                let delivered = if self.scratch.bit_collide[w] & bit != 0 {
-                    collisions += 1;
-                    None
-                } else if self.scratch.bit_seen[w] & bit != 0 {
-                    deliveries += 1;
-                    Some(self.scratch.reach_first[v] as usize)
-                } else {
-                    None
-                };
-                if P::IDLES && delivered.is_none() && r < self.skip_until[v] {
-                    continue;
-                }
-                let det = detector_set(&self.static_det, self.detectors.as_ref(), v, r);
-                let mut ctx = Context {
-                    local_round: r - self.wake_rounds[v] + 1,
-                    n,
-                    my_id: self.ids.id_of(NodeId(v)),
-                    detector: det,
-                    rng: &mut self.rngs[v],
-                };
-                let msg = delivered.and_then(|u| self.scratch.msgs[u].as_ref());
-                self.procs[v].receive(&mut ctx, msg);
-                if P::IDLES {
-                    self.after_call(v, r);
-                }
-            }
-        }
-        // lint: end-rng-order(receive)
-        self.finish_round(r, broadcaster_count, deliveries, collisions, extra_count);
-    }
-    // lint: end-no-alloc
-
-    /// Phase 1 of every production tier: advance the round and let every
-    /// due process decide, in node order — the loop (and therefore the
+    /// Phase 1 of `step`: advance the round and let every due process
+    /// decide, in node order — the loop (and therefore the
     /// per-process RNG draw order) of `step_legacy`'s phase 1, less the
     /// calls an idle promise makes moot. Returns the broadcaster count.
     ///
@@ -1200,7 +1081,7 @@ impl<P: Process> Engine<P> {
     }
     // lint: end-no-alloc
 
-    /// Phase 2 of every production tier: the adversary marks the round's
+    /// Phase 2 of `step`: the adversary marks the round's
     /// activated unreliable edges in the cleared `scratch.mask`, and
     /// `scratch.extra` receives every marked edge `(b, v)` from a
     /// broadcaster `b` to a listener `v` — the only activated edges that
@@ -1310,28 +1191,19 @@ impl<P: Process> Engine<P> {
                     stop: StopReason::MaxRounds,
                 };
             }
-            self.step_selected();
+            self.step();
         }
     }
 
     /// Runs exactly `rounds` additional rounds (regardless of outputs).
     pub fn run_rounds(&mut self, rounds: u64) {
         for _ in 0..rounds {
-            self.step_selected();
+            self.step();
         }
     }
 
-    /// One round through the tier resolved at spawn (see [`StepMode`]).
-    #[inline]
-    fn step_selected(&mut self) {
-        match self.mode {
-            StepMode::Bitset => self.step_bitset(),
-            _ => self.step(),
-        }
-    }
-
-    /// The delivery tier the run loops step through, resolved at spawn
-    /// (never [`StepMode::Auto`]).
+    /// The reach kernel [`Engine::step`] runs, resolved at spawn (never
+    /// [`StepMode::Auto`]).
     pub fn step_mode(&self) -> StepMode {
         self.mode
     }
@@ -1703,7 +1575,7 @@ mod tests {
     fn break_even_threshold_never_wraps() {
         // A pathological n whose 3·n·⌈n/64⌉ product overflows usize must
         // report "no threshold" (treated as not-dense), not a wrapped
-        // small number that would mis-select the bitset tier.
+        // small number that would mis-select the row kernel.
         assert_eq!(bitset_break_even(usize::MAX), None);
         assert_eq!(bitset_break_even(1 << 40), None);
         // Sane sizes still compute exactly.
@@ -1746,9 +1618,9 @@ mod tests {
     #[test]
     fn bitset_tier_matches_scalar() {
         // Random chatters over a clique with unreliable chords: the two
-        // tiers must produce identical traces and transcripts. (The broad
-        // differential suite lives in tests/determinism.rs; this is the
-        // in-crate smoke.)
+        // reach kernels must produce identical traces and transcripts. (The
+        // broad differential suite, each kernel against the oracle, lives
+        // in tests/determinism.rs; this is the in-crate smoke.)
         struct Coin {
             heard: Vec<Option<u32>>,
         }
@@ -1871,14 +1743,17 @@ mod tests {
         }
     }
 
-    type Tier = fn(&mut Engine<Napper>);
-    const PRODUCTION_TIERS: [Tier; 2] = [Engine::step, Engine::step_bitset];
+    /// The reach kernels of the production step, each pinned at spawn.
+    const KERNELS: [StepMode; 2] = [StepMode::Scalar, StepMode::Bitset];
 
-    /// Napper engine over the circulant net; node `v` wakes at round
-    /// `1 + v % 5`, so local and global rounds differ.
-    fn napper_engine(liar: bool) -> Engine<Napper> {
+    type Tier = fn(&mut Engine<Napper>);
+
+    /// Napper engine over the circulant net with the `mode` kernel; node
+    /// `v` wakes at round `1 + v % 5`, so local and global rounds differ.
+    fn napper_engine(liar: bool, mode: StepMode) -> Engine<Napper> {
         EngineBuilder::new(circulant_net())
             .seed(9)
+            .step_mode(mode)
             .adversary(crate::adversary::RandomUnreliable::new(0.5, 3))
             .wake_rounds((0..70).map(|v| 1 + v % 5).collect())
             .record_trace(true)
@@ -1895,19 +1770,19 @@ mod tests {
 
     #[test]
     fn production_tiers_skip_only_promised_naps() {
-        let run = |step: Tier| {
-            let mut e = napper_engine(false);
+        let run = |mode, step: Tier| {
+            let mut e = napper_engine(false, mode);
             for _ in 0..200 {
                 step(&mut e);
             }
             e
         };
-        let legacy = run(Engine::step_legacy);
+        let legacy = run(StepMode::Scalar, Engine::step_legacy);
         // The oracle ignores promises, so it calls into naps.
         assert!(total(&legacy, |p| p.nap_decides) > 0);
         assert!(total(&legacy, |p| p.nap_silences) > 0);
-        for step in PRODUCTION_TIERS {
-            let e = run(step);
+        for mode in KERNELS {
+            let e = run(mode, Engine::step);
             assert_eq!(total(&e, |p| p.nap_decides), 0, "decide inside a nap");
             assert_eq!(total(&e, |p| p.nap_silences), 0, "⊥ inside a nap");
             assert_eq!(total(&e, |p| p.late_wakes), 0, "a message did not wake");
@@ -1922,18 +1797,18 @@ mod tests {
 
     #[test]
     fn a_false_promise_diverges_from_the_oracle() {
-        // A liar broadcasts inside its naps. The production tiers trust
-        // the promise and skip those decides; the oracle calls them.
-        let trace = |step: Tier| {
-            let mut e = napper_engine(true);
+        // A liar broadcasts inside its naps. Both kernels' step trusts the
+        // promise and skips those decides; the oracle calls them.
+        let trace = |mode, step: Tier| {
+            let mut e = napper_engine(true, mode);
             for _ in 0..50 {
                 step(&mut e);
             }
             e.trace().unwrap().clone()
         };
-        let legacy = trace(Engine::step_legacy);
-        for step in PRODUCTION_TIERS {
-            assert_ne!(trace(step), legacy);
+        let legacy = trace(StepMode::Scalar, Engine::step_legacy);
+        for mode in KERNELS {
+            assert_ne!(trace(mode, Engine::step), legacy);
         }
     }
 
@@ -1949,21 +1824,20 @@ mod tests {
             Engine::step_legacy,
         ];
         for lapse in lapses {
-            for step in PRODUCTION_TIERS {
+            for mode in KERNELS {
                 let mut e = EngineBuilder::new(circulant_net())
                     .seed(4)
+                    .step_mode(mode)
                     .wake_rounds(wake.clone())
                     .spawn(|_| Napper::default())
                     .unwrap();
-                for _ in 0..20 {
-                    step(&mut e);
-                }
+                e.run_rounds(20);
                 lapse(&mut e);
                 // Someone is mid-nap, so only the lapse makes it decide.
                 let next = e.round() + 1;
                 assert!(e.procs().iter().any(|p| p.wake_at > next));
                 let before: Vec<u64> = e.procs().iter().map(|p| p.decides).collect();
-                step(&mut e);
+                e.step();
                 for (v, p) in e.procs().iter().enumerate() {
                     assert_eq!(p.decides - before[v], u64::from(v != 69), "node {v}");
                 }
@@ -2048,11 +1922,12 @@ mod tests {
         }
     }
 
-    /// Pure scalar, pure bitset, and both interleaved with the oracle.
-    const SLEEPER_RUNS: [&[SleeperTier]; 3] = [
-        &[Engine::step],
-        &[Engine::step_bitset],
-        &[Engine::step, Engine::step_legacy, Engine::step_bitset],
+    /// Each kernel alone, and each interleaved with the oracle.
+    const SLEEPER_RUNS: [(StepMode, &[SleeperTier]); 4] = [
+        (StepMode::Scalar, &[Engine::step]),
+        (StepMode::Bitset, &[Engine::step]),
+        (StepMode::Scalar, &[Engine::step, Engine::step_legacy]),
+        (StepMode::Bitset, &[Engine::step, Engine::step_legacy]),
     ];
 
     /// G: a 70-node ring joining each node to the next two; G': the next
@@ -2071,11 +1946,13 @@ mod tests {
 
     fn sleeper_engine(
         seed: u64,
+        mode: StepMode,
         wake_rounds: Vec<u64>,
         out: impl Fn(usize) -> Option<bool>,
     ) -> Engine<Sleeper> {
         EngineBuilder::new(ring_net())
             .seed(seed)
+            .step_mode(mode)
             .adversary(crate::adversary::RandomUnreliable::new(0.5, 8))
             .wake_rounds(wake_rounds)
             .record_trace(true)
@@ -2098,14 +1975,14 @@ mod tests {
         // Everyone wakes at round 1, so the only rebuild of the due set
         // after round 1 comes from a `step_legacy` round: a sleeper that a
         // message wakes must be brought back by the call's own bookkeeping.
-        let capture = |tiers: &[SleeperTier]| {
-            let mut e = sleeper_engine(6, vec![1; 70], |_| None);
+        let capture = |mode, tiers: &[SleeperTier]| {
+            let mut e = sleeper_engine(6, mode, vec![1; 70], |_| None);
             step_in_stints(&mut e, 150, tiers);
             let late: u64 = e.procs().iter().map(|p| p.late_wakes).sum();
             assert_eq!(
                 late,
                 0,
-                "a woken sleeper decided late ({} tiers)",
+                "a woken sleeper decided late ({mode:?}, {} tiers)",
                 tiers.len()
             );
             let heard: Vec<_> = e.procs().iter().map(|p| p.heard.clone()).collect();
@@ -2116,7 +1993,7 @@ mod tests {
                 decided_rounds(&e),
             )
         };
-        let oracle = capture(&[Engine::step_legacy]);
+        let oracle = capture(StepMode::Scalar, &[Engine::step_legacy]);
         // The beacon alone broadcasts 50 times; the rest come from woken
         // sleepers, which keep waking to the end.
         assert!(
@@ -2126,8 +2003,13 @@ mod tests {
         );
         let tail = &oracle.0.rounds[120..];
         assert!(tail.iter().map(|rec| rec.broadcasters).sum::<u32>() > tail.len() as u32 / 3);
-        for tiers in SLEEPER_RUNS {
-            assert_eq!(capture(tiers), oracle, "diverged ({} tiers)", tiers.len());
+        for (mode, tiers) in SLEEPER_RUNS {
+            assert_eq!(
+                capture(mode, tiers),
+                oracle,
+                "diverged ({mode:?}, {} tiers)",
+                tiers.len()
+            );
         }
     }
 
@@ -2140,21 +2022,26 @@ mod tests {
         let mut wake = vec![1; 70];
         wake[1] = 50;
         wake[2] = 100;
-        let capture = |tiers: &[SleeperTier]| {
-            let mut e = sleeper_engine(2, wake.clone(), |v| (v == 1).then_some(false));
+        let capture = |mode, tiers: &[SleeperTier]| {
+            let mut e = sleeper_engine(2, mode, wake.clone(), |v| (v == 1).then_some(false));
             step_in_stints(&mut e, 30, tiers);
             e.procs_mut()[2].out = Some(true);
             step_in_stints(&mut e, 90, tiers);
             decided_rounds(&e)
         };
-        let oracle = capture(&[Engine::step_legacy]);
+        let oracle = capture(StepMode::Scalar, &[Engine::step_legacy]);
         assert_eq!(oracle[1], Some(1));
         assert_eq!(oracle[2], Some(31));
         // Most nodes output inside a `receive`, dated by the call itself.
         assert!(oracle.iter().filter(|d| d.is_some_and(|r| r > 1)).count() > 30);
-        for tiers in SLEEPER_RUNS {
+        for (mode, tiers) in SLEEPER_RUNS {
             // Round 1 and round 31 are production rounds on every run.
-            assert_eq!(capture(tiers), oracle, "{} tiers", tiers.len());
+            assert_eq!(
+                capture(mode, tiers),
+                oracle,
+                "{mode:?}, {} tiers",
+                tiers.len()
+            );
         }
     }
 }

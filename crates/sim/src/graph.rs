@@ -29,10 +29,10 @@
 //!
 //! [`BitRows`] is a derived adjacency form, built from a [`CsrGraph`]:
 //! each node's neighborhood as a row of `⌈n/64⌉` `u64` words, one bit per
-//! potential neighbor. The bit-parallel delivery engine
-//! (`Engine::step_bitset`) ORs whole broadcaster rows into carry-save
-//! seen/collide accumulators — a ~64× narrower inner loop than the scalar
-//! scatter on dense graphs. Rows cost `n·⌈n/64⌉` words, so they are built
+//! potential neighbor. The engine's row kernel (`Engine::step` with
+//! `StepMode::Bitset`) ORs whole broadcaster rows into carry-save
+//! seen/collide planes — a ~64× narrower inner loop than the CSR scatter
+//! kernel on dense graphs. Rows cost `n·⌈n/64⌉` words, so they are built
 //! lazily (see `DualGraph::g_bit_rows`) and only make sense at moderate
 //! `n`; the CSR remains the general-purpose form.
 

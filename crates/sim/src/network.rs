@@ -377,7 +377,7 @@ impl DualGraph {
     }
 
     /// The reliable layer as word-packed bitmask rows ([`BitRows`]), the
-    /// form `Engine::step_bitset` delivers from. Built from the CSR on
+    /// form the engine's row kernel (`StepMode::Bitset`) delivers from. Built from the CSR on
     /// first call and cached on the frozen network, so every clone of this
     /// handle shares the one build.
     pub fn g_bit_rows(&self) -> &BitRows {

@@ -95,7 +95,7 @@ pub struct Context<'a> {
 /// # Idle promises
 ///
 /// A process that sits out stretches of rounds may promise so, and the
-/// production tiers (`Engine::step`, `Engine::step_bitset`) then stop
+/// production step (`Engine::step`, on either reach kernel) then stops
 /// visiting it while the promise holds. The contract:
 ///
 /// * [`Process::IDLES`] is `true` only for a process that overrides

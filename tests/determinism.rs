@@ -1,15 +1,15 @@
 //! Determinism regression tests for the engine rewrites.
 //!
-//! The scratch-buffer engine (`Engine::step`) must produce executions
+//! The production step (`Engine::step`) must produce executions
 //! *identical* to the seed implementation (`Engine::step_legacy`) — same
 //! per-round trace (broadcasters, deliveries, collisions, activated
 //! edges), same metrics, same outputs — for every adversary, because both
-//! drive the same process RNG streams. The word-packed tier
-//! (`Engine::step_bitset`) is pinned to `step` by the same differential
-//! contract, tier by tier. The Section 4 MIS, whose knocked-out and
-//! covered processes promise to idle, must match the oracle on every
-//! tier too, and so must a test process whose naps run long or forever
-//! across bit-word boundaries. And the parallel trial runner must be
+//! drive the same process RNG streams. Each of its two reach kernels, the
+//! CSR scatter and the bitmask rows, is pinned at spawn and held to the
+//! oracle on its own. The Section 4 MIS, whose knocked-out and covered
+//! processes promise to idle, must match the oracle on every kernel too,
+//! and so must a test process whose naps run long or forever across
+//! bit-word boundaries. And the parallel trial runner must be
 //! bit-identical to the serial loop it replaced.
 
 use radio_sim::adversary::{
@@ -17,7 +17,8 @@ use radio_sim::adversary::{
 };
 use radio_sim::topology::{random_geometric, RandomGeometricConfig};
 use radio_sim::{
-    Action, Adversary, Context, DualGraph, EngineBuilder, Graph, NodeId, Process, Trace,
+    Action, Adversary, Context, DualGraph, Engine, EngineBuilder, Graph, NodeId, Process, StepMode,
+    Trace,
 };
 use radio_structures::params::MisParams;
 use radio_structures::Mis;
@@ -119,12 +120,36 @@ type Capture = (
     radio_sim::ExecutionMetrics,
 );
 
-/// Which engine implementation a capture steps through.
+/// Which engine implementation a capture steps through: the oracle, or
+/// `step` with one reach kernel pinned at spawn.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Tier {
     Legacy,
     Scalar,
     Bitset,
+}
+
+/// The production step's kernels.
+const KERNELS: [Tier; 2] = [Tier::Scalar, Tier::Bitset];
+
+impl Tier {
+    /// `net`'s engine builder with this tier's kernel pinned (the oracle
+    /// ignores it).
+    fn builder(self, net: &DualGraph) -> EngineBuilder {
+        let mode = match self {
+            Tier::Bitset => StepMode::Bitset,
+            Tier::Legacy | Tier::Scalar => StepMode::Scalar,
+        };
+        EngineBuilder::new(net.clone()).step_mode(mode)
+    }
+
+    /// One round through this tier.
+    fn step<P: Process>(self, engine: &mut Engine<P>) {
+        match self {
+            Tier::Legacy => engine.step_legacy(),
+            Tier::Scalar | Tier::Bitset => engine.step(),
+        }
+    }
 }
 
 /// Runs `rounds` rounds and captures a [`Capture`] for one engine tier.
@@ -136,7 +161,8 @@ fn capture(
     tier: Tier,
     record_trace: bool,
 ) -> Capture {
-    let mut engine = EngineBuilder::new(net.clone())
+    let mut engine = tier
+        .builder(net)
         .seed(seed)
         .adversary(adversary)
         .record_trace(record_trace)
@@ -147,11 +173,7 @@ fn capture(
         })
         .expect("engine assembles");
     for _ in 0..rounds {
-        match tier {
-            Tier::Legacy => engine.step_legacy(),
-            Tier::Scalar => engine.step(),
-            Tier::Bitset => engine.step_bitset(),
-        }
+        tier.step(&mut engine);
     }
     let heard = engine.procs().iter().map(|p| p.heard.clone()).collect();
     (
@@ -187,15 +209,15 @@ fn golden_trace_scratch_matches_legacy() {
 }
 
 #[test]
-fn golden_trace_bitset_matches_scratch() {
-    assert_tiers_agree(Tier::Scalar, Tier::Bitset);
+fn golden_trace_bitset_matches_legacy() {
+    assert_tiers_agree(Tier::Legacy, Tier::Bitset);
 }
 
 #[test]
 fn tracing_off_does_not_change_behavior() {
     // A trace records each round's activated-edge count beside the
     // execution; whether it records must not change anything else.
-    for tier in [Tier::Scalar, Tier::Bitset] {
+    for tier in KERNELS {
         for (net_name, net) in nets() {
             for (adv_name, make) in adversaries() {
                 let traced = capture(&net, make(), 7, 60, tier, true);
@@ -271,7 +293,7 @@ fn disorderly_adversaries_are_normalized_identically() {
     assert!(nets.iter().any(|(_, net)| edges(net) == 0));
     for (net_name, net) in nets {
         let old = capture(&net, messy(), 3, 60, Tier::Legacy, true);
-        for tier in [Tier::Scalar, Tier::Bitset] {
+        for tier in KERNELS {
             let new = capture(&net, messy(), 3, 60, tier, true);
             assert_eq!(
                 new.0, old.0,
@@ -335,15 +357,15 @@ impl Process for AlternatingChatter {
 #[test]
 fn bitset_clears_reach_words_on_broadcaster_less_rounds() {
     // The PR 1 phantom-delivery bug class: reach state surviving a
-    // broadcaster-less round delivers ghosts in the next one. The bitset
-    // tier must clear its seen/collide words every round — including empty
-    // ones — exactly as the scalar tier's epoch advances unconditionally.
-    // Alternate dense rounds (every node broadcasts → all-collide silence)
-    // with empty rounds; a single-broadcaster variant then checks clean
-    // deliveries don't echo.
+    // broadcaster-less round delivers ghosts in the next one. Both reach
+    // kernels rely on `step` clearing its seen/collide words every round —
+    // including empty ones. Alternate dense rounds (every node broadcasts →
+    // all-collide silence) with empty rounds; a single-broadcaster variant
+    // then checks clean deliveries don't echo.
     let net = DualGraph::classic(Graph::complete(12)).expect("connected");
     let run = |tier: Tier, all_chatty: bool| {
-        let mut engine = EngineBuilder::new(net.clone())
+        let mut engine = tier
+            .builder(&net)
             .seed(3)
             .record_trace(true)
             .spawn(|info| AlternatingChatter {
@@ -353,50 +375,43 @@ fn bitset_clears_reach_words_on_broadcaster_less_rounds() {
             })
             .expect("engine assembles");
         for _ in 0..40 {
-            match tier {
-                Tier::Legacy => engine.step_legacy(),
-                Tier::Scalar => engine.step(),
-                Tier::Bitset => engine.step_bitset(),
-            }
+            tier.step(&mut engine);
         }
         let heard: Vec<Vec<Option<u32>>> = engine.procs().iter().map(|p| p.heard.clone()).collect();
         (engine.trace().cloned(), heard, *engine.metrics())
     };
-    for all_chatty in [true, false] {
-        let bitset = run(Tier::Bitset, all_chatty);
-        assert_eq!(
-            bitset,
-            run(Tier::Scalar, all_chatty),
-            "bitset diverged from scalar (all_chatty = {all_chatty})"
-        );
-        assert_eq!(
-            bitset,
-            run(Tier::Legacy, all_chatty),
-            "bitset diverged from legacy (all_chatty = {all_chatty})"
-        );
-    }
-    // Dense variant: odd rounds are all-broadcast (nobody listens); the
-    // even rounds must hear silence at every node — any Some here is a
-    // phantom delivery from stale reach words.
-    let dense = run(Tier::Bitset, true);
-    for heard in &dense.1 {
-        assert_eq!(heard.len(), 20, "one reception per even round");
-        assert!(
-            heard.iter().all(Option::is_none),
-            "phantom delivery on an empty round"
-        );
-    }
-    assert_eq!(dense.2.deliveries, 0);
-    // Solo variant: node 0 delivers cleanly on odd rounds; a stale *seen*
-    // bit surviving into the following empty round would re-deliver it.
-    let solo = run(Tier::Bitset, false);
-    for heard in &solo.1[1..] {
-        assert_eq!(heard.len(), 40, "listeners receive every round");
-        for (i, h) in heard.iter().enumerate() {
-            if i % 2 == 0 {
-                assert!(h.is_some(), "clean delivery expected on odd rounds");
-            } else {
-                assert!(h.is_none(), "phantom delivery echoed into an empty round");
+    for tier in KERNELS {
+        for all_chatty in [true, false] {
+            assert_eq!(
+                run(tier, all_chatty),
+                run(Tier::Legacy, all_chatty),
+                "{tier:?} diverged from legacy (all_chatty = {all_chatty})"
+            );
+        }
+        // Dense variant: odd rounds are all-broadcast (nobody listens); the
+        // even rounds must hear silence at every node — any Some here is a
+        // phantom delivery from stale reach words.
+        let dense = run(tier, true);
+        for heard in &dense.1 {
+            assert_eq!(heard.len(), 20, "one reception per even round ({tier:?})");
+            assert!(
+                heard.iter().all(Option::is_none),
+                "phantom delivery on an empty round ({tier:?})"
+            );
+        }
+        assert_eq!(dense.2.deliveries, 0);
+        // Solo variant: node 0 delivers cleanly on odd rounds; a stale
+        // *seen* bit surviving into the following empty round would
+        // re-deliver it.
+        let solo = run(tier, false);
+        for heard in &solo.1[1..] {
+            assert_eq!(heard.len(), 40, "listeners receive every round ({tier:?})");
+            for (i, h) in heard.iter().enumerate() {
+                if i % 2 == 0 {
+                    assert!(h.is_some(), "clean delivery expected on odd rounds");
+                } else {
+                    assert!(h.is_none(), "phantom delivery echoed into an empty round");
+                }
             }
         }
     }
@@ -424,7 +439,8 @@ fn capture_mis(
     let n = net.n();
     let last_wake = wake_rounds.iter().copied().max().unwrap_or(1);
     let budget = params.total_rounds(n) + last_wake - 1;
-    let mut engine = EngineBuilder::new(net.clone())
+    let mut engine = tier
+        .builder(net)
         .seed(seed)
         .adversary(adversary)
         .wake_rounds(wake_rounds)
@@ -432,11 +448,7 @@ fn capture_mis(
         .spawn(|info| Mis::new(info.n, info.id, params))
         .expect("engine assembles");
     while engine.round() < budget && !engine.procs().iter().all(Process::is_done) {
-        match tier {
-            Tier::Legacy => engine.step_legacy(),
-            Tier::Scalar => engine.step(),
-            Tier::Bitset => engine.step_bitset(),
-        }
+        tier.step(&mut engine);
     }
     let decided = (0..n).map(|v| engine.decided_round(NodeId(v))).collect();
     (
@@ -449,12 +461,12 @@ fn capture_mis(
 
 #[test]
 fn mis_idle_promises_match_the_oracle_on_every_tier() {
-    // The production tiers skip knocked-out and covered MIS processes;
-    // the oracle calls every one. A wrong promise (one epoch too long,
-    // say) changes who competes, so the executions part.
+    // The production step skips knocked-out and covered MIS processes on
+    // either kernel; the oracle calls every one. A wrong promise (one epoch
+    // too long, say) changes who competes, so the executions part.
     let check = |ctx: &str, net: &DualGraph, make: &AdversaryFactory, seed: u64, wake: &[u64]| {
         let oracle = capture_mis(net, make(), seed, wake.to_vec(), Tier::Legacy);
-        for tier in [Tier::Scalar, Tier::Bitset] {
+        for tier in KERNELS {
             let got = capture_mis(net, make(), seed, wake.to_vec(), tier);
             assert_eq!(got.0, oracle.0, "trace diverged on {ctx} ({tier:?})");
             assert_eq!(got.1, oracle.1, "outputs diverged on {ctx} ({tier:?})");
@@ -565,7 +577,8 @@ fn long_naps_across_word_boundaries_match_the_oracle() {
         let net = ring_net(n);
         let wake: Vec<u64> = (0..n as u64).map(|v| 1 + v * 37 % 300).collect();
         let capture = |tier: Tier| {
-            let mut engine = EngineBuilder::new(net.clone())
+            let mut engine = tier
+                .builder(&net)
                 .seed(n as u64)
                 .adversary(RandomUnreliable::new(0.5, 3))
                 .wake_rounds(wake.clone())
@@ -573,11 +586,7 @@ fn long_naps_across_word_boundaries_match_the_oracle() {
                 .spawn(|_| LongNapper::default())
                 .expect("engine assembles");
             for _ in 0..600 {
-                match tier {
-                    Tier::Legacy => engine.step_legacy(),
-                    Tier::Scalar => engine.step(),
-                    Tier::Bitset => engine.step_bitset(),
-                }
+                tier.step(&mut engine);
             }
             let procs = engine.procs();
             let late: u64 = procs.iter().map(|p| p.late_wakes).sum();
@@ -595,7 +604,7 @@ fn long_naps_across_word_boundaries_match_the_oracle() {
         };
         let oracle = capture(Tier::Legacy);
         assert!(oracle.4 > 0, "no message cut a long nap on n = {n}");
-        for tier in [Tier::Scalar, Tier::Bitset] {
+        for tier in KERNELS {
             let got = capture(tier);
             assert_eq!(got.0, oracle.0, "trace diverged on n = {n} ({tier:?})");
             assert_eq!(got.1, oracle.1, "metrics diverged on n = {n} ({tier:?})");

@@ -137,7 +137,7 @@ fn engines_spawned_from_shared_clones_copy_no_topology() {
             .unwrap()
     };
     // The first spawn builds the shared bitmask rows (a clique resolves to
-    // the bitset tier); the second must find everything already built.
+    // the row kernel); the second must find everything already built.
     let first = spawn(1);
     let (second_bytes, second) = bytes_of(|| spawn(2));
     assert!(

@@ -1,11 +1,11 @@
-//! Steady-state zero-allocation test for `Engine::step()` and
-//! `Engine::step_bitset()`.
+//! Steady-state zero-allocation test for `Engine::step()` on both reach
+//! kernels.
 //!
 //! This file holds exactly one test so the counting global allocator sees
 //! no concurrent allocations from sibling tests. After a warmup that
-//! high-water-marks every scratch buffer (and, for the bitset tier, built
+//! high-water-marks every scratch buffer (and, for the row kernel, built
 //! the cached bitmask rows), stepping the engine must not touch the heap
-//! at all — on any canonical workload, in either zero-alloc tier, for a
+//! at all — on any canonical workload, with either kernel pinned, for a
 //! process that never idles and for one that promises naps, long enough
 //! that the engine rebuilds its due set inside the counted rounds — and
 //! under every built-in adversary on the workloads with unreliable edges.
@@ -101,14 +101,13 @@ fn steady_state_allocs<P: Process>(engine: &mut Engine<P>) -> u64 {
 fn step_is_allocation_free_in_steady_state() {
     for mode in [StepMode::Scalar, StepMode::Bitset] {
         for name in WORKLOADS {
-            // The pinned mode routes `run_rounds` through the tier under
-            // test; Bitset spawns also pre-build the bitmask rows,
-            // and the warmup would cover a lazy build anyway.
+            // The pinned mode makes `run_rounds` run the kernel under
+            // test; Bitset spawns also pre-build the bitmask rows.
             let mut engine = workload_engine_mode(name, mode);
             assert_eq!(
                 steady_state_allocs(&mut engine),
                 0,
-                "{name}: the {mode:?} tier allocated in steady state"
+                "{name}: the {mode:?} kernel allocated in steady state"
             );
             let mut napping = workload_builder(name, mode)
                 .spawn(|_| Napper::default())
@@ -116,7 +115,7 @@ fn step_is_allocation_free_in_steady_state() {
             assert_eq!(
                 steady_state_allocs(&mut napping),
                 0,
-                "{name}: the {mode:?} tier allocated around idle promises"
+                "{name}: the {mode:?} kernel allocated around idle promises"
             );
             let n = napping.net().n() as u64;
             let decides: u64 = napping.procs().iter().map(|p| p.decides).sum();
@@ -148,7 +147,7 @@ fn step_is_allocation_free_in_steady_state() {
                 assert_eq!(
                     steady_state_allocs(&mut engine),
                     0,
-                    "{name}/{kind:?}: the {mode:?} tier allocated in steady state"
+                    "{name}/{kind:?}: the {mode:?} kernel allocated in steady state"
                 );
             }
         }
