@@ -59,7 +59,7 @@
 //! JSONL are **byte-identical** to an uninterrupted run. A fingerprint
 //! mismatch (the spec changed) is refused. Checkpointed, sharded and
 //! served slices run the same executor as plain `--stream` — one shared
-//! build per run of deterministic-topology units, fused cells — through
+//! build per run of deterministic-topology units — through
 //! [`radio_bench::checkpoint::run_slice_checkpointed`], and set up a
 //! resume through [`radio_bench::checkpoint::resume_or_start`].
 //!

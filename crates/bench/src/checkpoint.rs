@@ -560,7 +560,7 @@ pub struct SliceJob<'a> {
 /// completion the checkpoint file is consumed (deleted).
 ///
 /// Execution is the sweep executor every `--stream` run uses — the same
-/// index-ordered windows, shared deterministic builds and fused cells —
+/// index-ordered windows and shared deterministic builds —
 /// so the record stream is identical to
 /// [`crate::scenario::run_spec_streaming_range`] over the same indices by
 /// construction, and resumed and sharded output is byte-identical to the
@@ -786,7 +786,12 @@ pub fn merge_partials(partials: Vec<ShardPartial>) -> io::Result<MergedSweep> {
             parts.len()
         )));
     }
-    let total = first.spec.grid_size() as u64;
+    let total = first.spec.checked_grid_size().ok_or_else(|| {
+        invalid(format!(
+            "spec {}: the grid product overflows",
+            first.spec.id
+        ))
+    })? as u64;
     let mut expected_start = 0u64;
     for (i, p) in parts.iter().enumerate() {
         if p.fingerprint != first.fingerprint || p.spec != first.spec {

@@ -7,8 +7,7 @@
 //! parallel sweeps bit-identical to the serial `for s in 0..trials` loop
 //! they replace — a property the determinism regression test pins down.
 //! [`run_trials_windowed`] is the windowed form with shared per-run
-//! context and fused spans; the scenario executor runs every sweep
-//! through it.
+//! context; the scenario executor runs every sweep through it.
 //!
 //! Parallelism is sized by the ambient [`rayon::ThreadPool`] when one is
 //! installed (see [`run_trials_in`]), falling back to `RAYON_NUM_THREADS`
@@ -18,7 +17,7 @@
 //! execution when no pool is installed (e.g. when profiling a trial).
 //!
 //! Runs of equal keys share one context, built on the run's first index
-//! (see [`run_trials_windowed`] for the window and fusion rules):
+//! (see [`run_trials_windowed`] for the window and run rules):
 //!
 //! ```
 //! use radio_bench::parallel::{run_trials, run_trials_windowed};
@@ -29,7 +28,6 @@
 //!     16,
 //!     |t| Some(t / 4),
 //!     |t| (t / 4) * (t / 4),
-//!     |_, _| None,
 //!     |ctx, t| ctx.copied().unwrap() + t,
 //!     |_, results| {
 //!         shared.extend(results);
@@ -85,9 +83,8 @@ where
     pool.install(|| run_trials(trials, f))
 }
 
-/// [`run_trials`] in index-ordered windows with shared per-run context
-/// and an optional fused fast path — the one windowed runner every sweep
-/// goes through.
+/// [`run_trials`] in index-ordered windows with shared per-run context —
+/// the one windowed runner every sweep goes through.
 ///
 /// * **Windows.** `range` executes as consecutive windows of at most
 ///   `chunk` indices; each window runs in parallel and hands its results,
@@ -103,28 +100,18 @@ where
 ///   build (their context is `None`). Runs never span a window: a run
 ///   crossing a boundary rebuilds in the next window, which keeps windows
 ///   self-contained, so resumed and sharded slices compose exactly.
-/// * **Fusion.** Every shared run of ≥ 2 trials is cut into up to
-///   [`rayon::current_num_threads`] contiguous spans of ≥ 2 trials each
-///   (one span at width 1), and `fuse(ctx, start..end)` is offered each
-///   span first. `Some(results)` (one result per index, in index order)
-///   replaces the per-trial calls for that span; `None` declines, and the
-///   span's trials run through `f` as before. Singleton and keyless
-///   trials never consult `fuse`.
 ///
-/// The contract: for any `key_of`/`build`/`fuse`, results must equal what
-/// the per-trial `f` would produce — sharing and fusion are execution
-/// strategies, never semantic ones, so results depend neither on the
-/// chunk size nor on the width that cut the spans.
+/// The contract: for any `key_of`/`build`, results must equal what the
+/// per-trial `f` would produce — sharing is an execution strategy, never
+/// a semantic one, so results do not depend on the chunk size.
 ///
 /// # Panics
 ///
-/// Panics if `chunk` is zero, the range is inverted, or a fused span
-/// returns the wrong number of results.
+/// Panics if `chunk` is zero or the range is inverted.
 ///
 /// # Examples
 ///
-/// Windows concatenate to the unwindowed sweep (keyless trials, no
-/// fusion):
+/// Windows concatenate to the unwindowed sweep (keyless trials):
 ///
 /// ```
 /// use radio_bench::parallel::{run_trials, run_trials_windowed};
@@ -134,7 +121,6 @@ where
 ///     3,
 ///     |_| None::<()>,
 ///     |_| (),
-///     |_, _| None,
 ///     |_, t| t * t,
 ///     |start, results| {
 ///         assert_eq!(start, streamed.len() as u64);
@@ -145,13 +131,11 @@ where
 /// .unwrap();
 /// assert_eq!(streamed, run_trials(10, |t| t * t));
 /// ```
-#[allow(clippy::too_many_arguments)] // the window/run/fusion knob union
-pub fn run_trials_windowed<K, C, R, E, KF, BF, FF, F, S>(
+pub fn run_trials_windowed<K, C, R, E, KF, BF, F, S>(
     range: std::ops::Range<u64>,
     chunk: u64,
     key_of: KF,
     build: BF,
-    fuse: FF,
     f: F,
     mut consume: S,
 ) -> Result<(), E>
@@ -161,7 +145,6 @@ where
     R: Send,
     KF: Fn(u64) -> Option<K>,
     BF: Fn(u64) -> C + Sync,
-    FF: Fn(&C, std::ops::Range<u64>) -> Option<Vec<R>> + Sync,
     F: Fn(Option<&C>, u64) -> R + Sync,
     S: FnMut(u64, Vec<R>) -> Result<(), E>,
 {
@@ -170,34 +153,19 @@ where
     let mut start = range.start;
     while start < range.end {
         let end = range.end.min(start.saturating_add(chunk));
-        let results = run_window(start..end, &key_of, &build, &fuse, &f);
+        let results = run_window(start..end, &key_of, &build, &f);
         consume(start, results)?;
         start = end;
     }
     Ok(())
 }
 
-/// Cuts `[start, end)` into `min(width, len / 2)` contiguous spans (at
-/// least one) whose lengths differ by at most one, so no span of a run of
-/// ≥ 2 trials is a singleton.
-fn split_run(start: u64, end: u64, width: usize) -> impl Iterator<Item = (u64, u64)> {
-    let len = end - start;
-    let parts = (width as u64).min(len / 2).max(1);
-    let (base, longer) = (len / parts, len % parts);
-    (0..parts).map(move |p| {
-        let lo = start + p * base + p.min(longer);
-        (lo, lo + base + u64::from(p < longer))
-    })
-}
-
-/// One window: group it into runs, build each shared run's context, offer
-/// each multi-trial shared run to `fuse` in width-sized spans, fan the rest
-/// out.
-fn run_window<K, C, R, KF, BF, FF, F>(
+/// One window: group it into runs, build each shared run's context, then
+/// fan every index out over its run's context.
+fn run_window<K, C, R, KF, BF, F>(
     window: std::ops::Range<u64>,
     key_of: &KF,
     build: &BF,
-    fuse: &FF,
     f: &F,
 ) -> Vec<R>
 where
@@ -206,7 +174,6 @@ where
     R: Send,
     KF: Fn(u64) -> Option<K>,
     BF: Fn(u64) -> C + Sync,
-    FF: Fn(&C, std::ops::Range<u64>) -> Option<Vec<R>> + Sync,
     F: Fn(Option<&C>, u64) -> R + Sync,
 {
     // Pass 1 (serial): split the window into maximal runs of equal Some
@@ -228,51 +195,24 @@ where
         .par_iter()
         .map(|&(start, _, shared)| shared.then(|| build(start)))
         .collect();
-    // Pass 3 (parallel across spans): each multi-trial shared run is cut
-    // into up to one span per worker, so a single giant run still uses
-    // every core. The pool deals spans to workers round-robin (nothing
-    // steals), so cutting every run the same way gives each worker a
-    // slice of every run. Shared spans of ≥ 2 trials are offered to
-    // `fuse`; everything else fans out per trial over the shared context.
-    // Single-trial runs (every keyless trial is one) stay whole.
-    let width = rayon::current_num_threads();
-    let spans: Vec<(usize, u64, u64)> = runs
+    // Pass 3 (parallel across the window's indices): one flat fan-out, so
+    // a single giant run still uses every core and no fan-out nests inside
+    // another. Each index reads its run's context.
+    let trials: Vec<(usize, u64)> = runs
         .iter()
         .enumerate()
-        .flat_map(|(r, &(start, end, _))| {
-            split_run(start, end, width).map(move |(lo, hi)| (r, lo, hi))
-        })
+        .flat_map(|(r, &(start, end, _))| (start..end).map(move |i| (r, i)))
         .collect();
-    let results: Vec<Vec<R>> = spans
+    trials
         .into_par_iter()
-        .map(|(r, start, end)| {
-            let ctx = &contexts[r];
-            if end - start >= 2 {
-                if let Some(ctx) = ctx.as_ref() {
-                    if let Some(results) = fuse(ctx, start..end) {
-                        assert_eq!(
-                            results.len(),
-                            (end - start) as usize,
-                            "fused span must return one result per trial"
-                        );
-                        return results;
-                    }
-                }
-            }
-            (start..end)
-                .into_par_iter()
-                .map(|i| f(ctx.as_ref(), i))
-                .collect()
-        })
-        .collect();
-    results.into_iter().flatten().collect()
+        .map(|(r, i)| f(contexts[r].as_ref(), i))
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::convert::Infallible;
-    use std::ops::Range;
 
     /// [`run_trials_windowed`] over `0..trials` with a collecting
     /// consumer: the results and each window's start, in arrival order.
@@ -281,7 +221,6 @@ mod tests {
         chunk: u64,
         key_of: impl Fn(u64) -> Option<K>,
         build: impl Fn(u64) -> C + Sync,
-        fuse: impl Fn(&C, Range<u64>) -> Option<Vec<R>> + Sync,
         f: impl Fn(Option<&C>, u64) -> R + Sync,
     ) -> (Vec<R>, Vec<u64>)
     where
@@ -290,7 +229,7 @@ mod tests {
         R: Send,
     {
         let (mut got, mut starts) = (Vec::new(), Vec::new());
-        let Ok(()) = run_trials_windowed(0..trials, chunk, key_of, build, fuse, f, |start, r| {
+        let Ok(()) = run_trials_windowed(0..trials, chunk, key_of, build, f, |start, r| {
             starts.push(start);
             got.extend(r);
             Ok::<(), Infallible>(())
@@ -298,14 +237,14 @@ mod tests {
         (got, starts)
     }
 
-    /// `windowed` in one window with a declining `fuse`: shared runs only.
+    /// `windowed` in one window: shared runs only.
     fn batched<K: PartialEq, C: Send + Sync, R: Send>(
         trials: u64,
         key_of: impl Fn(u64) -> Option<K>,
         build: impl Fn(u64) -> C + Sync,
         f: impl Fn(Option<&C>, u64) -> R + Sync,
     ) -> Vec<R> {
-        windowed(trials, trials.max(1), key_of, build, |_, _| None, f).0
+        windowed(trials, trials.max(1), key_of, build, f).0
     }
 
     #[test]
@@ -327,7 +266,7 @@ mod tests {
         let f = |_: Option<&()>, t: u64| t.wrapping_mul(0x9e37_79b9).rotate_left(7);
         let expect = run_trials(23, |t| f(None, t));
         for chunk in [1u64, 2, 3, 7, 22, 23, 24, 1000] {
-            let (got, starts) = windowed(23, chunk, |_| None::<()>, |_| (), |_, _| None, f);
+            let (got, starts) = windowed(23, chunk, |_| None::<()>, |_| (), f);
             assert_eq!(got, expect, "chunk = {chunk}");
             // Windows arrive in index order, each starting where the
             // previous ended.
@@ -343,7 +282,6 @@ mod tests {
             10,
             |_| None::<()>,
             |_| (),
-            |_, _| None,
             |_, t| t,
             |start, _| {
                 seen = start;
@@ -361,7 +299,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "chunk size must be positive")]
     fn chunked_rejects_zero_chunk() {
-        let _ = windowed(4, 0, |_| None::<()>, |_| (), |_, _| None, |_, t| t);
+        let _ = windowed(4, 0, |_| None::<()>, |_| (), |_, t| t);
     }
 
     #[test]
@@ -434,113 +372,20 @@ mod tests {
     }
 
     #[test]
-    fn fused_matches_unfused_and_skips_singletons() {
-        use std::sync::atomic::{AtomicU64, Ordering};
-        // Runs of 5, with trial 20 a keyless singleton in the middle.
-        let key_of = |t: u64| (t != 20).then_some(t / 5);
-        let build = |t: u64| t / 5;
-        let f = |ctx: Option<&u64>, t: u64| (ctx.copied(), t);
-        let expect = batched(31, key_of, build, f);
-        // A fuse that accepts every offered span. At width 1 every run is
-        // offered whole (wider pools cut runs; see the split test below).
-        let fused_spans = AtomicU64::new(0);
-        let (got, _) = ThreadPool::new(1).install(|| {
+    fn one_shared_run_fans_out_over_every_worker() {
+        // One build, then the run's trials are dealt across the pool, so
+        // a single giant run is not confined to one worker.
+        let (threads, _) = ThreadPool::new(2).install(|| {
             windowed(
-                31,
-                31,
-                key_of,
-                build,
-                |ctx, span| {
-                    fused_spans.fetch_add(1, Ordering::Relaxed);
-                    assert!(span.end - span.start >= 2, "singletons never fuse");
-                    Some(span.map(|t| (Some(*ctx), t)).collect())
-                },
-                f,
-            )
-        });
-        assert_eq!(got, expect);
-        // Runs: [0,5) [5,10) [10,15) [15,20) {20} [21,25) [25,30) [30,31).
-        // The keyless singleton and the final 1-trial run are never offered.
-        assert_eq!(fused_spans.load(Ordering::Relaxed), 6);
-        // A fuse that accepts only even-keyed spans mixes both paths.
-        let (got, _) = windowed(
-            31,
-            31,
-            key_of,
-            build,
-            |ctx, span| {
-                ctx.is_multiple_of(2)
-                    .then(|| span.map(|t| (Some(*ctx), t)).collect())
-            },
-            f,
-        );
-        assert_eq!(got, expect);
-        // A fuse that always declines is exactly the unfused sweep: every
-        // trial runs through `f` over its run's shared context.
-        let unfused: Vec<_> = (0..31).map(|t| (key_of(t).map(|_| build(t)), t)).collect();
-        assert_eq!(expect, unfused);
-    }
-
-    /// The spans one shared run of `trials` reaches `fuse` as on a pool of
-    /// `width` workers, in index order.
-    fn fused_spans(width: usize, trials: u64) -> Vec<Range<u64>> {
-        let spans = std::sync::Mutex::new(Vec::new());
-        let (got, _) = ThreadPool::new(width).install(|| {
-            windowed(
-                trials,
-                trials,
+                8,
+                8,
                 |_| Some(()),
                 |_| (),
-                |_, span| {
-                    spans.lock().unwrap().push(span.clone());
-                    Some(span.collect())
-                },
-                |_, t| t,
+                |_, _| std::thread::current().id(),
             )
         });
-        assert_eq!(got, (0..trials).collect::<Vec<_>>());
-        let mut spans = spans.into_inner().unwrap();
-        spans.sort_by_key(|span| span.start);
-        spans
-    }
-
-    #[test]
-    fn shared_runs_split_into_one_fused_span_per_worker() {
-        assert_eq!(fused_spans(2, 32), vec![0..16, 16..32]);
-        assert_eq!(fused_spans(1, 32), vec![0..32]);
-        assert_eq!(fused_spans(3, 7), vec![0..3, 3..5, 5..7]);
-        // Never a singleton: a run yields at most len / 2 spans.
-        assert_eq!(fused_spans(2, 3), vec![0..3]);
-        assert_eq!(fused_spans(8, 5), vec![0..3, 3..5]);
-    }
-
-    #[test]
-    #[should_panic(expected = "one result per trial")]
-    fn fused_span_must_cover_its_trials() {
-        let _ = windowed(
-            8,
-            8,
-            |t| Some(t / 4),
-            |t| t,
-            |_, _| Some(vec![0u64]), // wrong length
-            |_, t| t,
-        );
-    }
-
-    #[test]
-    fn fused_chunked_matches_unchunked_every_chunk_size() {
-        let key_of = |t: u64| (t / 7 != 1).then_some(t / 7); // run, gap, run
-        let build = |t: u64| t / 7;
-        let f = |ctx: Option<&u64>, t: u64| (ctx.copied(), t);
-        let fuse = |ctx: &u64, span: Range<u64>| {
-            ctx.is_multiple_of(2)
-                .then(|| span.map(|t| (Some(*ctx), t)).collect())
-        };
-        let expect = batched(23, key_of, build, f);
-        for chunk in [1u64, 2, 3, 5, 7, 8, 22, 23, 1000] {
-            let (got, _) = windowed(23, chunk, key_of, build, fuse, f);
-            assert_eq!(got, expect, "chunk = {chunk}");
-        }
+        let distinct: std::collections::HashSet<_> = threads.iter().collect();
+        assert_eq!(distinct.len(), 2, "{threads:?}");
     }
 
     #[test]
@@ -550,7 +395,7 @@ mod tests {
         let f = |ctx: Option<&u64>, t: u64| (ctx.copied(), t);
         let expect = batched(23, key_of, build, f);
         for chunk in [1u64, 2, 3, 5, 7, 8, 22, 23, 1000] {
-            let (got, starts) = windowed(23, chunk, key_of, build, |_, _| None, f);
+            let (got, starts) = windowed(23, chunk, key_of, build, f);
             assert_eq!(got, expect, "chunk = {chunk}");
             assert_eq!(starts, (0..23).step_by(chunk as usize).collect::<Vec<_>>());
         }

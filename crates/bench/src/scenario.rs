@@ -15,8 +15,8 @@
 //!
 //! Two execution modes share one planner and one executor (`run_windows`:
 //! index-ordered windows, one shared build per run of deterministic-net
-//! units, fused [`run_algo_batch`] cells), which the checkpointed and
-//! served slices of [`crate::checkpoint`] run too:
+//! units, one flat fan-out of each window's units), which the
+//! checkpointed and served slices of [`crate::checkpoint`] run too:
 //!
 //! * [`run_spec`] materializes everything — all units, all records — and
 //!   hands the [`ScenarioRun`] to [`render`]. Memory is O(grid).
@@ -56,7 +56,7 @@ use radio_baselines::{DecayBroadcast, NaiveCcdsConfig, RoundRobinBroadcast};
 use radio_sim::spec::{AdversaryKind, TopologyKind};
 use radio_sim::{EngineBuilder, IdAssignment, StopReason};
 use radio_structures::params::{ceil_log2, MisParams};
-use radio_structures::runner::{run_algo, run_algo_batch, AlgoKind, RunRecord};
+use radio_structures::runner::{run_algo, AlgoKind, RunRecord};
 use radio_structures::{CcdsConfig, TauConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -309,11 +309,24 @@ pub struct TrialUnit {
 impl ScenarioSpec {
     /// The grid product `topologies × adversaries × workloads × trials`,
     /// which is exactly `plan().len()`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the product overflows `usize`; specs from files are
+    /// refused before they run ([`ScenarioSpec::checked_grid_size`]).
     pub fn grid_size(&self) -> usize {
-        self.topologies.len()
-            * self.adversaries.len()
-            * self.workloads.len()
-            * usize::try_from(self.trials).unwrap_or(usize::MAX)
+        self.checked_grid_size()
+            .expect("the grid product overflows usize")
+    }
+
+    /// [`ScenarioSpec::grid_size`], or `None` when the product overflows
+    /// `usize` (or the trial count does not fit one).
+    pub fn checked_grid_size(&self) -> Option<usize> {
+        self.topologies
+            .len()
+            .checked_mul(self.adversaries.len())?
+            .checked_mul(self.workloads.len())?
+            .checked_mul(usize::try_from(self.trials).ok()?)
     }
 
     /// The planned unit at grid `index` — `plan()[index]` without
@@ -526,14 +539,12 @@ pub fn run_spec_streaming_range(
 ///
 /// Units that freeze the same network — consecutive trials of a
 /// deterministic topology under a net-building workload — share one built
-/// instance (adjacency *and* bitmask rows) per window; see `run_unit_with`
-/// for why the records are bit-identical to the build-per-trial sweep.
-/// Within a shared span, runs of ≥ 2 Core trials of one grid cell are
-/// additionally *fused* into a single [`run_algo_batch`] call, which
-/// builds the cell's ids and detectors once and steps each trial solo on
-/// them (`fuse_shared_units`) — still record-identical. Windows never
-/// share, so the record stream is the same at every chunk size, and
-/// consecutive ranges concatenate to the whole grid's.
+/// instance per window, with everything cached on it (bitmask rows, the
+/// 0-complete detector); see `run_unit_with` for why the records are
+/// bit-identical to the build-per-trial sweep. Every unit then runs on
+/// its own, in one flat fan-out over the window. Windows never share, so
+/// the record stream is the same at every chunk size, and consecutive
+/// ranges concatenate to the whole grid's.
 ///
 /// # Errors
 ///
@@ -560,11 +571,6 @@ pub(crate) fn run_windows<E>(
         chunk,
         |i| shared_net_key(spec, i),
         |i| build_shared_net(spec, i),
-        |shared, span| {
-            let units: Vec<TrialUnit> = span.map(|i| spec.unit_at(i)).collect();
-            fuse_shared_units(spec, shared, &units)
-                .map(|recs| units.into_iter().zip(recs).collect())
-        },
         |shared, i| {
             let unit = spec.unit_at(i);
             let recs = run_unit_with(spec, &unit, shared);
@@ -605,68 +611,6 @@ fn build_shared_net(spec: &ScenarioSpec, i: u64) -> Result<radio_sim::DualGraph,
         .kind
         .build_with(&mut rng)
         .map_err(|e| e.to_string())
-}
-
-/// Executes a span of consecutive shared-network units as a unit-for-unit
-/// replacement for per-unit [`run_unit_with`] calls, fusing each grid
-/// cell's run of ≥ 2 Core trials into one [`run_algo_batch`] call — which
-/// builds the per-network setup (ids, 0-complete detectors) once for the
-/// whole cell, then runs its trials one after another. Returns `None`
-/// (declining to fuse, so the caller falls back per unit) when the shared
-/// build failed; everything else executes here, with non-Core workloads
-/// and singleton cells routed through [`run_unit_with`] unchanged.
-///
-/// Record-stream equivalence rests on two invariants: [`run_algo_batch`]
-/// is bit-identical to per-trial [`run_algo`] whatever the batch size, and
-/// the fused detector stream — a fresh `det_seed`/`net_seed` stream per
-/// trial — is exactly what the per-unit Core arm derives, because the
-/// deterministic builds [`shared_net_key`] gates on draw nothing from the
-/// topology stream.
-fn fuse_shared_units(
-    spec: &ScenarioSpec,
-    shared: &Result<radio_sim::DualGraph, String>,
-    units: &[TrialUnit],
-) -> Option<Vec<Vec<RunRecord>>> {
-    let net = match shared {
-        Ok(net) => net,
-        // Failure records carry no engine work worth fusing; the per-unit
-        // path reports the identical error string for every trial.
-        Err(_) => return None,
-    };
-    let max_rounds = spec.max_rounds();
-    let mut out: Vec<Vec<RunRecord>> = Vec::with_capacity(units.len());
-    let mut idx = 0;
-    while idx < units.len() {
-        // One grid cell: consecutive units with the same workload and
-        // adversary coordinates (trial is the innermost grid digit, so a
-        // cell's trials are consecutive within the span).
-        let mut end = idx + 1;
-        while end < units.len()
-            && units[end].work == units[idx].work
-            && units[end].adv == units[idx].adv
-        {
-            end += 1;
-        }
-        let cell = &units[idx..end];
-        let adversary = spec.adversaries[cell[0].adv];
-        match &spec.workloads[cell[0].work].kind {
-            Workload::Core { algo } if cell.len() >= 2 => {
-                let seeds: Vec<u64> = cell.iter().map(|u| u.run_seed).collect();
-                let mut det_rngs: Vec<StdRng> = cell
-                    .iter()
-                    .map(|u| StdRng::seed_from_u64(u.det_seed.unwrap_or(u.net_seed)))
-                    .collect();
-                let recs = run_algo_batch(net, algo, adversary, &seeds, &mut det_rngs, max_rounds);
-                out.extend(recs.into_iter().map(|rec| vec![rec]));
-            }
-            _ => out.extend(
-                cell.iter()
-                    .map(|unit| run_unit_with(spec, unit, Some(shared))),
-            ),
-        }
-        idx = end;
-    }
-    Some(out)
 }
 
 /// Executes one trial unit, building its network privately: the
@@ -1515,12 +1459,12 @@ mod tests {
 
     #[test]
     fn fused_core_cells_match_private_builds() {
-        // A deterministic clique whose Core cells fuse into one
-        // `run_algo_batch` call each, with a τ-CCDS workload whose detector
-        // stream continues the topology stream (det_seed = None) — the
-        // subtle part of the fused det_rng derivation — plus a pinned
-        // det_seed variant. Fused records must equal the build-per-trial
-        // reference exactly.
+        // A deterministic clique whose Core cells run every trial on one
+        // shared build and its cached 0-complete detector, with a τ-CCDS
+        // workload whose detector stream continues the topology stream
+        // (det_seed = None) — the subtle part of the shared-net det_rng
+        // derivation — plus a pinned det_seed variant. The records must
+        // equal the build-per-trial reference exactly.
         let mut spec = tiny_spec();
         spec.topologies = vec![TopologyEntry::new(TopologyKind::Clique { n: 24 })];
         spec.trials = 4;

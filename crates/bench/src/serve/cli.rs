@@ -130,15 +130,16 @@ fn parse_args(
 /// Resolves inputs to specs for both the main lab path and `serve`:
 /// registry ids expand to built-ins, anything else reads as a
 /// ScenarioSpec JSON file whose adversary probabilities must pass
-/// [`radio_sim::spec::AdversaryKind::validate`] and whose topologies must
-/// pass [`radio_sim::spec::TopologyKind::validate`]. Everything resolves
-/// before anything runs.
+/// [`radio_sim::spec::AdversaryKind::validate`], whose topologies must
+/// pass [`radio_sim::spec::TopologyKind::validate`], and whose grid
+/// product must fit [`ScenarioSpec::checked_grid_size`]. Everything
+/// resolves before anything runs.
 ///
 /// # Errors
 ///
 /// A message naming the input: unreadable, not a ScenarioSpec, an
-/// out-of-range adversary probability, or a topology too large for the
-/// `u32` CSR.
+/// out-of-range adversary probability, a topology too large for the
+/// `u32` CSR, or a grid product that overflows.
 pub fn resolve_specs(inputs: &[String], quick: bool) -> Result<Vec<ScenarioSpec>, String> {
     let mut specs = Vec::new();
     for input in inputs {
@@ -159,6 +160,17 @@ pub fn resolve_specs(inputs: &[String], quick: bool) -> Result<Vec<ScenarioSpec>
                 .kind
                 .validate()
                 .map_err(|e| format!("{input}: {e}"))?;
+        }
+        if spec.checked_grid_size().is_none() {
+            return Err(format!(
+                "{input}: spec {}: the grid of {} topologies × {} adversaries × {} workloads × \
+                 {} trials overflows the unit count",
+                spec.id,
+                spec.topologies.len(),
+                spec.adversaries.len(),
+                spec.workloads.len(),
+                spec.trials
+            ));
         }
         specs.push(spec);
     }

@@ -25,8 +25,8 @@
 
 use super::fault::{FaultAction, FaultEvent, FaultPlan};
 use super::spool::{
-    heartbeat_and_fence, list_specs, release_claim, scan_spec, try_acquire_claim, Claim, FailNote,
-    ShardState, SpecDir, SpecPhase, SpoolManifest,
+    attempt_superseded, heartbeat_and_fence, list_specs, release_claim, scan_spec,
+    try_acquire_claim, Claim, FailNote, ShardState, SpecDir, SpecPhase, SpoolManifest,
 };
 use crate::checkpoint::{
     resume_or_start, run_slice_checkpointed, shard_range, spec_fingerprint, ShardPartial, ShardRef,
@@ -133,33 +133,44 @@ pub fn run_worker(cfg: &WorkerConfig) -> io::Result<WorkerReport> {
 /// given attempt, so racing workers can't both run (and stomp) the
 /// shard's shared checkpoint and record log. Losing the race is fine:
 /// the next scan sees the winner's claim.
+///
+/// The scan may be stale: the attempt it names can have run, published
+/// (or failed) and released its claim since, leaving the claim path free.
+/// So a won claim counts only if no later state supersedes it
+/// ([`attempt_superseded`]) and the attempt left no failure marker;
+/// otherwise it is released and the next shard tried, before anything
+/// touches the shard's checkpoint or log.
 fn try_lease(
     sd: &SpecDir,
     scan: &super::spool::SpecScan,
     worker_id: &str,
 ) -> io::Result<Option<(u64, Claim)>> {
     for view in &scan.shards {
-        match &view.state {
-            ShardState::Open { next_attempt, .. } => {
-                let claim = Claim::new(worker_id, *next_attempt);
-                if try_acquire_claim(&sd.claim_path(view.index, *next_attempt), &claim)? {
-                    return Ok(Some((view.index, claim)));
-                }
-            }
-            ShardState::Expired { owner, attempt, .. } => {
-                let claim = Claim::new(worker_id, attempt + 1);
-                if try_acquire_claim(&sd.claim_path(view.index, attempt + 1), &claim)? {
-                    eprintln!(
-                        "[{worker_id}] taking over shard {} of {} (lease of {owner} attempt \
-                         {attempt} expired)",
-                        view.index,
-                        sd.name()
-                    );
-                    return Ok(Some((view.index, claim)));
-                }
-            }
-            _ => {}
+        let (attempt, takeover) = match &view.state {
+            ShardState::Open { next_attempt, .. } => (*next_attempt, None),
+            ShardState::Expired { owner, attempt, .. } => (attempt + 1, Some((owner, attempt))),
+            _ => continue,
+        };
+        let claim = Claim::new(worker_id, attempt);
+        let path = sd.claim_path(view.index, attempt);
+        if !try_acquire_claim(&path, &claim)? {
+            continue;
         }
+        if attempt_superseded(sd, view.index, attempt)?
+            || sd.fail_path(view.index, attempt).is_file()
+        {
+            release_claim(&path)?;
+            continue;
+        }
+        if let Some((owner, stale)) = takeover {
+            eprintln!(
+                "[{worker_id}] taking over shard {} of {} (lease of {owner} attempt {stale} \
+                 expired)",
+                view.index,
+                sd.name()
+            );
+        }
+        return Ok(Some((view.index, claim)));
     }
     Ok(None)
 }
@@ -435,5 +446,82 @@ fn fire_faults(
                 trip.arm();
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::scenario::{
+        NestOrder, RenderKind, SeedPolicy, StopCondition, TopologyEntry, WorkloadEntry,
+    };
+    use crate::serve::spool::{submit_spec, SubmitConfig};
+    use radio_sim::spec::{AdversaryKind, TopologyKind};
+    use radio_structures::runner::AlgoKind;
+
+    #[test]
+    fn a_stale_scan_never_reruns_a_concluded_attempt() {
+        let spool = std::env::temp_dir().join(format!("radio_worker_stale_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&spool);
+        let spec = ScenarioSpec {
+            id: "STALE".to_string(),
+            caption: "stale scan".to_string(),
+            render: RenderKind::Aggregate,
+            topologies: vec![TopologyEntry::new(TopologyKind::Clique { n: 5 })],
+            adversaries: vec![AdversaryKind::ReliableOnly],
+            workloads: vec![WorkloadEntry::core(AlgoKind::Mis)],
+            trials: 4,
+            nest: NestOrder::TopologyMajor,
+            seeds: SeedPolicy {
+                net_base: 7,
+                run_base: 2,
+            },
+            stop: StopCondition::Default,
+            aggregate: None,
+        };
+        let submit = SubmitConfig {
+            shards: 2,
+            chunk: 1,
+            lease_ms: 60_000,
+            max_retries: 3,
+            backoff_ms: 50,
+            records: true,
+        };
+        let sd = submit_spec(&spool, 0, &spec, &submit).expect("submits");
+        let manifest = sd.load_manifest().expect("manifest loads");
+        // Both shards open at attempt 0.
+        let stale = scan_spec(&sd, &manifest, SystemTime::now()).expect("scans");
+        let cfg = WorkerConfig {
+            spool: spool.clone(),
+            worker_id: "wA".to_string(),
+            poll_ms: 1,
+            threads: Some(1),
+            fault_plan: None,
+        };
+        let (shard, claim) = try_lease(&sd, &stale, "wA").expect("leases").unwrap();
+        assert_eq!((shard, claim.attempt), (0, 0));
+        let outcome = run_shard(&cfg, &sd, &manifest, shard, claim, None).expect("runs");
+        assert!(matches!(outcome, ShardOutcome::Published));
+        assert!(
+            !sd.claim_path(0, 0).exists(),
+            "publishing releases the claim"
+        );
+        let log = std::fs::read(sd.jsonl_path(0)).expect("published log");
+        assert!(!log.is_empty());
+        // A second worker still holds the scan from before that lease:
+        // shard 0 open at attempt 0, whose claim path is free again. It
+        // must pass over the published shard and lease shard 1.
+        let (shard, claim) = try_lease(&sd, &stale, "wB").expect("leases").unwrap();
+        assert_eq!((shard, claim.attempt), (1, 0));
+        assert!(!sd.claim_path(0, 0).exists(), "the won claim is released");
+        assert_eq!(std::fs::read(sd.jsonl_path(0)).expect("log"), log);
+        // Shard 1's attempt 0 fails: its marker lands and its claim is
+        // released. A third worker with the same scan must start neither
+        // shard, since that attempt number is spent on both.
+        std::fs::write(sd.fail_path(1, 0), "{}").expect("marker writes");
+        release_claim(&sd.claim_path(1, 0)).expect("releases");
+        assert!(try_lease(&sd, &stale, "wC").expect("scans").is_none());
+        assert!(!sd.claim_path(1, 0).exists(), "the won claim is released");
+        let _ = std::fs::remove_dir_all(&spool);
     }
 }

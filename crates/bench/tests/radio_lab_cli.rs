@@ -6,9 +6,10 @@
 //! byte-identically (torn `--records` tails truncated with a warning,
 //! changed-spec fingerprints refused), and a sharded sweep merges
 //! byte-identically to the single-process run. The spec opens with a
-//! deterministic clique, whose trials share one build and run as fused
-//! cells, so those cells cross the chunk boundaries of every streamed,
-//! resumed and sharded run here.
+//! deterministic clique, whose trials share one build and its cached
+//! detector, so those shared runs cross the chunk boundaries of every
+//! streamed, resumed and sharded run here. Specs whose grid product
+//! overflows are refused before any unit runs.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -539,6 +540,47 @@ fn topologies_past_the_u32_csr_exit_2_before_any_build() {
     );
     assert!(out.stdout.is_empty(), "no unit may run");
     assert!(!dir.join("big.out.json").exists(), "no report");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn grid_products_past_usize_exit_2_before_any_unit_runs() {
+    // Unchecked, 2 · 2^63 units wraps to 0 and 3 · 6 148 914 691 236 517 206
+    // to 2: a sweep that reports success over a grid it never ran.
+    let dir = scratch("biggrid");
+    let two_topologies = SPEC.replace(
+        ",\n    { \"kind\": { \"GeometricDense\": { \"n\": 20 } }, \"seed\": null }",
+        "",
+    );
+    assert_ne!(two_topologies, SPEC, "the last topology was dropped");
+    for (spec, trials) in [
+        (two_topologies.as_str(), "9223372036854775808"),
+        (SPEC, "6148914691236517206"),
+    ] {
+        let spec = spec.replace(r#""trials": 3"#, &format!(r#""trials": {trials}"#));
+        std::fs::write(dir.join("huge.json"), spec).expect("spec writes");
+        let out = lab(
+            &[
+                "huge.json",
+                "--stream",
+                "--csv",
+                "huge.csv",
+                "--out",
+                "huge.out.json",
+            ],
+            &dir,
+        );
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "trials = {trials}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{stderr}");
+        assert!(
+            stderr.contains("huge.json") && stderr.contains("CLI-STREAM"),
+            "the refusal must name the spec: {stderr}"
+        );
+        assert!(out.stdout.is_empty(), "no unit may run");
+        assert!(!dir.join("huge.csv").exists(), "no table");
+        assert!(!dir.join("huge.out.json").exists(), "no report");
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -9,10 +9,10 @@
 //! CSV/JSONL artifacts, exit code 3.
 //!
 //! The spec opens with a deterministic clique, whose trials share one
-//! build and run as fused cells of two under `--chunk 2`. The reference
-//! streams at chunk 1, where nothing fuses, so every serve run below
-//! diffs fused cells, split across chunk and attempt boundaries, against
-//! unfused ones.
+//! build and its cached detector in runs of two under `--chunk 2`. The
+//! reference streams at chunk 1, where nothing is shared, so every serve
+//! run below diffs shared runs, split across chunk and attempt
+//! boundaries, against private builds.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;

@@ -149,6 +149,7 @@ pub fn run_backbone_flood(
     assert!(source < n, "source out of range");
     let mut engine = radio_sim::EngineBuilder::new(net.clone())
         .seed(seed)
+        .detector(net.zero_complete_detector().clone())
         .adversary(adversary.build(seed ^ 0xb0b))
         .spawn(|info| {
             let v = info.node.index();

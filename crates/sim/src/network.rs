@@ -23,8 +23,10 @@
 //! the same or adjacent cells of a unit [`crate::geometry`] cell grid can be
 //! within distance 1, and each `E'` edge's length is read once.
 
+use crate::detector::LinkDetectorAssignment;
 use crate::geometry::{CellGrid, Point};
 use crate::graph::{BitRows, CsrFill, CsrGraph, Graph};
+use crate::ids::IdAssignment;
 use std::sync::{Arc, OnceLock};
 
 /// Errors from constructing or validating a [`DualGraph`].
@@ -157,6 +159,9 @@ struct FrozenNet {
     /// engine reads the adversary's unreliable picks along the
     /// broadcasters' unreliable rows.
     bit_g: OnceLock<BitRows>,
+    /// The 0-complete detector under the identity ids, which depends on
+    /// `G` alone. Built on first use, like `bit_g`.
+    zero_complete: OnceLock<LinkDetectorAssignment>,
 }
 
 /// Freezes a builder into its CSR form and drops the builder.
@@ -210,6 +215,7 @@ impl DualGraph {
                 unreliable_list,
                 unreliable_ids,
                 bit_g: OnceLock::new(),
+                zero_complete: OnceLock::new(),
             }),
         }
     }
@@ -311,6 +317,7 @@ impl DualGraph {
                 unreliable_list,
                 unreliable_ids,
                 bit_g: OnceLock::new(),
+                zero_complete: OnceLock::new(),
             }),
         })
     }
@@ -384,6 +391,18 @@ impl DualGraph {
         self.frozen
             .bit_g
             .get_or_init(|| BitRows::from_csr(&self.frozen.g))
+    }
+
+    /// The 0-complete link detector under the identity id assignment:
+    /// node `u` sees exactly the ids of its `G`-neighbours. Built on first
+    /// call and cached on the frozen network like
+    /// [`DualGraph::g_bit_rows`], so every clone of this handle shares the
+    /// one build. Other id assignments build their own with
+    /// [`LinkDetectorAssignment::zero_complete`].
+    pub fn zero_complete_detector(&self) -> &LinkDetectorAssignment {
+        self.frozen.zero_complete.get_or_init(|| {
+            LinkDetectorAssignment::zero_complete(self, &IdAssignment::identity(self.n()))
+        })
     }
 
     /// The unreliable edges as a precomputed flat list of pairs `u < v`,
@@ -588,6 +607,21 @@ mod tests {
         assert_eq!(rows.row(0)[0] >> 4 & 1, 0);
         // Repeated calls return the same cached build.
         assert!(std::ptr::eq(net.g_bit_rows(), rows));
+    }
+
+    #[test]
+    fn zero_complete_detector_lazily_built_and_shared() {
+        let g = path(5);
+        let mut gp = g.clone();
+        gp.add_edge(0, 4);
+        let net = DualGraph::new(g, gp).unwrap();
+        let twin = net.clone();
+        let det = net.zero_complete_detector();
+        let ids = IdAssignment::identity(5);
+        assert_eq!(det, &LinkDetectorAssignment::zero_complete(&net, &ids));
+        // Every clone reads the one cached build.
+        assert!(std::ptr::eq(twin.zero_complete_detector(), det));
+        assert!(std::ptr::eq(net.zero_complete_detector(), det));
     }
 
     #[test]

@@ -272,9 +272,9 @@ proptest! {
         use rand::rngs::StdRng;
         use rand::{RngCore, SeedableRng};
         // `is_deterministic()` is what lets the scenario layer share one
-        // topology build across trials (and fuse whole cells into one
-        // `run_algo_batch` call) while reconstructing each trial's
-        // detector RNG from the seed alone: a deterministic kind must
+        // topology build, and the 0-complete detector cached on it, across
+        // trials while reconstructing each trial's detector RNG from the
+        // seed alone: a deterministic kind must
         // leave the topology RNG stream exactly where it found it — even
         // when the build fails validation.
         let pool = [
@@ -339,13 +339,13 @@ proptest! {
         let ctx_of = move |i: u64| (i / width).wrapping_mul(salt | 1);
         let f = move |ctx: Option<&u64>, i: u64| ctx.copied().unwrap_or_else(|| ctx_of(i)) ^ i;
         let expect = radio_bench::run_trials(trials, move |i| ctx_of(i) ^ i);
-        // One window with a declining `fuse` is the plain shared-run
-        // sweep; the windowed form concatenates to the same stream at any
-        // chunk size (runs never span a window).
+        // One window is the plain shared-run sweep; the windowed form
+        // concatenates to the same stream at any chunk size (runs never
+        // span a window).
         for chunk in [trials.max(1), chunk] {
             let mut streamed = Vec::new();
             radio_bench::parallel::run_trials_windowed(
-                0..trials, chunk, key_of, ctx_of, |_, _| None, f,
+                0..trials, chunk, key_of, ctx_of, f,
                 |start, results| {
                     prop_assert_eq!(start, streamed.len() as u64);
                     streamed.extend(results);

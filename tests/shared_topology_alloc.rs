@@ -1,22 +1,24 @@
 //! Spawn-cost test for engines that share one topology.
 //!
 //! This file holds exactly one test so the byte-counting global allocator
-//! sees no concurrent allocations from sibling tests. A trial batch spawns
-//! one engine per trial from clones of one network and one detector; the
-//! clones must be handles on the frozen per-topology state, so a further
-//! engine pays only for its own per-node state (processes, RNGs, scratch),
-//! never for another copy of the adjacency, the bitmask rows or the
-//! detector sets. The builds themselves are bounded too: a clique's rows
-//! are written straight into its one frozen CSR layer, with no builder
-//! rows beside them even while it builds, and a detector's frozen sets are
-//! one flat id array plus membership rows, not a tree per node.
-//! And a multi-trial `run_algo_batch` call keeps one engine alive at a
-//! time: its peak of live bytes does not grow with the trial count.
+//! sees no concurrent allocations from sibling tests. Trials on one shared
+//! network spawn one engine each from clones of the network and of the
+//! 0-complete detector cached on it; the clones must be handles on the
+//! frozen per-topology state, so a further engine pays only for its own
+//! per-node state (processes, RNGs, scratch), never for another copy of
+//! the adjacency, the bitmask rows or the detector sets. The builds
+//! themselves are bounded too: a clique's rows are written straight into
+//! its one frozen CSR layer, with no builder rows beside them even while
+//! it builds, and a detector's frozen sets are one flat id array plus
+//! membership rows, not a tree per node. A second `run_algo` on the same
+//! network reads the cached detector instead of building another, and a
+//! multi-trial `run_algo_batch` call keeps one engine alive at a time:
+//! its peak of live bytes does not grow with the trial count.
 
 use radio_sim::spec::{AdversaryKind, TopologyKind};
 use radio_sim::{EngineBuilder, IdAssignment, LinkDetectorAssignment};
 use radio_structures::params::MisParams;
-use radio_structures::runner::{run_algo_batch, AlgoKind};
+use radio_structures::runner::{run_algo, run_algo_batch, AlgoKind};
 use radio_structures::Mis;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -115,7 +117,10 @@ fn engines_spawned_from_shared_clones_copy_no_topology() {
         "a clique-{N} network retains {net_bytes} B"
     );
     let ids = IdAssignment::identity(N);
-    let (detector_bytes, det) = bytes_of(|| LinkDetectorAssignment::zero_complete(&net, &ids));
+    // Build the detector cached on the network here, so that no later
+    // measurement pays for it.
+    let (detector_bytes, det) = bytes_of(|| net.zero_complete_detector().clone());
+    assert_eq!(det, LinkDetectorAssignment::zero_complete(&net, &ids));
     // The budget is tight enough to catch a deep copy: building the
     // detector's sets alone exceeds it.
     assert!(
@@ -150,8 +155,23 @@ fn engines_spawned_from_shared_clones_copy_no_topology() {
         second.net().g_bit_rows()
     ));
 
-    // A fused cell spawns, runs and records each trial before the next
-    // one spawns, so eight trials peak no higher than one trial plus the
+    // A trial on the same network reads its cached detector: it
+    // allocates its engine and record, never another detector.
+    let trial = |seed: u64| {
+        let mut det_rng = StdRng::seed_from_u64(seed);
+        let adversary = AdversaryKind::Random { p: 0.5 };
+        run_algo(&net, &AlgoKind::Mis, adversary, seed, &mut det_rng, Some(8))
+    };
+    trial(1);
+    let (trial_bytes, _) = bytes_of(|| trial(2));
+    assert!(
+        trial_bytes < detector_bytes,
+        "a second run_algo allocated {trial_bytes} B; one detector build takes \
+         {detector_bytes} B"
+    );
+
+    // A batch spawns, runs and records each trial before the next one
+    // spawns, so eight trials peak no higher than one trial plus the
     // extra records — well under one more engine's spawn bytes.
     let cell_peak = |trials: u64| {
         peak_of(|| {
