@@ -60,6 +60,9 @@ impl MisMsg {
 
 /// The MIS state machine, independent of the wire message type so the CCDS
 /// algorithm (whose message enum embeds [`MisMsg`]) can drive it directly.
+/// [`MisCore::next_step`] and [`MisCore::ignores`] say which calls a
+/// wrapper may skip: the rounds its `step` is moot and the messages its
+/// `on_message` would drop.
 ///
 /// Standalone use goes through [`Mis`], the [`Process`] wrapper.
 #[derive(Debug, Clone)]
@@ -181,7 +184,8 @@ impl MisCore {
 
     /// The first `r0` at which [`MisCore::step`] must run again
     /// (`u64::MAX` for never). Before it, every `step` would return
-    /// `None`, draw no randomness and leave the protocol state alone, and
+    /// `None`, draw no randomness and leave the protocol state alone (it
+    /// notes its `r0`, which leaves this function's answer as it is), and
     /// a silent round changes nothing either. Members and active processes
     /// must step next round. Covered processes and processes past the
     /// schedule never broadcast again. A knocked-out process only wakes at
@@ -198,6 +202,19 @@ impl MisCore {
             u64::MAX
         } else {
             (r0 / self.epoch_len + 1) * self.epoch_len
+        }
+    }
+
+    /// Whether [`MisCore::on_message`] would leave the state as it is,
+    /// whatever the detector set: a contender changes nothing unless it
+    /// knocks out an active non-member, and an announcement changes nothing
+    /// once the output is decided and the sender is already in `M_u`. A
+    /// covered process must still record each new announcer, since the
+    /// CCDS search stage reads [`MisCore::mis_set`].
+    pub fn ignores(&self, msg: &MisMsg) -> bool {
+        match *msg {
+            MisMsg::Contender { .. } => !self.active || self.in_mis,
+            MisMsg::Announce { from } => self.output.is_some() && self.mis_set.contains(&from),
         }
     }
 
@@ -259,6 +276,13 @@ impl MisCore {
 }
 
 /// The standalone MIS algorithm as an engine [`Process`].
+///
+/// It makes idle promises (see [`Process`]'s *Idle promises*): a
+/// knocked-out process sleeps until the next epoch and a covered one for
+/// good ([`MisCore::next_step`]), and while asleep it ignores the messages
+/// that would change nothing, contenders and announcements from members it
+/// already knows ([`MisCore::ignores`]). So on `Engine::step` a covered
+/// process gets no call while its members keep announcing.
 ///
 /// # Examples
 ///
@@ -333,6 +357,12 @@ impl Process for Mis {
     /// [`MisCore::next_step`]); local rounds count from 1.
     fn idle_until(&self) -> u64 {
         self.core.next_step().saturating_add(1)
+    }
+
+    /// Sleeping processes skip the messages that change nothing (see
+    /// [`MisCore::ignores`]).
+    fn ignores(&self, msg: &Self::Msg) -> bool {
+        self.core.ignores(msg.body())
     }
 }
 

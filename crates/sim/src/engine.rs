@@ -109,15 +109,18 @@
 //! keeps one `skip_until` entry per node, the promise as a global round
 //! (`local + wake − 1`, saturating), and re-reads it after every `decide`
 //! and `receive` call. While `r < skip_until[v]`, the decide phase skips
-//! node `v`, and the receive loop skips it when it hears `⊥` — after
-//! the delivery and collision counters are updated, so a message always
-//! reaches its listener. The Section 4 MIS promises for knocked-out and
-//! covered nodes, which on a clique are nearly all of them. Every promise
-//! line sits behind `if P::IDLES`, so it compiles out for processes that
-//! keep the default. `step_legacy` ignores promises and stays the oracle;
-//! it and `procs_mut` reset every entry to 0, so the next production round
-//! calls every awake `decide` again and mixing `step` and `step_legacy` on
-//! one engine stays exact.
+//! node `v`, and the receive loop skips it when it hears `⊥` or a message
+//! it promises to ignore ([`Process::ignores`]) — after the delivery and
+//! collision counters are updated, so the counts are as before and any
+//! other message reaches its listener. The Section 4 MIS promises for
+//! knocked-out and covered nodes, which on a clique are nearly all of
+//! them, and a covered node ignores contenders and the announcers it
+//! already knows. Every promise line sits behind `if P::IDLES`, so it
+//! compiles out for processes that keep the default. `step_legacy` ignores
+//! promises and calls every `receive`, so it stays the oracle; it and
+//! `procs_mut` reset every entry to 0, so the next production round calls
+//! every awake `decide` again and mixing `step` and `step_legacy` on one
+//! engine stays exact.
 //!
 //! **Sparse rounds.** With promises, a production round costs what happens
 //! in it: a quiet round is `O(⌈n/64⌉)` word operations, not three `O(n)`
@@ -138,7 +141,8 @@
 //!   it decided this round and its promise still lets it hear `⊥` (the
 //!   decide phase records that in `bit_listen`). The receive loop walks
 //!   `bit_seen | bit_listen` and counts deliveries and collisions over the
-//!   same listeners as before.
+//!   same listeners as before; a reached listener inside its promise is
+//!   then called unless it promises to ignore the message.
 //! * *First outputs.* Outputs change only inside a process's own calls or
 //!   through `procs_mut` (see [`Process`]), so the engine records
 //!   `decided_round` right after each call, and `finish_round` scans every
@@ -748,7 +752,8 @@ impl<P: Process> Engine<P> {
         // collision counted, seen => the recorded source's message, neither
         // => silence. Sleeping nodes neither broadcast nor receive. The loop
         // visits every node of each word, or, for a promising process, only
-        // the reached and ⊥-hearing listeners.
+        // the reached and ⊥-hearing listeners, and skips a listener inside
+        // its promise that hears ⊥ or a message it ignores.
         let mut deliveries = 0u32;
         let mut collisions = 0u32;
         // lint: rng-order(receive)
@@ -775,7 +780,11 @@ impl<P: Process> Engine<P> {
                 } else {
                     None
                 };
-                if P::IDLES && delivered.is_none() && r < self.skip_until[v] {
+                let msg = delivered.and_then(|u| self.scratch.msgs[u].as_ref());
+                if P::IDLES
+                    && r < self.skip_until[v]
+                    && msg.is_none_or(|m| self.procs[v].ignores(m))
+                {
                     continue;
                 }
                 let det = detector_set(&self.static_det, self.detectors.as_ref(), v, r);
@@ -786,7 +795,6 @@ impl<P: Process> Engine<P> {
                     detector: det,
                     rng: &mut self.rngs[v],
                 };
-                let msg = delivered.and_then(|u| self.scratch.msgs[u].as_ref());
                 self.procs[v].receive(&mut ctx, msg);
                 if P::IDLES {
                     self.after_call(v, r);
@@ -1668,10 +1676,23 @@ mod tests {
         DualGraph::new(g, Graph::complete(70)).unwrap()
     }
 
+    /// How a [`Napper`] keeps its promises.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    enum Lie {
+        /// Keeps them.
+        #[default]
+        Honest,
+        /// Broadcasts inside its naps.
+        Broadcasts,
+        /// Claims to ignore the odd senders' messages, which wake it.
+        Ignores,
+    }
+
     /// Broadcasts its id with probability 0.3 when it decides, then
     /// promises a nap of 0–5 rounds drawn from its own RNG (0 promises
-    /// nothing). A message ends the nap. Counts the calls its promises let
-    /// the engine skip, and whether a woken nap's next `decide` came on
+    /// nothing). Inside a nap it ignores messages from even sender ids,
+    /// and any other message ends the nap. Counts the calls its promises
+    /// let the engine skip, and whether a woken nap's next `decide` came on
     /// time.
     #[derive(Default)]
     struct Napper {
@@ -1679,14 +1700,15 @@ mod tests {
         wake_at: u64,
         /// A message cut the current nap short.
         woken: bool,
-        /// Broadcast inside naps, breaking the promise.
-        liar: bool,
+        lie: Lie,
         decides: u64,
         /// `decide` calls inside a promised nap.
         nap_decides: u64,
         /// `receive(None)` calls inside a promised nap.
         nap_silences: u64,
-        /// Messages that arrived inside a promised nap.
+        /// `receive` calls inside a promised nap with a message it ignores.
+        nap_ignored: u64,
+        /// Messages that arrived inside a promised nap and woke it.
         nap_messages: u64,
         /// Woken naps whose next `decide` came after `wake_at`.
         late_wakes: u64,
@@ -1705,7 +1727,7 @@ mod tests {
             }
             if ctx.local_round < self.wake_at {
                 self.nap_decides += 1;
-                return if self.liar {
+                return if self.lie == Lie::Broadcasts {
                     Action::Broadcast(ctx.my_id.get())
                 } else {
                     Action::Idle
@@ -1722,6 +1744,7 @@ mod tests {
         fn receive(&mut self, ctx: &mut Context<'_>, msg: Option<&u32>) {
             let napping = ctx.local_round < self.wake_at;
             match msg {
+                Some(&m) if napping && m.is_multiple_of(2) => self.nap_ignored += 1,
                 Some(&m) => {
                     self.heard.push((ctx.local_round, m));
                     if napping {
@@ -1741,6 +1764,10 @@ mod tests {
         fn idle_until(&self) -> u64 {
             self.wake_at
         }
+
+        fn ignores(&self, &m: &u32) -> bool {
+            m.is_multiple_of(2) != (self.lie == Lie::Ignores)
+        }
     }
 
     /// The reach kernels of the production step, each pinned at spawn.
@@ -1750,7 +1777,7 @@ mod tests {
 
     /// Napper engine over the circulant net with the `mode` kernel; node
     /// `v` wakes at round `1 + v % 5`, so local and global rounds differ.
-    fn napper_engine(liar: bool, mode: StepMode) -> Engine<Napper> {
+    fn napper_engine(lie: Lie, mode: StepMode) -> Engine<Napper> {
         EngineBuilder::new(circulant_net())
             .seed(9)
             .step_mode(mode)
@@ -1758,7 +1785,7 @@ mod tests {
             .wake_rounds((0..70).map(|v| 1 + v % 5).collect())
             .record_trace(true)
             .spawn(|_| Napper {
-                liar,
+                lie,
                 ..Napper::default()
             })
             .unwrap()
@@ -1771,7 +1798,7 @@ mod tests {
     #[test]
     fn production_tiers_skip_only_promised_naps() {
         let run = |mode, step: Tier| {
-            let mut e = napper_engine(false, mode);
+            let mut e = napper_engine(Lie::Honest, mode);
             for _ in 0..200 {
                 step(&mut e);
             }
@@ -1781,10 +1808,12 @@ mod tests {
         // The oracle ignores promises, so it calls into naps.
         assert!(total(&legacy, |p| p.nap_decides) > 0);
         assert!(total(&legacy, |p| p.nap_silences) > 0);
+        assert!(total(&legacy, |p| p.nap_ignored) > 0);
         for mode in KERNELS {
             let e = run(mode, Engine::step);
             assert_eq!(total(&e, |p| p.nap_decides), 0, "decide inside a nap");
             assert_eq!(total(&e, |p| p.nap_silences), 0, "⊥ inside a nap");
+            assert_eq!(total(&e, |p| p.nap_ignored), 0, "ignored message in a nap");
             assert_eq!(total(&e, |p| p.late_wakes), 0, "a message did not wake");
             assert!(total(&e, |p| p.nap_messages) > 0, "no message hit a nap");
             assert_eq!(e.trace(), legacy.trace());
@@ -1797,18 +1826,21 @@ mod tests {
 
     #[test]
     fn a_false_promise_diverges_from_the_oracle() {
-        // A liar broadcasts inside its naps. Both kernels' step trusts the
-        // promise and skips those decides; the oracle calls them.
-        let trace = |mode, step: Tier| {
-            let mut e = napper_engine(true, mode);
+        // One liar broadcasts inside its naps, another claims to ignore the
+        // messages that wake it. Both kernels' step trusts the promise and
+        // skips those calls; the oracle makes them.
+        let trace = |lie, mode, step: Tier| {
+            let mut e = napper_engine(lie, mode);
             for _ in 0..50 {
                 step(&mut e);
             }
             e.trace().unwrap().clone()
         };
-        let legacy = trace(StepMode::Scalar, Engine::step_legacy);
-        for mode in KERNELS {
-            assert_ne!(trace(mode, Engine::step), legacy);
+        for lie in [Lie::Broadcasts, Lie::Ignores] {
+            let legacy = trace(lie, StepMode::Scalar, Engine::step_legacy);
+            for mode in KERNELS {
+                assert_ne!(trace(lie, mode, Engine::step), legacy, "{lie:?}");
+            }
         }
     }
 

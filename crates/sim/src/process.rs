@@ -103,12 +103,19 @@ pub struct Context<'a> {
 ///   process that keeps the default pays nothing.
 /// * [`Process::idle_until`] names the first local round in which
 ///   `decide` must run again. Until that round, every `decide` call would
-///   return [`Action::Idle`], change nothing and draw nothing from
-///   `ctx.rng`, and every `receive(ctx, None)` call would do nothing.
+///   return [`Action::Idle`] and draw nothing from `ctx.rng`, and every
+///   `receive(ctx, None)` call would do nothing. A skipped `decide` may
+///   move only bookkeeping that leaves `idle_until` unchanged (the MIS
+///   notes the round of its last call, for one).
+/// * [`Process::ignores`] may name messages the process would ignore
+///   while a promise holds: `true` promises that `receive(ctx, Some(msg))`
+///   would change nothing and draw nothing. The engine asks only inside a
+///   promise.
 /// * The engine re-reads the promise after every `decide` and `receive`
-///   call it makes. While a promise holds it skips the process's `decide`
-///   and any `receive` that would hand it `⊥`; a message always reaches
-///   its listener, and that `receive` may cut the nap short.
+///   call it makes. While a promise holds it skips the process's `decide`,
+///   any `receive` that would hand it `⊥` and any whose message it
+///   ignores; every other message reaches its listener, and that
+///   `receive` may cut the nap short.
 /// * [`Process::output`] and [`Process::is_done`] change only inside the
 ///   process's own `decide` and `receive` calls, or through
 ///   `Engine::procs_mut`. The engine relies on this: for a promising
@@ -152,6 +159,13 @@ pub trait Process {
     /// the default `0` promises nothing.
     fn idle_until(&self) -> u64 {
         0
+    }
+
+    /// Whether `receive(ctx, Some(msg))` would change nothing and draw
+    /// nothing. Read only when [`Process::IDLES`] is set, and only while a
+    /// promise holds; the default `false` ignores nothing.
+    fn ignores(&self, _msg: &Self::Msg) -> bool {
+        false
     }
 }
 

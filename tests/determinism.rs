@@ -7,9 +7,10 @@
 //! drive the same process RNG streams. Each of its two reach kernels, the
 //! CSR scatter and the bitmask rows, is pinned at spawn and held to the
 //! oracle on its own. The Section 4 MIS, whose knocked-out and covered
-//! processes promise to idle, must match the oracle on every kernel too,
-//! and so must a test process whose naps run long or forever across
-//! bit-word boundaries. And the parallel trial runner must be
+//! processes promise to idle and ignore the messages that change nothing,
+//! must match the oracle on every kernel too, down to each process's
+//! protocol state, and so must a test process whose naps run long or
+//! forever across bit-word boundaries. And the parallel trial runner must be
 //! bit-identical to the serial loop it replaced.
 
 use radio_sim::adversary::{
@@ -23,6 +24,7 @@ use radio_sim::{
 use radio_structures::params::MisParams;
 use radio_structures::Mis;
 use rand::SeedableRng;
+use std::collections::BTreeSet;
 
 /// A randomized chatterer with a per-node output round, exercising decide,
 /// receive, outputs, and the RNG streams.
@@ -417,11 +419,20 @@ fn bitset_clears_reach_words_on_broadcaster_less_rounds() {
     }
 }
 
-/// Everything observable about one MIS execution: trace, outputs,
-/// metrics and each node's first-output round.
+/// One MIS process's protocol state: its output, whether it joined, and
+/// its MIS set `M_u`.
+///
+/// `MisCore`'s `last_r0` is left out on purpose: the oracle's moot
+/// `decide` calls inside a promise advance it, and the production step
+/// skips them, so it differs between the two by design. The promise it
+/// dates, `next_step`, is the same either way.
+type MisState = (Option<bool>, bool, BTreeSet<u32>);
+
+/// Everything observable about one MIS execution: trace, each process's
+/// protocol state, metrics and each node's first-output round.
 type MisCapture = (
     Option<Trace>,
-    Vec<Option<bool>>,
+    Vec<MisState>,
     radio_sim::ExecutionMetrics,
     Vec<Option<u64>>,
 );
@@ -451,25 +462,34 @@ fn capture_mis(
         tier.step(&mut engine);
     }
     let decided = (0..n).map(|v| engine.decided_round(NodeId(v))).collect();
-    (
-        engine.trace().cloned(),
-        engine.outputs(),
-        *engine.metrics(),
-        decided,
-    )
+    let states = engine
+        .procs()
+        .iter()
+        .map(|p| {
+            let core = p.core();
+            (core.output(), core.in_mis(), core.mis_set().clone())
+        })
+        .collect();
+    (engine.trace().cloned(), states, *engine.metrics(), decided)
 }
 
 #[test]
 fn mis_idle_promises_match_the_oracle_on_every_tier() {
     // The production step skips knocked-out and covered MIS processes on
-    // either kernel; the oracle calls every one. A wrong promise (one epoch
-    // too long, say) changes who competes, so the executions part.
+    // either kernel, and the messages they ignore; the oracle calls every
+    // one. A wrong promise (one epoch too long, say) changes who competes,
+    // so the executions part. A covered process that ignores a new
+    // announcer leaves the trace alone but loses it from `M_u`, which the
+    // protocol states catch.
     let check = |ctx: &str, net: &DualGraph, make: &AdversaryFactory, seed: u64, wake: &[u64]| {
         let oracle = capture_mis(net, make(), seed, wake.to_vec(), Tier::Legacy);
         for tier in KERNELS {
             let got = capture_mis(net, make(), seed, wake.to_vec(), tier);
             assert_eq!(got.0, oracle.0, "trace diverged on {ctx} ({tier:?})");
-            assert_eq!(got.1, oracle.1, "outputs diverged on {ctx} ({tier:?})");
+            assert_eq!(
+                got.1, oracle.1,
+                "protocol states diverged on {ctx} ({tier:?})"
+            );
             assert_eq!(got.2, oracle.2, "metrics diverged on {ctx} ({tier:?})");
             assert_eq!(
                 got.3, oracle.3,

@@ -6,9 +6,10 @@
 //! high-water-marks every scratch buffer (and, for the row kernel, built
 //! the cached bitmask rows), stepping the engine must not touch the heap
 //! at all — on any canonical workload, with either kernel pinned, for a
-//! process that never idles and for one that promises naps, long enough
-//! that the engine rebuilds its due set inside the counted rounds — and
-//! under every built-in adversary on the workloads with unreliable edges.
+//! process that never idles and for one that promises naps and ignores
+//! some messages inside them, long enough that the engine rebuilds its due
+//! set inside the counted rounds — and under every built-in adversary on
+//! the workloads with unreliable edges.
 
 use radio_bench::enginebench::{
     workload_builder, workload_engine_mode, workload_net, Chatter, CHATTER_P, WORKLOADS,
@@ -44,7 +45,8 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 
 /// Broadcasts with the workload's probability when it decides, then
 /// promises a nap of 0–5 rounds or, one time in five, of 30–200 rounds,
-/// drawn from its own RNG; a message ends the nap.
+/// drawn from its own RNG. Inside a nap it ignores messages from even
+/// sender ids, and any other message ends the nap.
 #[derive(Default)]
 struct Napper {
     wake_at: u64,
@@ -74,7 +76,8 @@ impl Process for Napper {
     }
 
     fn receive(&mut self, ctx: &mut Context<'_>, msg: Option<&u32>) {
-        if msg.is_some() {
+        let napping = ctx.local_round < self.wake_at;
+        if msg.is_some_and(|m| !(napping && self.ignores(m))) {
             self.wake_at = ctx.local_round + 1;
         }
     }
@@ -85,6 +88,10 @@ impl Process for Napper {
 
     fn idle_until(&self) -> u64 {
         self.wake_at
+    }
+
+    fn ignores(&self, &m: &u32) -> bool {
+        m.is_multiple_of(2)
     }
 }
 
